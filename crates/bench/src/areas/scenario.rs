@@ -33,7 +33,7 @@ impl ScenarioParams {
     /// smoke scale verbatim (so CI measures exactly what the goldens
     /// pin), at full scale re-seeded for a fresh walk.
     pub fn at(scale: Scale, seed: u64) -> Self {
-        let mut pack = fcr_scenario::shipped::mobility_churn();
+        let mut pack = fcr_scenario::shipped::named("mobility_churn").expect("shipped pack");
         if let Scale::Full = scale {
             pack.seed = seed & ((1 << 53) - 1);
             pack.name = format!("mobility_churn_{}", pack.seed);

@@ -755,7 +755,7 @@ mod tests {
 
     #[test]
     fn scenario_report_covers_schemes_and_churn() {
-        let pack = fcr_scenario::shipped::mobility_churn();
+        let pack = fcr_scenario::shipped::named("mobility_churn").expect("shipped pack");
         let out = scenario_report(&pack);
         for needle in ["mobility_churn", "Scheme", "churn schedule", "handovers"] {
             assert!(out.contains(needle), "missing {needle} in:\n{out}");

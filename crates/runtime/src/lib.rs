@@ -70,8 +70,8 @@
 //! The runtime executes opaque closures and returns their results in
 //! **submission order** ([`Runtime::run_batch`]); it injects no
 //! randomness and no ordering dependence. Callers that derive each
-//! job's seed from `(master seed, job index)` — as
-//! `fcr-sim::pool::SimJob` does — therefore obtain results
+//! job's seed from `(master seed, job index)` — as `fcr-sim`'s window
+//! tasks do — therefore obtain results
 //! bit-identical to a serial loop, preserving the common-random-numbers
 //! property across allocation schemes.
 //!

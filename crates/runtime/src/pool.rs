@@ -8,7 +8,7 @@ use crate::job::{panic_message, CompletionSlot, JobError, JobHandle, JobOutcome,
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::priority::Priority;
 use crate::queue::Shard;
-use crate::shard::{ResizeEvent, ResizeTrigger, ShardPolicy};
+use crate::shard::{ResizeEvent, ResizeTrigger};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -56,9 +56,6 @@ pub struct RuntimeConfig {
     /// (also the number of queue shards). Raised to at least `workers`
     /// at construction.
     pub max_workers: usize,
-    /// Default intra-run sharding policy for shard-aware callers
-    /// (`fcr-sim` reads this when a `SimConfig` does not override it).
-    pub shard: ShardPolicy,
     /// When `Some`, the pool starts its background autoscaler thread
     /// at construction (equivalent to calling
     /// [`Runtime::start_autoscaler`] immediately). `None` (the
@@ -76,7 +73,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 128,
             min_workers: 1,
             max_workers: workers,
-            shard: ShardPolicy::Auto,
             autoscale: None,
         }
     }
@@ -440,7 +436,6 @@ impl<T> RejectedJob<T> {
 pub struct Runtime {
     shared: Arc<Shared>,
     next_shard: AtomicUsize,
-    shard_policy: ShardPolicy,
     /// Background autoscaler thread, if running.
     scaler: Mutex<Option<JoinHandle<()>>>,
 }
@@ -530,7 +525,6 @@ impl Runtime {
         let runtime = Runtime {
             shared,
             next_shard: AtomicUsize::new(0),
-            shard_policy: config.shard,
             scaler: Mutex::new(None),
         };
         if let Some(autoscale) = config.autoscale {
@@ -558,12 +552,6 @@ impl Runtime {
     /// The elastic ceiling (= shard count).
     pub fn max_workers(&self) -> usize {
         self.shared.max_workers
-    }
-
-    /// The default intra-run sharding policy this pool was configured
-    /// with.
-    pub fn shard_policy(&self) -> ShardPolicy {
-        self.shard_policy
     }
 
     /// Sets the active worker count to `target`, clamped to the
@@ -1331,7 +1319,6 @@ mod tests {
                 interval: Duration::from_millis(5),
                 cooldown: Duration::from_millis(5),
             }),
-            ..RuntimeConfig::default()
         });
         assert!(rt.autoscaler_running());
         assert!(
@@ -1391,7 +1378,6 @@ mod tests {
                 interval: Duration::from_millis(5),
                 cooldown: Duration::from_millis(200),
             }),
-            ..RuntimeConfig::default()
         });
         let before = rt.snapshot().counter("pool.resizes").unwrap_or(0);
         let t0 = Instant::now();
@@ -1505,7 +1491,6 @@ mod tests {
                 interval: Duration::from_millis(1),
                 cooldown: Duration::from_millis(1),
             }),
-            ..RuntimeConfig::default()
         });
         assert!(rt.autoscaler_running());
         assert_eq!(rt.spawn(|| 42).join(), Ok(42));

@@ -269,8 +269,11 @@ impl ChurnDriver {
     /// Replays `pack`'s schedule against `service`: admissions,
     /// handovers, retirements, one [`Service::step`] per slot, then a
     /// quiesce. The service's extended accounting identity is asserted
-    /// internally on every one of these transitions.
+    /// internally on every one of these transitions. Completed
+    /// sessions' outputs stay buffered for
+    /// [`Service::take_completed`].
     pub fn run(pack: &Pack, service: &Service) -> ChurnReport {
+        let completed_before = service.snapshot().completed;
         let schedule = ChurnSchedule::generate(pack);
         let scenario = Arc::new(pack.scenario());
         let mut report = ChurnReport::default();
@@ -330,8 +333,8 @@ impl ChurnDriver {
             }
             service.step();
         }
-        service.quiesce(100_000);
-        report.completed = service.take_completed().len() as u64;
+        service.quiesce();
+        report.completed = service.snapshot().completed - completed_before;
         report
     }
 }

@@ -1,261 +1,35 @@
-//! The shipped scenario packs: the Rust definitions of the JSON files
-//! under `scenarios/` at the repository root.
+//! The shipped scenario packs: the JSON files under `scenarios/` at the
+//! repository root, embedded at build time.
 //!
-//! The *files* are the interface — the CLI, CI smoke jobs, and users
-//! load them — and these constructors are their single source of
-//! truth: the pack conformance suite asserts every
-//! `scenarios/<name>.json` is byte-identical to
-//! `shipped()[i].to_json()`, and `FCR_REGEN_GOLDENS=1` rewrites the
-//! files from here. Editing either side without the other is a test
-//! failure, not silent drift.
+//! The *files* are the only definition — the CLI, CI smoke jobs, and
+//! users load them, and this module embeds the same bytes so tests and
+//! benches can look a pack up by name. The pack conformance suite
+//! asserts every file parses (which validates it) and is its own
+//! canonical rendering ([`Pack::to_json`]) byte for byte;
+//! `FCR_REGEN_GOLDENS=1` rewrites a file into canonical form.
 
-use crate::pack::{
-    ArrivalSpec, ChannelSpec, ChurnSpec, GeoFbs, MobilitySpec, Pack, PuBurstSpec, TopologySpec,
-    TrafficSpec,
-};
-use fcr_sim::Scheme;
-use fcr_video::sequences::Sequence;
+use crate::pack::Pack;
 
-/// The seed every shipped pack uses (the paper's publication date).
-pub const SHIPPED_SEED: u64 = 20110611;
-
-fn trio_traffic() -> TrafficSpec {
-    TrafficSpec {
-        sequences: Sequence::PAPER_TRIO.to_vec(),
-        base_runs: 1,
-        enhancement_runs: 0,
-    }
+/// `(name, JSON text)` of one shipped pack file.
+macro_rules! pack_file {
+    ($name:literal) => {
+        (
+            $name,
+            include_str!(concat!("../../../scenarios/", $name, ".json")),
+        )
+    };
 }
 
-/// Smoke-scale channel overrides shared by the churn packs: small
-/// GOPs/deadline so a full churn horizon replays in seconds.
-fn smoke_channel() -> ChannelSpec {
-    ChannelSpec {
-        gops: Some(2),
-        deadline: Some(4),
-        num_channels: Some(4),
-        ..ChannelSpec::default()
-    }
-}
-
-/// The paper's Scenario A: one femtocell, three users, default
-/// channel statistics — the single-cell baseline every figure builds
-/// on. Bit-identical to `Scenario::single_fbs`.
-pub fn single_fbs() -> Pack {
-    Pack {
-        name: "single_fbs".to_string(),
-        description: "Scenario A: one femtocell, three users (Bus/Mobile/Harbor), \
-                      paper-default channel statistics"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 2,
-        schemes: Scheme::PAPER_TRIO.to_vec(),
-        topology: TopologySpec::SingleFbs { users: 3 },
-        channel: ChannelSpec {
-            gops: Some(4),
-            ..ChannelSpec::default()
-        },
-        traffic: trio_traffic(),
-        mobility: None,
-        churn: None,
-        faults: None,
-    }
-}
-
-/// The paper's Fig. 1 network: four femtocells, only FBS 2 and 3
-/// overlapping. Bit-identical to `Scenario::fig1`.
-pub fn paper_fig1() -> Pack {
-    Pack {
-        name: "paper_fig1".to_string(),
-        description: "The paper's Fig. 1 network: four femtocells, three users each, \
-                      only cells 2 and 3 overlap"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 2,
-        schemes: Scheme::PAPER_TRIO.to_vec(),
-        topology: TopologySpec::PaperFig1 { users_per_fbs: 3 },
-        channel: ChannelSpec {
-            gops: Some(4),
-            ..ChannelSpec::default()
-        },
-        traffic: trio_traffic(),
-        mobility: None,
-        churn: None,
-        faults: None,
-    }
-}
-
-/// The paper's Fig. 5 interfering path: three femtocells in a chain,
-/// scored with the eq.-(23) upper bound alongside the paper trio.
-/// Bit-identical to `Scenario::interfering_fig5`.
-pub fn paper_fig5() -> Pack {
-    Pack {
-        name: "paper_fig5".to_string(),
-        description: "The paper's Fig. 5 interfering chain: three femtocells with 1-2 \
-                      and 2-3 overlapping, scored against the eq.-(23) bound"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 2,
-        schemes: Scheme::WITH_BOUND.to_vec(),
-        topology: TopologySpec::PaperFig5 { users_per_fbs: 3 },
-        channel: ChannelSpec {
-            gops: Some(4),
-            ..ChannelSpec::default()
-        },
-        traffic: trio_traffic(),
-        mobility: None,
-        churn: None,
-        faults: None,
-    }
-}
-
-/// Mobility/handover churn over the Fig. 5 chain: sessions arrive
-/// Poisson, walkers roam between cells, and the serve ledger absorbs
-/// every FBS→FBS / FBS→MBS / MBS→FBS transition.
-pub fn mobility_churn() -> Pack {
-    Pack {
-        name: "mobility_churn".to_string(),
-        description: "Poisson session churn over the Fig. 5 chain with 6 m/slot walkers: \
-                      handovers move budget claims under the extended accounting identity"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 1,
-        schemes: vec![Scheme::Proposed],
-        topology: TopologySpec::PaperFig5 { users_per_fbs: 2 },
-        channel: smoke_channel(),
-        traffic: TrafficSpec {
-            sequences: Sequence::PAPER_TRIO.to_vec(),
-            base_runs: 1,
-            enhancement_runs: 1,
-        },
-        mobility: Some(MobilitySpec {
-            step_m: 6.0,
-            hysteresis_m: 2.0,
-        }),
-        churn: Some(ChurnSpec {
-            slots: 40,
-            arrivals: ArrivalSpec::Poisson { rate_per_slot: 0.6 },
-            mean_hold_slots: 12.0,
-            mbs_budget: 4.0,
-            max_sessions: 24,
-            pu_bursts: None,
-        }),
-        faults: None,
-    }
-}
-
-/// A flash crowd hitting a random three-cell deployment: baseline
-/// trickle, then a 12x arrival burst that drives the admission budget
-/// into rejection territory.
-pub fn flash_crowd() -> Pack {
-    Pack {
-        name: "flash_crowd".to_string(),
-        description: "Flash-crowd arrivals (0.2/slot baseline, 2.5/slot burst over slots \
-                      10-17) on a seeded random three-cell deployment"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 1,
-        schemes: vec![Scheme::Proposed],
-        topology: TopologySpec::Random {
-            fbss: 3,
-            users_per_fbs: 2,
-            side: 220.0,
-            coverage: 30.0,
-        },
-        channel: smoke_channel(),
-        traffic: TrafficSpec {
-            sequences: vec![Sequence::Foreman, Sequence::Coastguard, Sequence::News],
-            base_runs: 1,
-            enhancement_runs: 0,
-        },
-        mobility: Some(MobilitySpec {
-            step_m: 4.0,
-            hysteresis_m: 3.0,
-        }),
-        churn: Some(ChurnSpec {
-            slots: 40,
-            arrivals: ArrivalSpec::FlashCrowd {
-                base_rate: 0.2,
-                burst_rate: 2.5,
-                burst_start: 10,
-                burst_slots: 8,
-            },
-            mean_hold_slots: 10.0,
-            mbs_budget: 3.0,
-            max_sessions: 16,
-            pu_bursts: None,
-        }),
-        faults: None,
-    }
-}
-
-/// Correlated primary-user bursts over an explicit two-cell geometry:
-/// sessions admitted inside a burst model boosted licensed-channel
-/// utilization, under diurnal load and a seeded fault plan.
-pub fn pu_burst() -> Pack {
-    Pack {
-        name: "pu_burst".to_string(),
-        description: "Diurnal load with correlated primary-user bursts on an explicit \
-                      two-cell geometry; burst admissions model +0.15 channel utilization"
-            .to_string(),
-        seed: SHIPPED_SEED,
-        runs: 1,
-        schemes: vec![Scheme::Proposed, Scheme::Heuristic1],
-        topology: TopologySpec::Geometric {
-            mbs: (0.0, 120.0),
-            fbss: vec![
-                GeoFbs {
-                    pos: (-40.0, 0.0),
-                    radius: 28.0,
-                },
-                GeoFbs {
-                    pos: (40.0, 0.0),
-                    radius: 28.0,
-                },
-            ],
-            users: vec![(-44.0, 3.0), (-35.0, -6.0), (38.0, 5.0), (45.0, -4.0)],
-        },
-        channel: ChannelSpec {
-            epsilon: Some(0.2),
-            delta: Some(0.2),
-            ..smoke_channel()
-        },
-        traffic: TrafficSpec {
-            sequences: vec![Sequence::Bus, Sequence::Harbor],
-            base_runs: 1,
-            enhancement_runs: 0,
-        },
-        mobility: Some(MobilitySpec {
-            step_m: 5.0,
-            hysteresis_m: 2.0,
-        }),
-        churn: Some(ChurnSpec {
-            slots: 48,
-            arrivals: ArrivalSpec::Diurnal {
-                base_rate: 0.2,
-                peak_rate: 1.0,
-                period_slots: 48,
-            },
-            mean_hold_slots: 10.0,
-            mbs_budget: 3.5,
-            max_sessions: 16,
-            pu_bursts: Some(PuBurstSpec {
-                bursts: 2,
-                mean_duration_slots: 6.0,
-                utilization_boost: 0.15,
-            }),
-        }),
-        faults: Some(crate::pack::FaultsSpec {
-            jobs: 32,
-            panics: 2,
-            delays: 3,
-            max_delay_ms: 3,
-            resizes: 1,
-            worker_min: 1,
-            worker_max: 4,
-        }),
-    }
-}
+/// Every shipped pack file as `(name, JSON text)`: the paper packs,
+/// then the churn packs.
+pub const FILES: [(&str, &str); 6] = [
+    pack_file!("single_fbs"),
+    pack_file!("paper_fig1"),
+    pack_file!("paper_fig5"),
+    pack_file!("mobility_churn"),
+    pack_file!("flash_crowd"),
+    pack_file!("pu_burst"),
+];
 
 /// Absolute path of the repository's `scenarios/` directory (the
 /// shipped pack files live at `scenarios/<name>.json`).
@@ -267,17 +41,22 @@ pub fn scenarios_dir() -> std::path::PathBuf {
         .join("scenarios")
 }
 
-/// Every shipped pack, in the order the `scenarios/` directory lists
-/// them.
+/// Every shipped pack, in [`FILES`] order.
 pub fn shipped() -> Vec<Pack> {
-    vec![
-        single_fbs(),
-        paper_fig1(),
-        paper_fig5(),
-        mobility_churn(),
-        flash_crowd(),
-        pu_burst(),
-    ]
+    FILES.iter().map(|(name, text)| parse(name, text)).collect()
+}
+
+/// The shipped pack called `name`, or `None` when no file has that
+/// name.
+pub fn named(name: &str) -> Option<Pack> {
+    FILES
+        .iter()
+        .find(|(file, _)| *file == name)
+        .map(|(name, text)| parse(name, text))
+}
+
+fn parse(name: &str, text: &str) -> Pack {
+    Pack::from_json(text).unwrap_or_else(|e| panic!("scenarios/{name}.json: {e}"))
 }
 
 #[cfg(test)]
@@ -285,21 +64,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shipped_packs_are_valid_unique_and_canonical_fixed_points() {
-        let packs = shipped();
-        assert_eq!(packs.len(), 6);
-        let mut names: Vec<&str> = packs.iter().map(|p| p.name.as_str()).collect();
-        for pack in &packs {
-            pack.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", pack.name));
-            let text = pack.to_json();
-            let back = Pack::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", pack.name));
-            assert_eq!(&back, pack, "{} round-trips", pack.name);
-            assert_eq!(back.to_json(), text, "{} is a fixed point", pack.name);
+    fn shipped_packs_are_named_after_their_unique_files() {
+        let mut names: Vec<&str> = FILES.iter().map(|(name, _)| *name).collect();
+        for (pack, name) in shipped().iter().zip(&names) {
+            assert_eq!(pack.name, *name, "scenarios/{name}.json names another pack");
         }
+        assert_eq!(named("pu_burst").map(|p| p.name), Some("pu_burst".into()));
+        assert_eq!(named("octagon"), None);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), packs.len(), "pack names are unique");
+        assert_eq!(names.len(), FILES.len(), "pack names are unique");
     }
 
     #[test]

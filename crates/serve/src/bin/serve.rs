@@ -283,7 +283,7 @@ fn main() {
             retired_at_drain += 1;
         }
     }
-    service.quiesce(10_000_000);
+    service.quiesce();
     let elapsed = steady_start.elapsed().as_secs_f64();
     let snap = service.snapshot();
     assert!(

@@ -46,7 +46,7 @@
 //!     fcr_serve::AdmitOutcome::Admitted(id) => id,
 //!     fcr_serve::AdmitOutcome::Rejected(reason) => panic!("rejected: {reason}"),
 //! };
-//! service.quiesce(10_000); // step the clock until the session completes
+//! service.quiesce(); // step the clock until the session completes
 //! let done = service.take_completed();
 //! assert_eq!(done[0].id, id);
 //! ```

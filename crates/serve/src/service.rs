@@ -858,22 +858,29 @@ impl Service {
     }
 
     /// Steps the clock until every admitted session has resolved and
-    /// all pool work has drained, up to `max_steps`.
+    /// all pool work has drained: it keeps stepping while any window
+    /// is queued in a session or running on the pool, however long
+    /// the pool takes, and returns once nothing is pending.
     ///
     /// # Panics
     ///
-    /// Panics when `max_steps` ticks pass without quiescing — a stuck
-    /// service must fail loudly, not hang.
-    pub fn quiesce(&self, max_steps: u64) {
-        for _ in 0..max_steps {
+    /// Panics when a step leaves sessions unresolved with no window
+    /// queued, submitted or running — no further step could change
+    /// anything, so a stuck service fails loudly instead of hanging.
+    /// (A draining session always has a window running, so only
+    /// active sessions can be stuck this way.)
+    pub fn quiesce(&self) {
+        loop {
             let report = self.step();
-            let draining = !self.lock().draining.is_empty();
-            if report.active == 0 && report.pending == 0 && !draining {
+            if report.pending == 0 {
+                assert_eq!(
+                    report.active, 0,
+                    "service cannot quiesce: active sessions have no window queued or running"
+                );
                 return;
             }
             std::thread::yield_now();
         }
-        panic!("service failed to quiesce within {max_steps} steps");
     }
 
     /// A point-in-time copy of the service's counters and gauges.

@@ -120,13 +120,13 @@ fn retirement_frees_budget_for_readmission() {
     ));
 
     // ...and natural completion frees it too.
-    service.quiesce(10_000);
+    service.quiesce();
     assert_eq!(service.snapshot().mbs_in_use, 0.0);
     assert!(matches!(
         service.admit(spec(&scenario, cfg, 3)),
         AdmitOutcome::Admitted(_)
     ));
-    service.quiesce(10_000);
+    service.quiesce();
     let snap = service.snapshot();
     assert!(snap.accounting_holds(), "{snap:?}");
     assert_eq!(snap.admitted, 3);

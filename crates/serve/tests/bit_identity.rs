@@ -63,7 +63,7 @@ fn served_sessions_match_the_batch_path_bit_for_bit() {
             AdmitOutcome::Admitted(id) => id,
             AdmitOutcome::Rejected(reason) => panic!("rejected: {reason}"),
         };
-        service.quiesce(10_000);
+        service.quiesce();
         let done = service.take_completed();
         assert_eq!(done.len(), 1);
         let session = &done[0];
@@ -114,7 +114,7 @@ fn concurrent_sessions_on_one_pool_stay_independent() {
             },
         )
         .collect();
-    service.quiesce(10_000);
+    service.quiesce();
     let mut done = service.take_completed();
     done.sort_by_key(|s| s.id.0);
     assert_eq!(done.len(), seeds.len());

@@ -5,7 +5,7 @@
 //! every stage is counted and the accounting identity holds
 //! throughout.
 
-use fcr_runtime::{Priority, Runtime, RuntimeConfig, ShardPolicy};
+use fcr_runtime::{Priority, Runtime, RuntimeConfig};
 use fcr_serve::{AdmitOutcome, ServeConfig, Service, SessionSpec};
 use fcr_sim::config::SimConfig;
 use fcr_sim::{Scenario, Scheme, SimSession};
@@ -31,7 +31,6 @@ fn starved_pool(release: &Arc<AtomicBool>) -> Arc<Runtime> {
         queue_capacity: 1,
         min_workers: 1,
         max_workers: 1,
-        shard: ShardPolicy::Auto,
         autoscale: None,
     }));
     let started = Arc::new(AtomicBool::new(false));
@@ -112,7 +111,7 @@ fn stage_two_sheds_enhancement_and_the_session_completes_degraded() {
     // — degraded, loudly, with the base output intact and bit-identical
     // to the batch path.
     release.store(true, Ordering::Release);
-    service.quiesce(10_000);
+    service.quiesce();
     let done = service.take_completed();
     assert_eq!(done.len(), 1);
     let session = &done[0];
@@ -195,7 +194,7 @@ fn stage_three_sheds_the_session_only_after_its_enhancement() {
     // shed session never reaches the completed buffer.
     release.store(true, Ordering::Release);
     let _ = filler.join();
-    service.quiesce(10_000);
+    service.quiesce();
     assert!(service.take_completed().is_empty());
     let snap = service.snapshot();
     assert_eq!((snap.pending, snap.draining), (0, 0));

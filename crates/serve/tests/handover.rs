@@ -80,7 +80,7 @@ fn fbs_to_mbs_swaps_the_claim_exactly_and_back() {
     assert_eq!(service.snapshot().active_on_mbs, 0);
 
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce();
     assert_eq!(service.snapshot().mbs_in_use, 0.0, "ledger drains to zero");
 }
 
@@ -117,7 +117,7 @@ fn over_budget_macro_fallback_rejects_and_changes_nothing() {
     assert_eq!(after.handovers_rejected, 1);
     assert_eq!(after.handovers_fbs_mbs, 0);
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce();
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn a_demand_decrease_always_fits_even_at_full_budget() {
         "a full-demand session still must not fit half a budget"
     );
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce();
 }
 
 #[test]
@@ -171,7 +171,7 @@ fn wrong_serving_side_is_rejected_without_state_change() {
     }
     assert_eq!(service.snapshot().handovers_rejected, 3);
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce();
 }
 
 #[test]
@@ -191,7 +191,7 @@ fn handover_on_inactive_sessions_is_not_active() {
         HandoverOutcome::NotActive,
         "retired sessions cannot hand over"
     );
-    service.quiesce(10_000);
+    service.quiesce();
 }
 
 #[test]
@@ -206,7 +206,7 @@ fn handed_over_sessions_complete_with_batch_identical_outputs() {
     assert!(service
         .handover(id, demand * 2.0, HandoverKind::FbsToMbs)
         .completed());
-    service.quiesce(10_000);
+    service.quiesce();
     let completed = service.take_completed();
     assert_eq!(completed.len(), 1);
     let served = completed[0].outputs[0].as_ref().expect("base run output");

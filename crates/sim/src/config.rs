@@ -2,7 +2,6 @@
 //! (Section V): `M = 8`, `P01 = 0.4`, `P10 = 0.3`, `γ = 0.2`,
 //! `ε = δ = 0.3`, `B0 = B1 = 0.3` Mbps, `T = 10`.
 
-use fcr_runtime::ShardPolicy;
 use fcr_spectrum::access::{AccessPolicy, ThresholdPolicy};
 use fcr_spectrum::markov::TwoStateMarkov;
 use fcr_spectrum::sensing::SensorProfile;
@@ -103,11 +102,6 @@ pub struct SimConfig {
     /// (near line-of-sight femtocell links), `0.5 ≤ m < 1` models
     /// worse-than-Rayleigh scattering.
     pub nakagami_m: f64,
-    /// How [`crate::session::SimSession`] cuts each multi-GOP run into
-    /// independently schedulable GOP-aligned shard jobs. Never affects
-    /// results — sharded output is bit-identical to serial for every
-    /// policy — only the scheduling granularity.
-    pub shard: ShardPolicy,
 }
 
 impl Default for SimConfig {
@@ -133,7 +127,6 @@ impl Default for SimConfig {
             sensing_strategy: SensingStrategy::RoundRobin,
             scalability: Scalability::Mgs,
             nakagami_m: 1.0,
-            shard: ShardPolicy::Auto,
         }
     }
 }
@@ -299,7 +292,6 @@ mod tests {
         assert_eq!(cfg.sensing_strategy, SensingStrategy::RoundRobin);
         assert_eq!(cfg.scalability, Scalability::Mgs);
         assert_eq!(cfg.nakagami_m, 1.0);
-        assert_eq!(cfg.shard, ShardPolicy::Auto);
     }
 
     #[test]

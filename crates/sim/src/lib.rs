@@ -27,11 +27,12 @@
 //! slot loop, with optional per-slot [`trace`]s),
 //! [`packet_engine`] (the NAL-unit-granular validation mode),
 //! [`metrics`] (per-run results), [`report`] (table rendering),
-//! [`pool`] (typed simulation jobs on the process-wide
-//! [`fcr_runtime`] worker pool), and [`session`] (the builder-style
-//! [`session::SimSession`] entry point that shards each run into
-//! GOP-aligned slot windows on the elastic pool and can tag a whole
-//! session with a scheduling [`fcr_runtime::Priority`]).
+//! [`pool`] (the process-wide [`fcr_runtime`] worker pool and its
+//! domain counters), [`stream`] (one run cut into GOP-aligned slot
+//! windows), and [`session`] (the builder-style
+//! [`session::SimSession`] entry point that runs those windows on the
+//! elastic pool and can tag a whole session with a scheduling
+//! [`fcr_runtime::Priority`]).
 //!
 //! # Examples
 //!
@@ -76,7 +77,6 @@ pub use config::SimConfig;
 pub use engine::{run, RunOutput, TraceMode};
 pub use metrics::RunResult;
 pub use packet_engine::{run_packet_level, PacketRunResult};
-pub use pool::SimJob;
 pub use scenario::{Scenario, UserSpec};
 pub use scheme::Scheme;
 pub use session::{PacketSessionResult, SessionResult, SimSession};

@@ -1,35 +1,17 @@
-//! The process-wide simulation pool: typed [`SimJob`]s executed on the
-//! shared [`fcr_runtime::Runtime`].
+//! The process-wide simulation pool: the shared
+//! [`fcr_runtime::Runtime`] every [`crate::session::SimSession`]
+//! submits its window jobs to, and the domain counters those windows
+//! feed.
 //!
-//! Every multi-run code path ([`crate::session::SimSession`] and the
-//! batch helpers here) routes through this module, so the whole
-//! process shares **one** elastic worker pool — a hard concurrency
-//! cap, replacing the seed's unbounded per-run thread spawning. The
-//! shared pool runs the always-on background autoscaler
+//! Sharing **one** elastic worker pool gives the whole process a hard
+//! concurrency cap, replacing the seed's unbounded per-run thread
+//! spawning. The shared pool runs the always-on background autoscaler
 //! ([`fcr_runtime::AutoscaleConfig`]) so it sizes itself to the
 //! workload without callers doing anything; resizes never change
 //! results, only parallelism.
-//!
-//! # Determinism
-//!
-//! A [`SimJob`] carries everything a run depends on — scenario,
-//! config, scheme, master seed, run index — and derives its RNG
-//! streams from `SeedSequence::new(master_seed)` exactly like the
-//! serial [`crate::engine::run`] path. Combined with the runtime returning batch
-//! results in submission order, pooled execution is **bit-identical**
-//! to a serial loop regardless of worker count or scheduling, and the
-//! common-random-numbers property across schemes is preserved
-//! (verified by `tests/determinism.rs`).
 
-use crate::config::SimConfig;
-use crate::engine::{run, TraceMode};
-use crate::metrics::RunResult;
-use crate::scenario::Scenario;
-use crate::scheme::Scheme;
-use fcr_runtime::{AutoscaleConfig, JobOutcome, MetricsSnapshot, Runtime, RuntimeConfig};
-use fcr_stats::rng::SeedSequence;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use fcr_runtime::{AutoscaleConfig, MetricsSnapshot, Runtime, RuntimeConfig};
+use std::sync::OnceLock;
 
 /// Name of the domain counter tracking simulated channel slots.
 pub const SLOTS_COUNTER: &str = "slots_simulated";
@@ -38,40 +20,6 @@ pub const SOLVER_COUNTER: &str = "solver_invocations";
 /// Name of the domain counter tracking executed intra-run shard jobs
 /// (GOP-aligned slot windows scheduled by [`crate::session::SimSession`]).
 pub const SHARDS_COUNTER: &str = "shards_executed";
-
-/// One simulation run, fully described: `(scenario, config, scheme,
-/// master seed, run index) → RunResult`.
-#[derive(Debug, Clone)]
-pub struct SimJob {
-    /// Deployment under test (shared across the runs of a batch).
-    pub scenario: Arc<Scenario>,
-    /// Simulation parameters.
-    pub config: SimConfig,
-    /// Allocation scheme under test.
-    pub scheme: Scheme,
-    /// Master seed; per-run streams derive from `(master_seed,
-    /// run_index)`, never from scheduling order.
-    pub master_seed: u64,
-    /// Which run of the experiment this job is.
-    pub run_index: u64,
-}
-
-impl SimJob {
-    /// Executes the run on the calling thread — byte-identical to the
-    /// serial path because the seed derivation matches
-    /// [`crate::session::SimSession::run`]'s contract.
-    pub fn execute(&self) -> RunResult {
-        run(
-            &self.scenario,
-            &self.config,
-            self.scheme,
-            &SeedSequence::new(self.master_seed),
-            self.run_index,
-            TraceMode::Off,
-        )
-        .result
-    }
-}
 
 /// The process-wide runtime, built on first use and shared by every
 /// experiment in the process. Sized by
@@ -94,62 +42,9 @@ pub fn snapshot() -> MetricsSnapshot {
     shared().snapshot()
 }
 
-/// Runs a batch of jobs on the shared pool, returning per-job outcomes
-/// **in submission order**. A panicking run yields
-/// `Err(JobError::Panicked(..))` for that job only; the pool and the
-/// remaining jobs are unaffected.
-pub fn execute_all(jobs: Vec<SimJob>) -> Vec<JobOutcome<RunResult>> {
-    let runtime = shared();
-    let slots = runtime.metrics().counter(SLOTS_COUNTER);
-    let solves = runtime.metrics().counter(SOLVER_COUNTER);
-    runtime.run_batch(jobs.into_iter().map(|job| {
-        let slots = Arc::clone(&slots);
-        let solves = Arc::clone(&solves);
-        move || {
-            let total_slots = job.config.total_slots();
-            let result = job.execute();
-            // One channel-allocation solve happens per simulated slot.
-            slots.fetch_add(total_slots, Ordering::Relaxed);
-            solves.fetch_add(total_slots, Ordering::Relaxed);
-            result
-        }
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pooled_jobs_match_direct_execution_and_feed_metrics() {
-        let config = SimConfig {
-            gops: 2,
-            ..SimConfig::default()
-        };
-        let scenario = Arc::new(Scenario::single_fbs(&config));
-        let jobs: Vec<SimJob> = (0..3)
-            .map(|run_index| SimJob {
-                scenario: Arc::clone(&scenario),
-                config,
-                scheme: Scheme::Proposed,
-                master_seed: 4242,
-                run_index,
-            })
-            .collect();
-        let serial: Vec<RunResult> = jobs.iter().map(SimJob::execute).collect();
-        let before = snapshot().counter(SLOTS_COUNTER).unwrap_or(0);
-        let pooled = execute_all(jobs);
-        assert_eq!(pooled.len(), 3);
-        for (p, s) in pooled.iter().zip(&serial) {
-            assert_eq!(p.as_ref().expect("no panics"), s);
-        }
-        let after = snapshot().counter(SLOTS_COUNTER).expect("registered");
-        assert_eq!(after - before, 3 * config.total_slots());
-        assert_eq!(
-            snapshot().counter(SOLVER_COUNTER).expect("registered") % config.total_slots(),
-            after % config.total_slots(),
-        );
-    }
 
     #[test]
     fn shared_pool_is_a_singleton() {

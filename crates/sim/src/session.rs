@@ -22,15 +22,15 @@
 //!
 //! # Intra-run sharding
 //!
-//! A session cuts every run into GOP-aligned slot windows per its
-//! [`ShardPolicy`] ([`SimSession::shards`], falling back to
-//! [`SimConfig::shard`]) and schedules each window as one job on the
-//! process-wide worker pool — so even a *single* long run parallelizes
-//! across workers. The RNG handoff is deterministic (run-level
-//! spectrum streams + per-`(run, gop)` fading/loss substreams, see
-//! `fcr_spectrum::streams`), which makes sharded output **bit-identical
-//! to serial** for every policy; `tests/determinism.rs` pins this for
-//! both the fluid and the packet engine.
+//! A session opens one [`RunStream`] per run, cut into GOP-aligned
+//! slot windows per its [`ShardPolicy`] ([`SimSession::shards`]), and
+//! schedules each window as one job on the process-wide worker pool —
+//! so even a *single* long run parallelizes across workers. The RNG
+//! handoff is deterministic (run-level spectrum streams + per-`(run,
+//! gop)` fading/loss substreams, see `fcr_spectrum::streams`), which
+//! makes sharded output **bit-identical to serial** for every policy;
+//! `tests/determinism.rs` pins this for both the fluid and the packet
+//! engine.
 //!
 //! Before each batch the session lets the elastic pool take one
 //! manual autoscale step within its configured bounds (queue-depth and
@@ -50,30 +50,30 @@
 //! execution order (`tests/determinism.rs` pins this).
 
 use crate::config::SimConfig;
-use crate::engine::{self, RunOutput, SpectrumPlan, TraceMode, WindowOutput};
+use crate::engine::{RunOutput, SpectrumPlan, TraceMode};
 use crate::metrics::{RunResult, SchemeSummary};
 use crate::packet_engine::{self, PacketRunResult, PacketWindowOutput};
-use crate::pool::{self, SHARDS_COUNTER, SLOTS_COUNTER, SOLVER_COUNTER};
+use crate::pool;
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
+use crate::stream::{RunStream, ShardCounters};
 use crate::trace::SimTrace;
 use fcr_runtime::{JobOutcome, Priority, Runtime, ShardPolicy};
 use fcr_stats::rng::SeedSequence;
 use fcr_stats::series::Series;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Builder-style handle for running one scenario several times.
 ///
-/// Defaults: the paper's 10 runs, master seed 0, the config's
-/// [`SimConfig::shard`] policy, and [`TraceMode::Off`].
+/// Defaults: the paper's 10 runs, master seed 0,
+/// [`ShardPolicy::Auto`], and [`TraceMode::Off`].
 #[derive(Debug, Clone)]
 pub struct SimSession {
     scenario: Arc<Scenario>,
     config: SimConfig,
     runs: u64,
     master_seed: u64,
-    shards: Option<ShardPolicy>,
+    shards: ShardPolicy,
     trace: TraceMode,
     priority: Priority,
     runtime: Option<Arc<Runtime>>,
@@ -88,7 +88,7 @@ impl SimSession {
             config: SimConfig::default(),
             runs: 10,
             master_seed: 0,
-            shards: None,
+            shards: ShardPolicy::Auto,
             trace: TraceMode::Off,
             priority: Priority::default(),
             runtime: None,
@@ -119,10 +119,10 @@ impl SimSession {
         self
     }
 
-    /// Overrides the shard policy (otherwise [`SimConfig::shard`] is
-    /// used). Sharding never changes results, only scheduling.
+    /// Sets the shard policy ([`ShardPolicy::Auto`] by default).
+    /// Sharding never changes results, only scheduling.
     pub fn shards(mut self, policy: ShardPolicy) -> Self {
-        self.shards = Some(policy);
+        self.shards = policy;
         self
     }
 
@@ -178,7 +178,7 @@ impl SimSession {
 
     /// The shard policy the session will resolve against the pool.
     pub fn shard_policy(&self) -> ShardPolicy {
-        self.shards.unwrap_or(self.config.shard)
+        self.shards
     }
 
     /// Executes all runs of `scheme` (fluid engine), sharded across
@@ -189,73 +189,35 @@ impl SimSession {
     /// are bit-identical to the serial [`crate::engine::run`] path for
     /// every shard policy and worker count.
     pub fn run(&self, scheme: Scheme) -> SessionResult {
-        let seeds = SeedSequence::new(self.master_seed);
         let runtime = self.pool();
         record_pool_resizes(runtime);
-        let total_gops = u64::from(self.config.gops);
-        let window_gops = self
-            .shard_policy()
-            .window_gops(total_gops, runtime.active_workers());
-        let windows_per_run = total_gops.div_ceil(window_gops);
-        let mode = self.trace;
-
-        // Serial spectrum prologue, once per run (cheap and
-        // scheme-independent); every shard of the run shares the plan.
-        let plans: Vec<Arc<SpectrumPlan>> = (0..self.runs)
+        let window_gops = self.window_gops(runtime);
+        // Each stream runs its serial spectrum prologue here (cheap and
+        // scheme-independent); every window of the run shares the plan.
+        let streams: Vec<RunStream> = (0..self.runs)
             .map(|r| {
-                Arc::new(engine::plan_spectrum(
-                    &self.scenario,
-                    &self.config,
-                    &seeds.child("run", r),
-                ))
+                RunStream::new(
+                    Arc::clone(&self.scenario),
+                    self.config,
+                    scheme,
+                    self.master_seed,
+                    r,
+                    window_gops,
+                    self.trace,
+                )
             })
             .collect();
-
+        let counters = ShardCounters::from_runtime(runtime);
         // One flat batch, run-major then window order — regrouped below
         // in exactly this order.
-        let mut jobs = Vec::with_capacity((self.runs * windows_per_run) as usize);
-        for r in 0..self.runs {
-            let run_seeds = seeds.child("run", r);
-            for w in 0..windows_per_run {
-                let gop_start = w * window_gops;
-                let gops = window_gops.min(total_gops - gop_start) as u32;
-                jobs.push(WindowJob {
-                    scenario: Arc::clone(&self.scenario),
-                    config: self.config,
-                    scheme,
-                    run_seeds,
-                    plan: Arc::clone(&plans[r as usize]),
-                    run: r,
-                    window: w,
-                    gop_start: gop_start as u32,
-                    gops,
-                    mode,
-                });
-            }
-        }
-        let window_outcomes = execute_windows(runtime, self.priority, jobs, |job| job.execute());
-
-        let mut iter = window_outcomes.into_iter();
-        let outcomes = (0..self.runs)
-            .map(|r| {
-                let mut windows = Vec::with_capacity(windows_per_run as usize);
-                let mut failure = None;
-                for _ in 0..windows_per_run {
-                    match iter.next().expect("one outcome per submitted window") {
-                        Ok(w) => windows.push(w),
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(engine::stitch(
-                        &self.config,
-                        &plans[r as usize],
-                        windows,
-                        mode,
-                    )),
-                }
-            })
+        let tasks = streams.iter().flat_map(RunStream::tasks).map(|task| {
+            let counters = counters.clone();
+            move || task.execute_counted(&counters)
+        });
+        let mut windows = runtime.run_batch_with(self.priority, tasks).into_iter();
+        let outcomes = streams
+            .iter()
+            .map(|stream| next_run(&mut windows, stream.window_count()).map(|w| stream.stitch(w)))
             .collect();
         SessionResult { scheme, outcomes }
     }
@@ -269,61 +231,53 @@ impl SimSession {
         let runtime = self.pool();
         record_pool_resizes(runtime);
         let total_gops = u64::from(self.config.gops);
-        let window_gops = self
-            .shard_policy()
-            .window_gops(total_gops, runtime.active_workers());
+        let window_gops = self.window_gops(runtime);
         let windows_per_run = total_gops.div_ceil(window_gops);
-
-        let plans: Vec<Arc<SpectrumPlan>> = (0..self.runs)
-            .map(|r| {
-                Arc::new(packet_engine::plan_packet(
-                    &self.scenario,
-                    &self.config,
-                    &seeds.child("packet-run", r),
-                ))
-            })
-            .collect();
 
         let mut jobs = Vec::with_capacity((self.runs * windows_per_run) as usize);
         for r in 0..self.runs {
             let run_seeds = seeds.child("packet-run", r);
+            let plan = Arc::new(packet_engine::plan_packet(
+                &self.scenario,
+                &self.config,
+                &run_seeds,
+            ));
             for w in 0..windows_per_run {
                 let gop_start = w * window_gops;
-                let gops = window_gops.min(total_gops - gop_start) as u32;
                 jobs.push(PacketWindowJob {
                     scenario: Arc::clone(&self.scenario),
                     config: self.config,
                     scheme,
                     run_seeds,
-                    plan: Arc::clone(&plans[r as usize]),
+                    plan: Arc::clone(&plan),
                     run: r,
                     window: w,
                     gop_start: gop_start as u32,
-                    gops,
+                    gops: window_gops.min(total_gops - gop_start) as u32,
                 });
             }
         }
-        let window_outcomes = execute_windows(runtime, self.priority, jobs, |job| job.execute());
+        let counters = ShardCounters::from_runtime(runtime);
+        let jobs = jobs.into_iter().map(|job| {
+            let counters = counters.clone();
+            move || job.execute(&counters)
+        });
+        let mut windows = runtime.run_batch_with(self.priority, jobs).into_iter();
 
         let num_users = self.scenario.num_users();
-        let mut iter = window_outcomes.into_iter();
         let outcomes = (0..self.runs)
             .map(|_| {
-                let mut windows = Vec::with_capacity(windows_per_run as usize);
-                let mut failure = None;
-                for _ in 0..windows_per_run {
-                    match iter.next().expect("one outcome per submitted window") {
-                        Ok(w) => windows.push(w),
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(packet_engine::stitch_packet(windows, num_users)),
-                }
+                next_run(&mut windows, windows_per_run)
+                    .map(|w| packet_engine::stitch_packet(w, num_users))
             })
             .collect();
         PacketSessionResult { scheme, outcomes }
+    }
+
+    /// GOPs per window for this session's runs on `runtime`.
+    fn window_gops(&self, runtime: &Runtime) -> u64 {
+        self.shards
+            .window_gops(u64::from(self.config.gops), runtime.active_workers())
     }
 
     /// Sweeps a parameter: for each `(x, config, scenario)` point,
@@ -381,93 +335,14 @@ fn record_pool_resizes(runtime: &fcr_runtime::Runtime) {
     }
 }
 
-/// Submits window jobs as one flat batch on the shared pool under the
-/// session's priority, with per-shard telemetry and the domain
-/// counters every window feeds.
-fn execute_windows<J, T>(
-    runtime: &Runtime,
-    priority: Priority,
-    jobs: Vec<J>,
-    execute: impl Fn(&J) -> T + Copy + Send + Sync + 'static,
-) -> Vec<JobOutcome<T>>
-where
-    J: ShardJob + Send + 'static,
-    T: Send + 'static,
-{
-    let slots = runtime.metrics().counter(SLOTS_COUNTER);
-    let solves = runtime.metrics().counter(SOLVER_COUNTER);
-    let shards = runtime.metrics().counter(SHARDS_COUNTER);
-    runtime.run_batch_with(
-        priority,
-        jobs.into_iter().map(|job| {
-            let slots = Arc::clone(&slots);
-            let solves = Arc::clone(&solves);
-            let shards = Arc::clone(&shards);
-            move || {
-                use std::sync::atomic::Ordering;
-                let started = Instant::now();
-                let out = execute(&job);
-                let record = job.record(started.elapsed().as_nanos() as u64);
-                // One channel-allocation solve happens per simulated slot.
-                slots.fetch_add(record.gops * job.slots_per_gop(), Ordering::Relaxed);
-                solves.fetch_add(record.gops * job.slots_per_gop(), Ordering::Relaxed);
-                shards.fetch_add(1, Ordering::Relaxed);
-                fcr_telemetry::record_shard(record);
-                out
-            }
-        }),
-    )
-}
-
-/// The bookkeeping interface shared by fluid and packet window jobs.
-trait ShardJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord;
-    fn slots_per_gop(&self) -> u64;
-}
-
-/// One GOP-aligned fluid-engine window of one run, fully described.
-struct WindowJob {
-    scenario: Arc<Scenario>,
-    config: SimConfig,
-    scheme: Scheme,
-    run_seeds: SeedSequence,
-    plan: Arc<SpectrumPlan>,
-    run: u64,
-    window: u64,
-    gop_start: u32,
-    gops: u32,
-    mode: TraceMode,
-}
-
-impl WindowJob {
-    fn execute(&self) -> WindowOutput {
-        engine::run_window(
-            &self.scenario,
-            &self.config,
-            self.scheme,
-            &self.run_seeds,
-            &self.plan,
-            self.gop_start,
-            self.gops,
-            self.mode,
-        )
-    }
-}
-
-impl ShardJob for WindowJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord {
-        fcr_telemetry::ShardRecord {
-            run: self.run,
-            window: self.window,
-            gop_start: u64::from(self.gop_start),
-            gops: u64::from(self.gops),
-            wall_ns,
-        }
-    }
-
-    fn slots_per_gop(&self) -> u64 {
-        u64::from(self.config.deadline)
-    }
+/// Takes the next `count` window outcomes of a batch as one run's
+/// windows: all of them, or the first failure when any window failed.
+fn next_run<T>(
+    outcomes: &mut impl Iterator<Item = JobOutcome<T>>,
+    count: u64,
+) -> JobOutcome<Vec<T>> {
+    let run: Vec<_> = outcomes.by_ref().take(count as usize).collect();
+    run.into_iter().collect()
 }
 
 /// One GOP-aligned packet-engine window of one run.
@@ -484,32 +359,26 @@ struct PacketWindowJob {
 }
 
 impl PacketWindowJob {
-    fn execute(&self) -> PacketWindowOutput {
-        packet_engine::run_packet_window(
-            &self.scenario,
-            &self.config,
-            self.scheme,
-            &self.run_seeds,
-            &self.plan,
-            self.gop_start,
-            self.gops,
-        )
-    }
-}
-
-impl ShardJob for PacketWindowJob {
-    fn record(&self, wall_ns: u64) -> fcr_telemetry::ShardRecord {
-        fcr_telemetry::ShardRecord {
+    fn execute(&self, counters: &ShardCounters) -> PacketWindowOutput {
+        let shard = fcr_telemetry::ShardRecord {
             run: self.run,
             window: self.window,
             gop_start: u64::from(self.gop_start),
             gops: u64::from(self.gops),
-            wall_ns,
-        }
-    }
-
-    fn slots_per_gop(&self) -> u64 {
-        u64::from(self.config.deadline)
+            wall_ns: 0,
+        };
+        let slots = u64::from(self.gops) * u64::from(self.config.deadline);
+        counters.count(shard, slots, || {
+            packet_engine::run_packet_window(
+                &self.scenario,
+                &self.config,
+                self.scheme,
+                &self.run_seeds,
+                &self.plan,
+                self.gop_start,
+                self.gops,
+            )
+        })
     }
 }
 
@@ -642,6 +511,7 @@ mod tests {
     use super::*;
     use crate::engine::run;
     use crate::packet_engine::run_packet_level;
+    use crate::pool::SHARDS_COUNTER;
 
     fn quick() -> SimSession {
         let cfg = SimConfig {
@@ -778,6 +648,16 @@ mod tests {
             s.clone().priority(Priority::urgent()).priority_ref(),
             Priority::urgent()
         );
+    }
+
+    #[test]
+    fn a_failed_window_fails_only_its_own_run() {
+        let lost = || Err(fcr_runtime::JobError::Panicked("lost".into()));
+        let mut batch = vec![Ok(1), lost(), lost(), Ok(3), Ok(4)].into_iter();
+        assert!(next_run(&mut batch, 2).is_err(), "run 0 lost window 1");
+        assert!(next_run(&mut batch, 1).is_err(), "run 1 lost window 0");
+        assert_eq!(next_run(&mut batch, 2), Ok(vec![3, 4]), "run 2 intact");
+        assert!(batch.next().is_none());
     }
 
     #[test]

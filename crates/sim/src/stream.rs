@@ -1,17 +1,17 @@
-//! Incremental (streaming) execution of one simulation run — the seam
-//! `fcr-serve` schedules live sessions through.
+//! Incremental (streaming) execution of one simulation run — the
+//! window pipeline both [`crate::session::SimSession`] and `fcr-serve`
+//! run on.
 //!
-//! [`crate::session::SimSession`] is batch-shaped: it builds every
-//! window job up front, submits them as one batch, and blocks until
-//! the batch drains. A long-running service cannot block like that —
-//! it interleaves windows of *many* runs on one slot clock, submits
-//! them as their playout deadlines approach, and stitches each run
-//! when its windows come back. [`RunStream`] exposes exactly the
-//! batch pipeline (`plan_spectrum` → `run_window` → `stitch`) in that
-//! pull shape:
+//! [`RunStream`] exposes the pipeline (`plan_spectrum` → `run_window`
+//! → `stitch`) in pull shape. A batch session opens one stream per
+//! run, submits every window of every stream as one pool batch, and
+//! stitches each run when the batch drains. A long-running service
+//! cannot block like that — it interleaves windows of *many* runs on
+//! one slot clock, submits them as their playout deadlines approach,
+//! and stitches each run when its windows come back:
 //!
 //! 1. [`RunStream::new`] runs the serial spectrum prologue and derives
-//!    the same per-run seeds as the batch path (`child("run", r)`).
+//!    the per-run seeds (`child("run", r)`).
 //! 2. [`RunStream::tasks`] yields one [`WindowTask`] per GOP-aligned
 //!    window. Tasks are self-contained, cheaply cloneable, and
 //!    idempotent: executing the same task twice yields the same
@@ -22,9 +22,8 @@
 //!
 //! Windows are independent given the plan and stitching is
 //! partition-independent, so a streamed run is **bit-identical** to
-//! [`crate::engine::run`] and to [`crate::session::SimSession`] for
-//! every window size and scheduling order — the property the serve
-//! path's conformance tests pin.
+//! [`crate::engine::run`] for every window size and scheduling order —
+//! the property the session and serve conformance tests pin.
 
 use crate::config::SimConfig;
 use crate::engine::{self, RunOutput, SpectrumPlan, TraceMode, WindowOutput};
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Handles to the domain counters the batch path feeds per shard,
+/// Handles to the domain counters every executed window shard feeds,
 /// pre-resolved so a pool job can update them without reaching back
 /// into the runtime's metrics registry.
 #[derive(Debug, Clone)]
@@ -48,13 +47,34 @@ pub struct ShardCounters {
 
 impl ShardCounters {
     /// Resolves the three domain counters on `runtime` (registering
-    /// them on first use, like the batch session path).
+    /// them on first use).
     pub fn from_runtime(runtime: &Runtime) -> Self {
         ShardCounters {
             slots: runtime.metrics().counter(crate::pool::SLOTS_COUNTER),
             solves: runtime.metrics().counter(crate::pool::SOLVER_COUNTER),
             shards: runtime.metrics().counter(crate::pool::SHARDS_COUNTER),
         }
+    }
+
+    /// Runs `execute` as the window `shard` describes: its wall time
+    /// lands in telemetry as the shard's record, and the counters
+    /// advance by the `slots` it simulates. The one bookkeeping path
+    /// of fluid and packet windows alike.
+    pub(crate) fn count<T>(
+        &self,
+        mut shard: fcr_telemetry::ShardRecord,
+        slots: u64,
+        execute: impl FnOnce() -> T,
+    ) -> T {
+        let started = Instant::now();
+        let out = execute();
+        // One channel-allocation solve happens per simulated slot.
+        self.slots.fetch_add(slots, Ordering::Relaxed);
+        self.solves.fetch_add(slots, Ordering::Relaxed);
+        self.shards.fetch_add(1, Ordering::Relaxed);
+        shard.wall_ns = started.elapsed().as_nanos() as u64;
+        fcr_telemetry::record_shard(shard);
+        out
     }
 }
 
@@ -78,10 +98,11 @@ impl RunStream {
     /// prologue now and cutting the run into GOP-aligned windows of
     /// `window_gops` GOPs (clamped to `[1, config.gops]`).
     ///
-    /// Seed derivation matches [`crate::session::SimSession::run`]
-    /// exactly (`SeedSequence::new(master).child("run", run_index)`),
-    /// so streamed results are bit-identical to batch results for the
-    /// same master seed.
+    /// Seeds derive from `SeedSequence::new(master).child("run",
+    /// run_index)`, as in [`crate::engine::run`] and
+    /// [`crate::session::SimSession::run`] (which opens its runs
+    /// here), so streamed results are bit-identical to batch results
+    /// for the same master seed.
     ///
     /// # Panics
     ///
@@ -153,8 +174,8 @@ impl RunStream {
     }
 
     /// Folds the completed windows of this run — in any order, each
-    /// exactly once — into the final run output, exactly like the
-    /// batch stitch.
+    /// exactly once — into the final run output, exactly as the
+    /// serial engine stitches its windows.
     ///
     /// # Panics
     ///
@@ -247,27 +268,20 @@ impl WindowTask {
         }
     }
 
-    /// Executes the window with the batch path's full bookkeeping: the
-    /// shard wall time lands in telemetry as a
-    /// [`fcr_telemetry::ShardRecord`] and the slots/solver/shards
-    /// domain counters advance — so serve-path runs are
-    /// observationally identical to [`crate::session::SimSession`]
-    /// runs.
+    /// Executes the window with full bookkeeping: the shard wall time
+    /// lands in telemetry as a [`fcr_telemetry::ShardRecord`] and the
+    /// slots/solver/shards domain counters advance. Both
+    /// [`crate::session::SimSession`] and the serve path execute their
+    /// windows this way.
     pub fn execute_counted(&self, counters: &ShardCounters) -> CompletedWindow {
-        let started = Instant::now();
-        let out = self.execute();
-        let slots = self.slots();
-        counters.slots.fetch_add(slots, Ordering::Relaxed);
-        counters.solves.fetch_add(slots, Ordering::Relaxed);
-        counters.shards.fetch_add(1, Ordering::Relaxed);
-        fcr_telemetry::record_shard(fcr_telemetry::ShardRecord {
+        let shard = fcr_telemetry::ShardRecord {
             run: self.run_index,
             window: self.window,
             gop_start: u64::from(self.gop_start),
             gops: u64::from(self.gops),
-            wall_ns: started.elapsed().as_nanos() as u64,
-        });
-        out
+            wall_ns: 0,
+        };
+        counters.count(shard, self.slots(), || self.execute())
     }
 }
 

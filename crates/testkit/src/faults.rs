@@ -48,7 +48,6 @@ impl FaultCase {
             queue_capacity: 64,
             min_workers: 1,
             max_workers: 4,
-            shard: ShardPolicy::Auto,
             autoscale: None,
         };
         Runtime::with_faults(config, self.plan())

@@ -154,7 +154,7 @@ pub fn verify_serve_under_faults(
             admit(&service, sessions + retired_now);
         }
     }
-    service.quiesce(100_000);
+    service.quiesce();
     let done = service.take_completed();
     drain_pool(case, &runtime);
 

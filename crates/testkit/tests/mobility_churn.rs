@@ -116,6 +116,89 @@ fn sessions_are_conserved_across_mobility_churn() {
     }
 }
 
+/// The shipped mobility/churn pack on a one-worker pool: the replay
+/// outpaces the lone worker, so the final quiesce must wait for the
+/// pool to drain however many steps that takes — and every session is
+/// conserved.
+#[test]
+fn shipped_mobility_churn_conserves_sessions_on_one_worker() {
+    let pack = fcr_scenario::shipped::named("mobility_churn").expect("shipped pack");
+    let churn = pack.churn.expect("churn");
+    let service = Service::new(
+        ServeConfig {
+            mbs_budget: churn.mbs_budget,
+            max_sessions: churn.max_sessions as usize,
+            ..ServeConfig::default()
+        },
+        Arc::new(Runtime::with_config(RuntimeConfig {
+            workers: 1,
+            min_workers: 1,
+            max_workers: 1,
+            ..RuntimeConfig::default()
+        })),
+    );
+    let report = ChurnDriver::run(&pack, &service);
+    let snap = service.snapshot();
+    assert_eq!(
+        report.arrivals,
+        report.admitted + report.rejected_admissions
+    );
+    assert_eq!(snap.admitted, report.admitted);
+    assert_eq!(
+        snap.admitted,
+        snap.completed + snap.retired + snap.shed,
+        "admitted sessions all reach a terminal state"
+    );
+    assert_eq!((snap.active, snap.pending, snap.draining), (0, 0, 0));
+    assert_eq!(snap.mbs_in_use, 0.0, "the budget ledger drains to zero");
+}
+
+/// The report counts every completion during the replay, not just the
+/// outputs the service still buffers: with a one-output buffer and
+/// holds that outlive the horizon, every admitted session completes
+/// and is counted.
+#[test]
+fn churn_report_counts_completions_beyond_the_output_buffer() {
+    let mut pack = fcr_scenario::shipped::named("pu_burst").expect("shipped pack");
+    pack.mobility = None;
+    pack.churn = Some(ChurnSpec {
+        // A long horizon after a two-slot crowd: the pool finishes
+        // every session long before the horizon retires survivors.
+        slots: 200_000,
+        arrivals: ArrivalSpec::FlashCrowd {
+            base_rate: 0.0,
+            burst_rate: 4.0,
+            burst_start: 0,
+            burst_slots: 2,
+        },
+        mean_hold_slots: 1e9,
+        mbs_budget: 1e6,
+        max_sessions: 32,
+        pu_bursts: None,
+    });
+    pack.validate().expect("churn pack valid");
+    let service = Service::new(
+        ServeConfig {
+            mbs_budget: 1e6,
+            completed_buffer: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(Runtime::with_config(RuntimeConfig {
+            workers: 2,
+            ..RuntimeConfig::default()
+        })),
+    );
+    let report = ChurnDriver::run(&pack, &service);
+    assert!(report.admitted >= 2, "the crowd must outnumber the buffer");
+    assert_eq!(report.completed, report.admitted);
+    assert_eq!(report.completed, service.snapshot().completed);
+    assert_eq!(
+        service.take_completed().len(),
+        1,
+        "the buffer keeps the newest output"
+    );
+}
+
 /// Schedule-level conservation: each ordinal arrives exactly once and
 /// retires exactly once, strictly later — under every generated seed.
 #[test]
@@ -217,7 +300,7 @@ fn budget_units_swap_exactly_on_macro_handover() {
         "seed {seed}: round trip must restore the original ledger value"
     );
     service.retire(id);
-    service.quiesce(10_000);
+    service.quiesce();
     assert_eq!(service.snapshot().mbs_in_use, 0.0, "seed {seed}");
 }
 
@@ -244,8 +327,7 @@ fn handed_over_outputs_stay_bit_identical_to_batch() {
     let service = small_service(pack.churn.expect("churn").mbs_budget);
     let schedule = ChurnSchedule::generate(&pack);
     let scenario = Arc::new(pack.scenario());
-    // Replay manually so we keep the completed outputs (ChurnDriver
-    // drains them into counters only).
+    // Replay manually so the retire events can be skipped.
     let mut ids = std::collections::HashMap::new();
     let mut specs = std::collections::HashMap::new();
     let mut cursor = 0usize;
@@ -286,7 +368,7 @@ fn handed_over_outputs_stay_bit_identical_to_batch() {
         }
         service.step();
     }
-    service.quiesce(100_000);
+    service.quiesce();
     let completed = service.take_completed();
     assert!(
         !completed.is_empty(),

@@ -1,12 +1,11 @@
-//! Pack-level conformance: the shipped `scenarios/*.json` files are
-//! byte-exact canonical renderings of their Rust definitions, the
-//! paper packs are bit-identical to the hand-written constructors on
-//! both engines, parsing round-trips byte-stably for arbitrary
-//! generated packs, and malformed packs fail with pointed field-path
-//! errors.
+//! Pack-level conformance: the shipped `scenarios/*.json` files parse
+//! and are their own canonical renderings byte for byte, the paper
+//! packs are bit-identical to the hand-written constructors on both
+//! engines, parsing round-trips byte-stably for arbitrary generated
+//! packs, and malformed packs fail with pointed field-path errors.
 //!
-//! To refresh the shipped files after an intentional schema or pack
-//! change:
+//! To rewrite the shipped files into canonical form after an
+//! intentional schema change:
 //!
 //! ```text
 //! FCR_REGEN_GOLDENS=1 cargo test -p fcr-testkit --test pack_conformance
@@ -14,41 +13,35 @@
 //! ```
 
 use fcr_runtime::ShardPolicy;
-use fcr_scenario::shipped::{scenarios_dir, shipped};
+use fcr_scenario::shipped::{named, scenarios_dir, FILES};
 use fcr_scenario::{Pack, PackError};
 use fcr_sim::config::SimConfig;
 use fcr_sim::{Scenario, Scheme, SimSession};
 use fcr_testkit::generators::arb_scenario_pack;
 use proptest::prelude::*;
 
-/// The shipped pack files are the canonical renderings of the Rust
-/// definitions — byte for byte. `FCR_REGEN_GOLDENS=1` rewrites them.
+/// The shipped pack files are the packs' only definition: each parses
+/// (which validates it), carries its file's name, and is its own
+/// canonical rendering byte for byte. `FCR_REGEN_GOLDENS=1` rewrites a
+/// file into canonical form.
 #[test]
-fn shipped_pack_files_match_their_definitions_byte_for_byte() {
-    let dir = scenarios_dir();
-    for pack in shipped() {
-        let path = dir.join(format!("{}.json", pack.name));
+fn shipped_pack_files_are_valid_and_canonical() {
+    for (name, stored) in FILES {
+        let pack = Pack::from_json(stored)
+            .unwrap_or_else(|e| panic!("scenarios/{name}.json does not parse: {e}"));
+        assert_eq!(pack.name, name, "scenarios/{name}.json names another pack");
         let canonical = pack.to_json();
         if std::env::var_os("FCR_REGEN_GOLDENS").is_some() {
-            std::fs::create_dir_all(&dir).expect("create scenarios dir");
-            std::fs::write(&path, &canonical).expect("write shipped pack");
+            let path = scenarios_dir().join(format!("{name}.json"));
+            std::fs::write(path, &canonical).expect("write shipped pack");
             continue;
         }
-        let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "shipped pack {path:?} unreadable ({e}); regenerate with \
-                 `FCR_REGEN_GOLDENS=1 cargo test -p fcr-testkit --test pack_conformance`"
-            )
-        });
         assert_eq!(
             stored, canonical,
-            "{} drifted from its Rust definition; regenerate with \
+            "scenarios/{name}.json is not in canonical form; rewrite it with \
              `FCR_REGEN_GOLDENS=1 cargo test -p fcr-testkit --test pack_conformance` \
-             and review the diff",
-            pack.name
+             and review the diff"
         );
-        let parsed = Pack::from_json(&stored).expect("shipped pack parses");
-        assert_eq!(parsed, pack, "{} file parses to its definition", pack.name);
     }
 }
 
@@ -63,12 +56,8 @@ fn paper_packs_are_bit_identical_to_constructors_on_both_engines() {
         ("paper_fig1", Scenario::fig1),
         ("paper_fig5", Scenario::interfering_fig5),
     ];
-    let packs = shipped();
     for (name, constructor) in cases {
-        let pack = packs
-            .iter()
-            .find(|p| p.name == name)
-            .unwrap_or_else(|| panic!("shipped pack {name} missing"));
+        let pack = named(name).unwrap_or_else(|| panic!("shipped pack {name} missing"));
         let cfg = pack.sim_config();
         let from_pack = pack.scenario();
         let from_rust = constructor(&cfg);
@@ -112,7 +101,7 @@ fn paper_packs_are_bit_identical_to_constructors_on_both_engines() {
 /// documented field path.
 #[test]
 fn malformed_packs_fail_with_pointed_field_paths() {
-    let valid = fcr_scenario::shipped::mobility_churn().to_json();
+    let valid = named("mobility_churn").expect("shipped pack").to_json();
     let cases: &[(&str, &str, &str)] = &[
         // (mutation from the valid pack, expected path, message excerpt)
         ("\"seed\": 20110611,", "\"seed\": -3,", "seed"),
@@ -178,7 +167,7 @@ fn malformed_packs_fail_with_pointed_field_paths() {
 /// Missing required fields name themselves.
 #[test]
 fn missing_required_fields_name_themselves() {
-    let valid = fcr_scenario::shipped::single_fbs().to_json();
+    let valid = named("single_fbs").expect("shipped pack").to_json();
     for (line, want_path) in [
         ("\"name\": \"single_fbs\",\n", "name"),
         ("\"seed\": 20110611,\n", "seed"),

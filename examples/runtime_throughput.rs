@@ -10,10 +10,11 @@
 //!
 //! Three modes:
 //!
-//! - **default** — every job is a full [`SimJob`] (one simulation run
-//!   of the paper's baseline single-FBS scenario); the batch is large
-//!   enough to keep every worker busy, and the snapshot printed at the
-//!   end shows the pool-level counters
+//! - **default** — every job is one whole simulation run of the
+//!   paper's baseline single-FBS scenario (a [`SimSession`] under
+//!   [`ShardPolicy::WholeRun`]); the batch is large enough to keep
+//!   every worker busy, and the snapshot printed at the end shows the
+//!   pool-level counters
 //!   (submitted/completed/failed/stolen), the wall-time histogram, and
 //!   the domain counters (`slots_simulated`, `solver_invocations`).
 //! - **`--shards`** — intra-run sharding benchmark: the same runs are
@@ -38,7 +39,6 @@ use fcr::prelude::*;
 use fcr::sim::engine;
 use fcr::sim::pool::{self, SHARDS_COUNTER, SLOTS_COUNTER};
 use fcr::sim::report::runtime_metrics_table;
-use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
@@ -84,26 +84,17 @@ fn parse_args() -> Args {
     args_out
 }
 
-/// Default mode: one [`SimJob`] per run, whole runs as pool jobs.
+/// Default mode: whole runs as pool jobs, one job per run.
 fn run_batch_mode(jobs: u64, gops: u32) {
     let config = SimConfig {
         gops,
         ..SimConfig::default()
     };
-    let scenario = Arc::new(Scenario::single_fbs(&config));
-    let schemes = Scheme::PAPER_TRIO;
-
-    // One batch of `jobs` runs, round-robin over the paper's three
-    // schemes so the mix resembles a real figure reproduction.
-    let batch: Vec<SimJob> = (0..jobs)
-        .map(|i| SimJob {
-            scenario: Arc::clone(&scenario),
-            config,
-            scheme: schemes[(i % schemes.len() as u64) as usize],
-            master_seed: 2011,
-            run_index: i / schemes.len() as u64,
-        })
-        .collect();
+    let session = SimSession::new(Scenario::single_fbs(&config))
+        .config(config)
+        .runs(jobs)
+        .seed(2011)
+        .shards(ShardPolicy::WholeRun);
 
     let workers = pool::shared().workers();
     println!(
@@ -111,7 +102,7 @@ fn run_batch_mode(jobs: u64, gops: u32) {
         config.total_slots(),
     );
     let started = Instant::now();
-    let outcomes = pool::execute_all(batch);
+    let outcomes = session.run(Scheme::Proposed).into_outcomes();
     let elapsed = started.elapsed();
 
     let ok = outcomes.iter().filter(|o| o.is_ok()).count();

@@ -58,7 +58,7 @@ fn main() {
 
     // Drive the slot clock until every session resolves, then check
     // the books: admitted == completed + retired + shed, exactly.
-    service.quiesce(10_000);
+    service.quiesce();
     let done = service.take_completed();
     let snap = service.snapshot();
     println!(

@@ -87,7 +87,6 @@ pub mod prelude {
     pub use fcr_sim::config::SimConfig;
     pub use fcr_sim::engine::{RunOutput, TraceMode};
     pub use fcr_sim::metrics::{RunResult, SchemeSummary};
-    pub use fcr_sim::pool::SimJob;
     pub use fcr_sim::scenario::Scenario;
     pub use fcr_sim::scheme::Scheme;
     pub use fcr_sim::session::{PacketSessionResult, SessionResult, SimSession};

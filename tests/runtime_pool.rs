@@ -3,8 +3,8 @@
 //! and the pool's invisibility to experiment results.
 
 use fcr::prelude::*;
-use fcr::sim::pool::{self, SimJob, SLOTS_COUNTER, SOLVER_COUNTER};
-use std::sync::{Arc, Mutex, MutexGuard};
+use fcr::sim::pool::{self, SLOTS_COUNTER, SOLVER_COUNTER};
+use std::sync::{Mutex, MutexGuard};
 
 fn quick_config() -> SimConfig {
     SimConfig {
@@ -67,18 +67,15 @@ fn injected_panic_is_contained_and_the_shared_pool_survives() {
 fn shared_pool_accounts_every_simulated_slot() {
     let _gate = exclusive();
     let cfg = quick_config();
-    let scenario = Arc::new(Scenario::single_fbs(&cfg));
     let before = pool::snapshot();
-    let jobs: Vec<SimJob> = (0..4)
-        .map(|run_index| SimJob {
-            scenario: Arc::clone(&scenario),
-            config: cfg,
-            scheme: Scheme::Heuristic1,
-            master_seed: 17,
-            run_index,
-        })
-        .collect();
-    let outcomes = pool::execute_all(jobs);
+    // Whole runs as pool jobs: one job per run.
+    let outcomes = SimSession::new(Scenario::single_fbs(&cfg))
+        .config(cfg)
+        .runs(4)
+        .seed(17)
+        .shards(ShardPolicy::WholeRun)
+        .run(Scheme::Heuristic1)
+        .into_outcomes();
     assert!(outcomes.iter().all(Result::is_ok));
     let after = pool::snapshot();
 
