@@ -126,6 +126,9 @@ impl Partition {
             members[*c].push(FbsId(i));
         }
 
+        // The edge list is an O(N²) adjacency scan: take it once, and let
+        // each cluster filter its own edges from it, in order.
+        let edges = graph.edges();
         let mut clusters = Vec::new();
         let mut idle_fbss = Vec::new();
         for fbs_ids in members {
@@ -141,11 +144,10 @@ impl Partition {
             let local_of = |f: FbsId| -> FbsId {
                 FbsId(fbs_ids.binary_search(&f).expect("member of this cluster"))
             };
-            let local_edges: Vec<(FbsId, FbsId)> = graph
-                .edges()
-                .into_iter()
+            let local_edges: Vec<(FbsId, FbsId)> = edges
+                .iter()
                 .filter(|(a, _)| component[a.0] == component[fbs_ids[0].0])
-                .map(|(a, b)| (local_of(a), local_of(b)))
+                .map(|&(a, b)| (local_of(a), local_of(b)))
                 .collect();
             let local_graph = InterferenceGraph::new(fbs_ids.len(), &local_edges);
             let mut local_users = Vec::with_capacity(user_ids.len());

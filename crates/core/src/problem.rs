@@ -8,7 +8,7 @@
 //! `i` carries its expected available channel count `G^t_i`. The solvers
 //! in [`crate::dual`] and [`crate::waterfill`] consume this structure.
 
-use crate::allocation::{Allocation, Mode};
+use crate::allocation::{Allocation, Mode, UserAllocation};
 use crate::error::{check_nonnegative, check_positive, check_probability, CoreError};
 use fcr_net::node::FbsId;
 
@@ -252,8 +252,13 @@ impl SlotProblem {
     ///
     /// Panics if `j` is out of range.
     pub fn user_objective(&self, j: usize, alloc: &Allocation) -> f64 {
+        self.entry_objective(j, alloc.user(j))
+    }
+
+    /// [`Self::user_objective`] of one entry: user `j`'s term when it is
+    /// allocated `a`, whatever the other users hold.
+    pub(crate) fn entry_objective(&self, j: usize, a: UserAllocation) -> f64 {
         let u = &self.users[j];
-        let a = alloc.user(j);
         match a.mode {
             Mode::Mbs => {
                 u.success_mbs * (u.w + a.rho_mbs * u.r_mbs).ln() + (1.0 - u.success_mbs) * u.w.ln()
@@ -295,7 +300,6 @@ impl SlotProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::UserAllocation;
 
     fn user(w: f64, fbs: usize) -> UserState {
         UserState::new(w, FbsId(fbs), 0.72, 0.72, 0.9, 0.8).unwrap()

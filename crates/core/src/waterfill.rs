@@ -45,10 +45,11 @@ pub struct WaterfillingSolver {
     pub exhaustive_modes_up_to: usize,
     /// [`Self::polish`] tries pairwise mode swaps only when
     /// `num_users ≤ swap_users_up_to` — the swap neighborhood is
-    /// `O(n²)` exact fills, which is the difference between
-    /// microseconds at the paper's N ≤ 3 and hours at a massive-N
-    /// slot's thousands of users. Flip polishing (linear in users)
-    /// always runs.
+    /// `O(n²)` candidates, each refilling the MBS budget and the two
+    /// users' FBS budgets, which is the difference between microseconds
+    /// at the paper's N ≤ 3 and minutes per pass at a massive-N slot's
+    /// thousands of users. Flip polishing (linear in users, two budgets
+    /// per flip) always runs.
     pub swap_users_up_to: usize,
 }
 
@@ -179,7 +180,13 @@ impl WaterfillingSolver {
     /// matter: exchanging which user holds the big FBS pipe and which
     /// holds the common channel is a two-coordinate move a flip-only
     /// search cannot reach. Returns the best allocation found (never
-    /// worse than the input).
+    /// worse than the input; the input itself when nothing improves).
+    ///
+    /// A candidate changes the members of the MBS budget and of the
+    /// changed users' FBS budgets only, so only those budgets are
+    /// refilled and only their members' objective terms recomputed; the
+    /// rest of the fill carries over. The result is bit-identical to
+    /// refilling every budget per candidate.
     ///
     /// # Panics
     ///
@@ -203,9 +210,13 @@ impl WaterfillingSolver {
             problem.num_users(),
             "allocation size mismatch"
         );
+        let n_users = problem.num_users();
         let mut best_value = problem.objective(&allocation);
-        let mut best = allocation;
-        let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
+        let mut modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
+        // The input need not be a fill of its own modes; every candidate
+        // is, so the search runs on that fill from the start.
+        let mut fill = IncrementalFill::new(problem, &self.fill_soa(soa, &modes, scratch).0);
+        let mut accepted = false;
         let flip = |m: Mode| match m {
             Mode::Mbs => Mode::Fbs,
             Mode::Fbs => Mode::Mbs,
@@ -215,40 +226,71 @@ impl WaterfillingSolver {
         while improved && passes < self.max_rounds {
             improved = false;
             passes += 1;
-            for j in 0..problem.num_users() {
-                let flipped = flip(modes[j]);
-                let old = std::mem::replace(&mut modes[j], flipped);
-                let candidate = self.fill_soa(soa, &modes, scratch).0;
-                let value = problem.objective(&candidate);
+            for j in 0..n_users {
+                modes[j] = flip(modes[j]);
+                let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j]);
                 if value > best_value + 1e-12 {
                     best_value = value;
-                    best = candidate;
+                    fill.keep();
+                    accepted = true;
                     improved = true;
                 } else {
-                    modes[j] = old;
+                    fill.undo();
+                    modes[j] = flip(modes[j]);
                 }
             }
-            if !improved && problem.num_users() <= self.swap_users_up_to {
-                'swaps: for j in 0..problem.num_users() {
-                    for k in (j + 1)..problem.num_users() {
+            if !improved && n_users <= self.swap_users_up_to {
+                'swaps: for j in 0..n_users {
+                    for k in (j + 1)..n_users {
                         if modes[j] == modes[k] {
                             continue;
                         }
                         modes.swap(j, k);
-                        let candidate = self.fill_soa(soa, &modes, scratch).0;
-                        let value = problem.objective(&candidate);
+                        let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j, k]);
                         if value > best_value + 1e-12 {
                             best_value = value;
-                            best = candidate;
+                            fill.keep();
+                            accepted = true;
                             improved = true;
                             break 'swaps;
                         }
+                        fill.undo();
                         modes.swap(j, k);
                     }
                 }
             }
         }
-        best
+        if accepted {
+            Allocation::new(fill.users)
+        } else {
+            allocation
+        }
+    }
+
+    /// Turns `fill` into the fill of `modes`, which differ from its own
+    /// modes only at the `changed` users: refills the MBS budget and
+    /// each changed user's FBS budget (every other budget keeps its
+    /// members, hence its shares), logging what it overwrites. Returns
+    /// the candidate's objective.
+    fn refill(
+        &self,
+        problem: &SlotProblem,
+        soa: &SoaProblem,
+        modes: &[Mode],
+        scratch: &mut FillScratch,
+        fill: &mut IncrementalFill,
+        changed: &[usize],
+    ) -> f64 {
+        self.fill_budget(soa, modes, 0, scratch, |u, a| fill.write(problem, u, a));
+        for (k, &j) in changed.iter().enumerate() {
+            let fbs = soa.fbs(j);
+            if changed[..k].iter().all(|&i| soa.fbs(i) != fbs) {
+                self.fill_budget(soa, modes, 1 + fbs.0, scratch, |u, a| {
+                    fill.write(problem, u, a);
+                });
+            }
+        }
+        fill.value()
     }
 
     /// Exact optimal shares for fixed modes (every budget filled by
@@ -289,39 +331,54 @@ impl WaterfillingSolver {
         scratch: &mut FillScratch,
     ) -> (Allocation, Vec<f64>) {
         assert_eq!(modes.len(), soa.num_users(), "mode vector size mismatch");
-        let n = soa.num_fbss();
+        // Every user belongs to exactly one budget, so every entry is
+        // written once.
         let mut allocations = vec![UserAllocation::idle(); soa.num_users()];
-        let mut lambdas = vec![0.0; n + 1];
+        let lambdas = (0..=soa.num_fbss())
+            .map(|b| self.fill_budget(soa, modes, b, scratch, |j, a| allocations[j] = a))
+            .collect();
+        (Allocation::new(allocations), lambdas)
+    }
 
-        // Constraint 0: the MBS budget. Members gathered in ascending
-        // user order, exactly as the array-of-structs filter visited
-        // them.
+    /// Fills budget `b` at `modes` — the MBS budget for `b = 0`, FBS
+    /// `b − 1`'s otherwise: gathers its members, bisects, and hands each
+    /// member's entry to `write`. Returns the water level `λ_b`.
+    fn fill_budget(
+        &self,
+        soa: &SoaProblem,
+        modes: &[Mode],
+        b: usize,
+        scratch: &mut FillScratch,
+        mut write: impl FnMut(usize, UserAllocation),
+    ) -> f64 {
         scratch.clear();
-        for (j, mode) in modes.iter().enumerate() {
-            if *mode == Mode::Mbs {
-                scratch.push(j, soa.s_mbs(j), soa.w(j), soa.r_mbs(j));
+        if b == 0 {
+            // Members gathered in ascending user order, exactly as the
+            // array-of-structs filter visited them.
+            for (j, mode) in modes.iter().enumerate() {
+                if *mode == Mode::Mbs {
+                    scratch.push(j, soa.s_mbs(j), soa.w(j), soa.r_mbs(j));
+                }
             }
-        }
-        lambdas[0] = self.fill_constraint(scratch);
-        for (k, j) in scratch.idx.iter().enumerate() {
-            allocations[*j] = UserAllocation::mbs(scratch.shares[k]);
-        }
-
-        // Constraints 1..=N: each FBS budget, via the CSR groups (each
-        // group is ascending, so member order again matches the filter).
-        for i in 0..n {
-            scratch.clear();
-            for &j in soa.users_of(i) {
+        } else {
+            // The CSR group is ascending, so member order again matches
+            // the filter.
+            for &j in soa.users_of(b - 1) {
                 if modes[j] == Mode::Fbs {
                     scratch.push(j, soa.s_fbs(j), soa.w(j), soa.fbs_rate(j));
                 }
             }
-            lambdas[1 + i] = self.fill_constraint(scratch);
-            for (k, j) in scratch.idx.iter().enumerate() {
-                allocations[*j] = UserAllocation::fbs(scratch.shares[k]);
-            }
         }
-        (Allocation::new(allocations), lambdas)
+        let lambda = self.fill_constraint(scratch);
+        let entry = if b == 0 {
+            UserAllocation::mbs
+        } else {
+            UserAllocation::fbs
+        };
+        for (&j, &share) in scratch.idx.iter().zip(&scratch.shares) {
+            write(j, entry(share));
+        }
+        lambda
     }
 
     /// Solves one budget over the members gathered in `scratch`:
@@ -375,6 +432,53 @@ impl WaterfillingSolver {
         // `hi` is on the feasible side (Σ ≤ 1).
         shares_into(scratch, hi);
         hi
+    }
+}
+
+/// The polish's working fill: each user's entry and objective term,
+/// plus a log of what the candidate under evaluation overwrote.
+struct IncrementalFill {
+    users: Vec<UserAllocation>,
+    terms: Vec<f64>,
+    log: Vec<(usize, UserAllocation, f64)>,
+}
+
+impl IncrementalFill {
+    fn new(problem: &SlotProblem, fill: &Allocation) -> Self {
+        let users = fill.users().to_vec();
+        let terms = (0..users.len())
+            .map(|j| problem.entry_objective(j, users[j]))
+            .collect();
+        Self {
+            users,
+            terms,
+            log: Vec::new(),
+        }
+    }
+
+    fn write(&mut self, problem: &SlotProblem, j: usize, a: UserAllocation) {
+        self.log.push((j, self.users[j], self.terms[j]));
+        self.users[j] = a;
+        self.terms[j] = problem.entry_objective(j, a);
+    }
+
+    /// The objective: the cached terms summed in user order, the same
+    /// left fold [`SlotProblem::objective`] takes over fresh terms.
+    fn value(&self) -> f64 {
+        self.terms.iter().sum()
+    }
+
+    /// Accepts the candidate.
+    fn keep(&mut self) {
+        self.log.clear();
+    }
+
+    /// Rejects the candidate: restores every entry and term it wrote.
+    fn undo(&mut self) {
+        while let Some((j, a, term)) = self.log.pop() {
+            self.users[j] = a;
+            self.terms[j] = term;
+        }
     }
 }
 
@@ -573,6 +677,183 @@ mod tests {
             assert_eq!(a, b, "residue at mode bits {bits:#06b}");
             let c = solver.fill_with_prices(&p, &modes);
             assert_eq!(a, c, "one-shot entry point diverged at {bits:#06b}");
+        }
+    }
+
+    /// The full-refill polish the incremental one replaced: every
+    /// candidate refills all N + 1 budgets and re-sums every term. Kept
+    /// only as the bit-identity oracle.
+    fn full_refill_polish(
+        solver: &WaterfillingSolver,
+        problem: &SlotProblem,
+        allocation: Allocation,
+    ) -> Allocation {
+        let soa = SoaProblem::from_problem(problem);
+        let mut scratch = FillScratch::new();
+        let mut best_value = problem.objective(&allocation);
+        let mut best = allocation;
+        let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
+        let flip = |m: Mode| match m {
+            Mode::Mbs => Mode::Fbs,
+            Mode::Fbs => Mode::Mbs,
+        };
+        let mut improved = true;
+        let mut passes = 0;
+        while improved && passes < solver.max_rounds {
+            improved = false;
+            passes += 1;
+            for j in 0..problem.num_users() {
+                let old = modes[j];
+                modes[j] = flip(old);
+                let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
+                let value = problem.objective(&candidate);
+                if value > best_value + 1e-12 {
+                    best_value = value;
+                    best = candidate;
+                    improved = true;
+                } else {
+                    modes[j] = old;
+                }
+            }
+            if !improved && problem.num_users() <= solver.swap_users_up_to {
+                'swaps: for j in 0..problem.num_users() {
+                    for k in (j + 1)..problem.num_users() {
+                        if modes[j] == modes[k] {
+                            continue;
+                        }
+                        modes.swap(j, k);
+                        let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
+                        let value = problem.objective(&candidate);
+                        if value > best_value + 1e-12 {
+                            best_value = value;
+                            best = candidate;
+                            improved = true;
+                            break 'swaps;
+                        }
+                        modes.swap(j, k);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// A success probability or rate that is sometimes exactly zero (the
+    /// fill's not-effective branch).
+    fn zero_or(range: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        (0..5u8, range).prop_map(|(k, v)| if k == 0 { 0.0 } else { v })
+    }
+
+    /// Per user: `w`, FBS (taken modulo the FBS count), MBS and FBS
+    /// rates, MBS and FBS success, and whether it starts in FBS mode.
+    type UserSpec = (f64, usize, f64, f64, f64, f64, bool);
+
+    fn arb_users() -> impl Strategy<Value = Vec<UserSpec>> {
+        proptest::collection::vec(
+            (
+                5.0..50.0f64,
+                0..6usize,
+                zero_or(0.1..=1.0),
+                zero_or(0.1..=1.0),
+                zero_or(0.05..=1.0),
+                zero_or(0.05..=1.0),
+                proptest::bool::ANY,
+            ),
+            1..=12,
+        )
+    }
+
+    /// The instance `users` describe on the first `num_fbss` entries of
+    /// `g`, and the users' starting modes.
+    fn instance(users: &[UserSpec], g: &[f64], num_fbss: usize) -> (SlotProblem, Vec<Mode>) {
+        let states: Vec<UserState> = users
+            .iter()
+            .map(|&(w, fbs, r0, r1, s0, s1, _)| {
+                UserState::new(w, FbsId(fbs % num_fbss), r0, r1, s0, s1).unwrap()
+            })
+            .collect();
+        let modes = users
+            .iter()
+            .map(|u| if u.6 { Mode::Fbs } else { Mode::Mbs })
+            .collect();
+        let problem = SlotProblem::new(states, g[..num_fbss].to_vec()).unwrap();
+        (problem, modes)
+    }
+
+    fn same_bits(a: &[UserAllocation], b: &[UserAllocation]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.mode == y.mode
+                    && x.rho_mbs.to_bits() == y.rho_mbs.to_bits()
+                    && x.rho_fbs.to_bits() == y.rho_fbs.to_bits()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The incremental polish returns exactly what refilling every
+        /// budget per candidate returns: the same mode and the same bits
+        /// in every share, from a fill or from a non-fill start, with
+        /// and without the swap neighborhood.
+        #[test]
+        fn incremental_polish_is_bit_identical_to_full_refill(
+            users in arb_users(),
+            g in proptest::collection::vec(0.0..6.0f64, 6),
+            num_fbss in 1..=6usize,
+            idle_start in proptest::bool::ANY,
+            swaps in proptest::bool::ANY,
+        ) {
+            let (p, modes) = instance(&users, &g, num_fbss);
+            let default = WaterfillingSolver::default();
+            let solver = WaterfillingSolver {
+                swap_users_up_to: if swaps { default.swap_users_up_to } else { 0 },
+                ..default
+            };
+            let start = if idle_start {
+                Allocation::idle(p.num_users())
+            } else {
+                solver.fill_given_modes(&p, &modes)
+            };
+            let got = solver.polish(&p, start.clone());
+            let want = full_refill_polish(&solver, &p, start);
+            prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        }
+
+        /// One candidate, checked directly: refilling the budgets two
+        /// mode changes touch yields the full fill of the new modes and
+        /// the bits of `SlotProblem::objective` on it, and undo restores
+        /// the old fill and its objective.
+        #[test]
+        fn refill_is_a_full_fill_and_undo_restores_it(
+            users in arb_users(),
+            g in proptest::collection::vec(0.0..6.0f64, 6),
+            num_fbss in 1..=6usize,
+            j in 0..12usize,
+            k in 0..12usize,
+        ) {
+            let (p, modes) = instance(&users, &g, num_fbss);
+            let solver = WaterfillingSolver::default();
+            let soa = SoaProblem::from_problem(&p);
+            let mut scratch = FillScratch::new();
+            let before = solver.fill_soa(&soa, &modes, &mut scratch).0;
+            let mut fill = IncrementalFill::new(&p, &before);
+            let (j, k) = (j % p.num_users(), k % p.num_users());
+            let changed = if j == k { vec![j] } else { vec![j, k] };
+            let mut moved = modes.clone();
+            for &u in &changed {
+                moved[u] = match moved[u] {
+                    Mode::Mbs => Mode::Fbs,
+                    Mode::Fbs => Mode::Mbs,
+                };
+            }
+            let value = solver.refill(&p, &soa, &moved, &mut scratch, &mut fill, &changed);
+            let full = solver.fill_soa(&soa, &moved, &mut scratch).0;
+            prop_assert!(same_bits(&fill.users, full.users()));
+            prop_assert_eq!(value.to_bits(), p.objective(&full).to_bits());
+            fill.undo();
+            prop_assert!(same_bits(&fill.users, before.users()));
+            prop_assert_eq!(fill.value().to_bits(), p.objective(&before).to_bits());
         }
     }
 

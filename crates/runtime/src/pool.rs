@@ -127,12 +127,23 @@ struct Shared {
 }
 
 impl Shared {
-    fn note_enqueued(&self) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.queued += 1;
-        drop(st);
+    /// Counts one job as queued *before* it is published to a shard: a
+    /// worker may pop it the moment it lands, and its decrement must
+    /// find the count already raised. Counting after the push let that
+    /// decrement saturate at 0 and the late increment leave a phantom
+    /// job behind — idle workers spinning on `queued > 0` forever and
+    /// shutdown never returning.
+    fn reserve_queued(&self) {
+        self.state.lock().expect("pool state poisoned").queued += 1;
         self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        self.work_available.notify_one();
+    }
+
+    /// Takes back a [`Self::reserve_queued`] whose push bounced.
+    fn release_queued(&self) {
+        let mut st = self.state.lock().expect("pool state poisoned");
+        st.queued = st.queued.saturating_sub(1);
+        drop(st);
+        self.metrics.dec_queue_depth();
     }
 
     fn note_dequeued(&self) {
@@ -167,6 +178,16 @@ impl Shared {
         None
     }
 
+    /// Publishes a new active-worker count under the state lock. A
+    /// worker checks `active` and parks under that lock; a store made
+    /// outside it could land between the check and the wait, and the
+    /// worker would sleep through the wake-up announcing its
+    /// retirement. A later grow then joins it forever.
+    fn set_active(&self, target: usize) {
+        let _st = self.state.lock().expect("pool state poisoned");
+        self.active.store(target, Ordering::Release);
+    }
+
     /// Sets the active worker count to `target`, clamped to
     /// `[min_workers, max_workers]`; returns the applied count. See
     /// [`Runtime::resize`] for the full contract.
@@ -184,7 +205,7 @@ impl Shared {
         if target < current {
             // Retire the tail workers; they exit on their next idle
             // check. Handles stay in their slots for lazy reclaiming.
-            self.active.store(target, Ordering::Release);
+            self.set_active(target);
             self.work_available.notify_all();
         } else {
             // Reclaim retired threads *before* raising `active`: with
@@ -196,7 +217,7 @@ impl Shared {
                     let _ = handle.join();
                 }
             }
-            self.active.store(target, Ordering::Release);
+            self.set_active(target);
             for (index, slot) in slots.iter_mut().enumerate().take(target).skip(current) {
                 *slot = Some(spawn_worker(self, index));
             }
@@ -711,6 +732,7 @@ impl Runtime {
             .clamp(1, self.shared.shards.len());
         let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let mut task = task;
+        self.shared.reserve_queued();
         for offset in 0..n {
             let index = (start + offset) % n;
             match self.shared.shards[index].try_push(priority, task) {
@@ -719,7 +741,7 @@ impl Runtime {
                         .metrics
                         .jobs_submitted
                         .fetch_add(1, Ordering::Relaxed);
-                    self.shared.note_enqueued();
+                    self.shared.work_available.notify_one();
                     // A concurrent shrink may have retired this shard's
                     // owner between the `active` load above and the
                     // push. Re-check and kick *every* worker so a
@@ -733,6 +755,7 @@ impl Runtime {
                 Err(bounced) => task = bounced,
             }
         }
+        self.shared.release_queued();
         Err(task)
     }
 
@@ -1230,6 +1253,44 @@ mod tests {
             resizer.join().expect("resizer thread");
         });
         assert_eq!(rt.snapshot().queue_depth, 0);
+    }
+
+    #[test]
+    fn queue_count_returns_to_zero_after_concurrent_submission() {
+        // Regression (phantom queued job): a job used to be counted only
+        // after it was pushed, so a worker that popped it in between
+        // decremented first (saturating at 0) and the late increment
+        // left the count at +1 for good. Parked workers then spun on
+        // `queued > 0` and `Runtime::drop` never returned, so the pool
+        // is dropped on a helper thread with a timeout: the old bug
+        // fails this test instead of hanging it.
+        let rt = small(2, 16);
+        let mut stuck_after = None;
+        for round in 0..200 {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let handles: Vec<_> = (0..2000u64).map(|i| rt.spawn(move || i)).collect();
+                        for (i, h) in handles.into_iter().enumerate() {
+                            assert_eq!(h.join(), Ok(i as u64));
+                        }
+                    });
+                }
+            });
+            if rt.snapshot().queue_depth != 0 {
+                stuck_after = Some(round);
+                break;
+            }
+        }
+        let (dropped_tx, dropped_rx) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(rt);
+            let _ = dropped_tx.send(());
+        });
+        let dropped = dropped_rx.recv_timeout(Duration::from_secs(30)).is_ok();
+        assert_eq!(stuck_after, None, "queue_depth stayed above 0 after round");
+        assert!(dropped, "Runtime::drop did not return within 30 s");
+        dropper.join().expect("dropping the runtime panicked");
     }
 
     #[test]

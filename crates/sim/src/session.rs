@@ -592,13 +592,18 @@ mod tests {
 
     #[test]
     fn session_feeds_shard_counter() {
-        let before = pool::snapshot().counter(SHARDS_COUNTER).unwrap_or(0);
-        let s = quick().shards(ShardPolicy::Windows(2)); // 4 GOPs → 2 windows/run
+        // A dedicated runtime: the shared pool's counter is also bumped
+        // by every other session test running concurrently.
+        let runtime = Arc::new(Runtime::new());
+        let s = quick()
+            .shards(ShardPolicy::Windows(2)) // 4 GOPs → 2 windows/run
+            .on_runtime(Arc::clone(&runtime));
         let _ = s.run(Scheme::Heuristic2);
-        let after = pool::snapshot()
-            .counter(SHARDS_COUNTER)
-            .expect("registered");
-        assert_eq!(after - before, 3 * 2, "3 runs × 2 windows");
+        assert_eq!(
+            runtime.snapshot().counter(SHARDS_COUNTER),
+            Some(3 * 2),
+            "3 runs × 2 windows"
+        );
     }
 
     #[test]
