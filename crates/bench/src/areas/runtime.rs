@@ -4,8 +4,8 @@
 //! fixture) on a **dedicated** pool — never the shared one, so the
 //! numbers are not polluted by other areas — and reads the results
 //! from the pool's own `MetricsSnapshot`: jobs/sec, p50/p99 job wall
-//! time from the runtime histogram, steal/failure counts, and worker
-//! utilization.
+//! time from the runtime histogram, failure/rejection counts, and
+//! worker utilization.
 
 use crate::single_fbs_problem;
 use fcr_core::waterfill::WaterfillingSolver;
@@ -107,7 +107,6 @@ pub fn run(params: &RuntimeParams) -> BenchEnvelope {
         .metric("jobs_submitted", snap.jobs_submitted)
         .metric("jobs_completed", snap.jobs_completed)
         .metric("jobs_failed", snap.jobs_failed)
-        .metric("jobs_stolen", snap.jobs_stolen)
         .metric("jobs_rejected", snap.jobs_rejected)
         .metric("job_p50_us", snap.job_wall_time.percentile_micros(0.50))
         .metric("job_p99_us", snap.job_wall_time.percentile_micros(0.99))

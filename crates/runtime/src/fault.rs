@@ -8,15 +8,16 @@
 //! * **Worker panics** ([`FaultKind::WorkerPanic`]) are injected as
 //!   separate *chaos jobs* enqueued immediately before the `at`-th user
 //!   submission. A chaos job travels the entire normal path — bounded
-//!   queue, work stealing, execution, `catch_unwind` containment — and
-//!   then panics, so the pool's panic-containment machinery is
+//!   run queue, execution, `catch_unwind` containment — and then
+//!   panics, so the pool's panic-containment machinery is
 //!   exercised for real while user jobs stay untouched. Test suites can
 //!   therefore assert *zero job loss or duplication* and bit-identical
 //!   results against an uninjected run.
 //! * **Delays** ([`FaultKind::Delay`]) stall a worker for a bounded
 //!   duration immediately before it executes the `at`-th task
 //!   (counting every execution, chaos jobs included). This perturbs
-//!   steal/ordering interleavings without altering any job's output.
+//!   execution/completion interleavings without altering any job's
+//!   output.
 //! * **Resizes** ([`FaultKind::Resize`]) force the pool to
 //!   grow/shrink to a target worker count right before the `at`-th
 //!   user submission, simulating autoscaler storms at adversarial

@@ -105,7 +105,7 @@ impl<T> JobHandle<T> {
     }
 }
 
-/// Type-erased unit of work as stored in the shard queues. The closure
+/// Type-erased unit of work as stored in the run queue. The closure
 /// already wraps panic catching, metrics recording, and result
 /// delivery, so workers simply invoke it.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;

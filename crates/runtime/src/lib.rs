@@ -26,22 +26,22 @@
 //!   [`ResizeEvent`] tagged with its [`ResizeTrigger`] provenance.
 //! * **[`Priority`]** — jobs carry a service class
 //!   ([`PriorityClass::Urgent`] / `Normal` / `Bulk`) plus an optional
-//!   absolute deadline; each queue shard keeps one deque per class,
-//!   EDF-ordered within the class, and pop/steal both take the
+//!   absolute deadline; the run queue keeps one deque per class,
+//!   EDF-ordered within the class, and every pop takes the
 //!   highest-class earliest-deadline job first. Priorities change
 //!   execution order only — results stay bit-identical.
 //! * **[`ShardPolicy`]** — how shard-aware callers (`fcr-sim`) cut a
 //!   long multi-GOP run into independently schedulable slot-window
 //!   jobs; the policy only groups work, never changes RNG draws, so
 //!   every choice is bit-identical to serial.
-//! * **Sharded bounded queues** — each worker owns one bounded FIFO
-//!   shard; submissions are spread round-robin and idle workers
-//!   **steal** from the back of sibling shards, so one slow shard
-//!   cannot strand work.
-//! * **Backpressure** — [`Runtime::spawn`] blocks the submitter when
-//!   every shard is full; [`Runtime::try_spawn`] instead hands the job
-//!   back as a [`RejectedJob`] the caller may retry, drop, or execute
-//!   inline.
+//! * **One bounded run queue** — every worker pops the same queue,
+//!   under the lock it parks on, so a freed worker always takes the
+//!   most urgent queued job. The queue holds at most
+//!   `active workers × queue_capacity` jobs.
+//! * **Backpressure** — [`Runtime::spawn`] blocks the submitter while
+//!   the queue is full; [`Runtime::try_spawn_with`] instead drops the
+//!   job and returns a [`RejectedJob`], leaving the policy (defer,
+//!   shed, submit again later) to the caller.
 //! * **Panic containment** — a panicking job is caught, recorded as a
 //!   failed [`JobOutcome`], and counted in the metrics; the worker
 //!   survives and the pool keeps draining.
@@ -55,15 +55,15 @@
 //!   adversarial schedules. Production pools carry no plan and pay
 //!   one `Option` branch per seam.
 //! * **Live metrics** — an atomic [`MetricsRegistry`]
-//!   (jobs submitted / completed / failed / stolen / rejected, queue
-//!   depth, in-flight gauge, wall-time histogram, plus named domain
-//!   counters such as `slots_simulated`) snapshot-able mid-flight via
+//!   (jobs submitted / completed / failed / rejected, queue depth,
+//!   in-flight gauge, wall-time histogram, plus named domain counters
+//!   such as `slots_simulated`) snapshot-able mid-flight via
 //!   [`Runtime::snapshot`].
-//! * **Per-worker utilization** — each worker's busy time, executed
-//!   job count, and steal count are tracked individually and exposed
-//!   as [`WorkerSnapshot`] rows (`busy_ns / lifetime_ns` = the
-//!   worker's utilization), feeding `fcr-telemetry`'s JSONL export
-//!   and the simulator's runtime report.
+//! * **Per-worker utilization** — each worker's busy time and
+//!   executed job count are tracked individually and exposed as
+//!   [`WorkerSnapshot`] rows (`busy_ns / lifetime_ns` = the worker's
+//!   utilization), feeding `fcr-telemetry`'s JSONL export and the
+//!   simulator's runtime report.
 //!
 //! # Determinism
 //!

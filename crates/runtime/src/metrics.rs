@@ -15,13 +15,11 @@ use std::time::{Duration, Instant};
 const IDLE: u64 = u64::MAX;
 
 /// Live per-worker counters: how much wall time worker `i` spent
-/// executing jobs, how many jobs it ran, and how many of those it
-/// stole from a sibling's shard.
+/// executing jobs and how many jobs it ran.
 #[derive(Debug)]
 pub(crate) struct WorkerStats {
     busy_ns: AtomicU64,
     jobs_executed: AtomicU64,
-    steals: AtomicU64,
     /// Registry-relative start time (ns since [`MetricsRegistry`]
     /// construction) of the job this worker is executing right now, or
     /// [`IDLE`]. Lets the autoscaler's utilization window see a
@@ -35,7 +33,6 @@ impl WorkerStats {
         WorkerStats {
             busy_ns: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             in_flight_since_ns: AtomicU64::new(IDLE),
         }
     }
@@ -51,17 +48,16 @@ pub struct MetricsRegistry {
     /// Per-worker execution accounting, indexed by worker slot (sized
     /// to the pool's `max_workers`).
     worker_stats: Vec<WorkerStats>,
-    /// Jobs accepted into a shard queue.
+    /// Jobs accepted into the run queue.
     pub(crate) jobs_submitted: AtomicU64,
     /// Jobs that ran to completion.
     pub(crate) jobs_completed: AtomicU64,
     /// Jobs whose closure panicked (contained, not propagated).
     pub(crate) jobs_failed: AtomicU64,
-    /// Jobs taken from a sibling's shard.
-    pub(crate) jobs_stolen: AtomicU64,
-    /// `try_spawn` submissions bounced by a full pool.
+    /// `try_spawn_with` submissions bounced by a full pool.
     pub(crate) jobs_rejected: AtomicU64,
-    /// Jobs currently sitting in shard queues.
+    /// Jobs currently in the run queue, stored under the queue's lock
+    /// on every push and pop.
     pub(crate) queue_depth: AtomicU64,
     /// Jobs currently executing on a worker.
     pub(crate) jobs_in_flight: AtomicU64,
@@ -80,7 +76,6 @@ impl MetricsRegistry {
             jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
-            jobs_stolen: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             jobs_in_flight: AtomicU64::new(0),
@@ -149,16 +144,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Decrements the queue-depth gauge, saturating at zero. A plain
-    /// `fetch_sub` on an unpaired path would wrap the gauge to
-    /// `u64::MAX`; saturating keeps a momentarily-skewed gauge merely
-    /// skewed, never absurd.
-    pub(crate) fn dec_queue_depth(&self) {
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
     pub(crate) fn record_job(&self, wall: Duration, ok: bool) {
         if ok {
             self.jobs_completed.fetch_add(1, Ordering::Relaxed);
@@ -169,9 +154,7 @@ impl MetricsRegistry {
     }
 
     /// Attributes one executed job and its wall time to worker
-    /// `index`. (Jobs absorbed inline by a caller via
-    /// [`crate::RejectedJob::run_inline`] run on no worker and are
-    /// deliberately not attributed here.)
+    /// `index`.
     pub(crate) fn record_worker_job(&self, index: usize, busy: Duration) {
         if let Some(w) = self.worker_stats.get(index) {
             let ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
@@ -179,15 +162,6 @@ impl MetricsRegistry {
             w.jobs_executed.fetch_add(1, Ordering::Relaxed);
             // The job is done: stop counting it as in-flight.
             w.in_flight_since_ns.store(IDLE, Ordering::Relaxed);
-        }
-    }
-
-    /// Attributes one successful steal to the **stealing** worker
-    /// `index` (the pool-wide `jobs_stolen` counter is kept
-    /// separately by the queue path).
-    pub(crate) fn record_worker_steal(&self, index: usize) {
-        if let Some(w) = self.worker_stats.get(index) {
-            w.steals.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -213,7 +187,6 @@ impl MetricsRegistry {
                 busy_ns: w.busy_ns.load(Ordering::Relaxed),
                 lifetime_ns,
                 jobs_executed: w.jobs_executed.load(Ordering::Relaxed),
-                steals: w.steals.load(Ordering::Relaxed),
             })
             .collect();
         MetricsSnapshot {
@@ -222,7 +195,6 @@ impl MetricsRegistry {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_stolen: self.jobs_stolen.load(Ordering::Relaxed),
             jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             jobs_in_flight: self.jobs_in_flight.load(Ordering::Relaxed),
@@ -242,16 +214,14 @@ impl MetricsRegistry {
 /// so one shared lifetime is exact up to thread-spawn jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSnapshot {
-    /// The worker's index (also its home shard).
+    /// The worker's index.
     pub index: usize,
     /// Wall time this worker spent executing jobs (ns).
     pub busy_ns: u64,
     /// The worker's lifetime at snapshot time (ns).
     pub lifetime_ns: u64,
-    /// Jobs this worker executed (own shard + stolen).
+    /// Jobs this worker executed.
     pub jobs_executed: u64,
-    /// Of those, jobs stolen from a sibling's shard.
-    pub steals: u64,
 }
 
 impl WorkerSnapshot {
@@ -275,15 +245,13 @@ pub struct MetricsSnapshot {
     pub workers: usize,
     /// Time since the pool was built.
     pub uptime: Duration,
-    /// Jobs accepted into a shard queue.
+    /// Jobs accepted into the run queue.
     pub jobs_submitted: u64,
     /// Jobs that ran to completion.
     pub jobs_completed: u64,
     /// Jobs whose closure panicked (contained).
     pub jobs_failed: u64,
-    /// Jobs executed by a worker other than the shard owner.
-    pub jobs_stolen: u64,
-    /// `try_spawn` submissions bounced by a full pool.
+    /// `try_spawn_with` submissions bounced by a full pool.
     pub jobs_rejected: u64,
     /// Jobs queued but not yet started.
     pub queue_depth: u64,
@@ -342,17 +310,15 @@ mod tests {
         m.record_worker_job(0, Duration::from_micros(40));
         m.record_worker_job(0, Duration::from_micros(60));
         m.record_worker_job(1, Duration::from_micros(10));
-        m.record_worker_steal(1);
         // Out-of-range indices are ignored, not panicking.
         m.record_worker_job(7, Duration::from_micros(1));
-        m.record_worker_steal(7);
         let snap = m.snapshot();
         assert_eq!(snap.per_worker.len(), 2);
         let w0 = snap.per_worker[0];
         let w1 = snap.per_worker[1];
-        assert_eq!((w0.index, w0.jobs_executed, w0.steals), (0, 2, 0));
+        assert_eq!((w0.index, w0.jobs_executed), (0, 2));
         assert_eq!(w0.busy_ns, 100_000);
-        assert_eq!((w1.index, w1.jobs_executed, w1.steals), (1, 1, 1));
+        assert_eq!((w1.index, w1.jobs_executed), (1, 1));
         assert_eq!(w1.busy_ns, 10_000);
         for w in &snap.per_worker {
             assert_eq!(w.lifetime_ns, snap.per_worker[0].lifetime_ns);
@@ -374,21 +340,8 @@ mod tests {
             busy_ns: 5,
             lifetime_ns: 0,
             jobs_executed: 1,
-            steals: 0,
         };
         assert_eq!(w.utilization(), 0.0);
-    }
-
-    #[test]
-    fn queue_depth_gauge_saturates_at_zero() {
-        let m = MetricsRegistry::new(1);
-        m.queue_depth.fetch_add(2, Ordering::Relaxed);
-        m.dec_queue_depth();
-        m.dec_queue_depth();
-        assert_eq!(m.snapshot().queue_depth, 0);
-        // An unpaired extra decrement must NOT wrap to u64::MAX.
-        m.dec_queue_depth();
-        assert_eq!(m.snapshot().queue_depth, 0);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! The elastic worker pool: priority-aware sharded submission, work
-//! stealing, blocking and non-blocking backpressure, panic
-//! containment, manual and always-on background autoscaling within
-//! configured bounds, and graceful shutdown.
+//! The elastic worker pool: one bounded priority run queue, blocking
+//! and non-blocking backpressure, panic containment, manual and
+//! always-on background autoscaling within configured bounds, and
+//! graceful shutdown.
 
 use crate::fault::{FaultPlan, FaultReport, SubmissionFault};
 use crate::job::{panic_message, CompletionSlot, JobError, JobHandle, JobOutcome, Task};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::priority::Priority;
-use crate::queue::Shard;
+use crate::queue::RunQueue;
 use crate::shard::{ResizeEvent, ResizeTrigger};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,19 +43,18 @@ impl Default for AutoscaleConfig {
 /// Sizing knobs for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Number of worker threads started initially. One queue shard is
-    /// created per worker *slot* (see [`RuntimeConfig::max_workers`]).
+    /// Number of worker threads started initially.
     pub workers: usize,
-    /// Bounded capacity of **each** shard; total queued jobs never
-    /// exceed `active workers * queue_capacity`.
+    /// Run-queue capacity **per active worker**: the pool's one queue
+    /// holds at most `active workers * queue_capacity` jobs, so the
+    /// bound follows every resize.
     pub queue_capacity: usize,
     /// Elastic floor: [`Runtime::resize`] / [`Runtime::autoscale`]
     /// never shrink below this many workers. Clamped to
     /// `1..=workers` at construction.
     pub min_workers: usize,
-    /// Elastic ceiling: the pool never grows beyond this many workers
-    /// (also the number of queue shards). Raised to at least `workers`
-    /// at construction.
+    /// Elastic ceiling: the pool never grows beyond this many workers.
+    /// Raised to at least `workers` at construction.
     pub max_workers: usize,
     /// When `Some`, the pool starts its background autoscaler thread
     /// at construction (equivalent to calling
@@ -78,10 +78,13 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// What workers and submitters coordinate on, under one mutex.
 struct PoolState {
-    /// Jobs currently sitting in shard queues (guarded mirror of the
-    /// per-shard lengths, so workers can park on one condvar).
-    queued: usize,
+    /// Every queued job, highest class and earliest deadline first.
+    queue: RunQueue,
+    /// Number of currently active workers. Workers with
+    /// `index >= active` retire as soon as they are idle.
+    active: usize,
     shutdown: bool,
 }
 
@@ -96,17 +99,15 @@ struct AutoscaleState {
 }
 
 struct Shared {
-    shards: Vec<Shard>,
     metrics: Arc<MetricsRegistry>,
     state: Mutex<PoolState>,
-    /// Number of currently active workers (≤ `shards.len()`). Workers
-    /// with `index >= active` retire as soon as they are idle.
-    active: AtomicUsize,
+    /// [`RuntimeConfig::queue_capacity`].
+    queue_capacity: usize,
     /// Signalled on enqueue; workers park here when idle.
     work_available: Condvar,
     /// Signalled on dequeue; blocked submitters park here.
     space_available: Condvar,
-    /// Worker slots, indexed by shard. `None` = never started or
+    /// Worker slots, indexed by worker. `None` = never started or
     /// joined; a `Some` at index ≥ active is a retired thread whose
     /// handle is reclaimed lazily on the next grow (or at shutdown).
     workers: Mutex<Vec<Option<JoinHandle<()>>>>,
@@ -127,65 +128,81 @@ struct Shared {
 }
 
 impl Shared {
-    /// Counts one job as queued *before* it is published to a shard: a
-    /// worker may pop it the moment it lands, and its decrement must
-    /// find the count already raised. Counting after the push let that
-    /// decrement saturate at 0 and the late increment leave a phantom
-    /// job behind — idle workers spinning on `queued > 0` forever and
-    /// shutdown never returning.
-    fn reserve_queued(&self) {
-        self.state.lock().expect("pool state poisoned").queued += 1;
-        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+    fn lock_state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool state poisoned")
     }
 
-    /// Takes back a [`Self::reserve_queued`] whose push bounced.
-    fn release_queued(&self) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.queued = st.queued.saturating_sub(1);
-        drop(st);
-        self.metrics.dec_queue_depth();
-    }
-
-    fn note_dequeued(&self) {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.queued = st.queued.saturating_sub(1);
-        drop(st);
-        // Saturating: an unpaired decrement must skew the gauge by at
-        // most one, never wrap it to u64::MAX.
-        self.metrics.dec_queue_depth();
-        self.space_available.notify_one();
-    }
-
-    /// Pops from the worker's own shard, else steals from a sibling.
-    /// Both paths take the highest-class earliest-deadline job first
-    /// (the shard enforces it), so mixed-priority workloads reorder
-    /// identically no matter who drains a shard.
-    fn take_task(&self, worker: usize) -> Option<Task> {
-        if let Some(task) = self.shards[worker].pop() {
-            self.note_dequeued();
-            return Some(task);
-        }
-        let n = self.shards.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(task) = self.shards[victim].steal() {
-                self.metrics.jobs_stolen.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_worker_steal(worker);
-                self.note_dequeued();
-                return Some(task);
+    /// Queues `task`. When the queue is full, waits for room if `block`
+    /// is set and hands the task back otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool was shut down.
+    fn enqueue(&self, priority: Priority, mut task: Task, block: bool) -> Result<(), Task> {
+        let mut st = self.lock_state();
+        loop {
+            if st.shutdown {
+                // Release the lock first: panicking under it would
+                // poison the pool state.
+                drop(st);
+                panic!("cannot submit jobs to a runtime after shutdown");
+            }
+            let capacity = st.active * self.queue_capacity;
+            match st.queue.try_push(capacity, priority, task) {
+                Ok(()) => break,
+                Err(bounced) if block => {
+                    task = bounced;
+                    st = self.space_available.wait(st).expect("pool state poisoned");
+                }
+                Err(bounced) => return Err(bounced),
             }
         }
-        None
+        self.metrics
+            .queue_depth
+            .store(st.queue.len() as u64, Ordering::Relaxed);
+        self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        self.work_available.notify_one();
+        Ok(())
     }
 
-    /// Publishes a new active-worker count under the state lock. A
-    /// worker checks `active` and parks under that lock; a store made
-    /// outside it could land between the check and the wait, and the
-    /// worker would sleep through the wake-up announcing its
-    /// retirement. A later grow then joins it forever.
+    /// Parks worker `index` until it has a job: the queue's
+    /// highest-class earliest-deadline one. `None` tells the worker to
+    /// exit — it was retired by a shrink, or the pool is shutting down
+    /// and the queue is empty.
+    fn next_task(&self, index: usize) -> Option<Task> {
+        let mut st = self.lock_state();
+        loop {
+            if index >= st.active {
+                // Retired; the survivors drain the queue. A wake-up this
+                // worker absorbed on its way out needs no hand-off:
+                // `set_active` broadcasts after every change, and that
+                // broadcast reaches the survivors.
+                return None;
+            }
+            if let Some(task) = st.queue.pop() {
+                self.metrics
+                    .queue_depth
+                    .store(st.queue.len() as u64, Ordering::Relaxed);
+                drop(st);
+                self.space_available.notify_one();
+                return Some(task);
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = self.work_available.wait(st).expect("pool state poisoned");
+        }
+    }
+
+    /// Publishes a new active-worker count under the state lock, then
+    /// wakes everyone: parked workers re-check whether they retired,
+    /// and blocked submitters re-check the queue bound, which moved
+    /// with the count.
     fn set_active(&self, target: usize) {
-        let _st = self.state.lock().expect("pool state poisoned");
-        self.active.store(target, Ordering::Release);
+        self.lock_state().active = target;
+        self.work_available.notify_all();
+        self.space_available.notify_all();
     }
 
     /// Sets the active worker count to `target`, clamped to
@@ -194,34 +211,24 @@ impl Shared {
     fn resize_to(self: &Arc<Self>, target: usize) -> usize {
         let target = target.clamp(self.min_workers, self.max_workers);
         let mut slots = self.workers.lock().expect("pool workers poisoned");
-        if slots.is_empty() {
-            // Already shut down.
-            return self.active.load(Ordering::Acquire);
-        }
-        let current = self.active.load(Ordering::Acquire);
-        if target == current {
+        let current = self.lock_state().active;
+        if slots.is_empty() || target == current {
+            // Already shut down, or nothing to do.
             return current;
         }
-        if target < current {
-            // Retire the tail workers; they exit on their next idle
-            // check. Handles stay in their slots for lazy reclaiming.
-            self.set_active(target);
-            self.work_available.notify_all();
-        } else {
-            // Reclaim retired threads *before* raising `active`: with
-            // `active` still below their index they are guaranteed to
-            // exit, so the join terminates.
-            for slot in slots.iter_mut().take(target).skip(current) {
-                if let Some(handle) = slot.take() {
-                    self.work_available.notify_all();
-                    let _ = handle.join();
-                }
+        // A grow first reclaims retired threads in the slots it
+        // reuses: with `active` still below their index they are
+        // exiting, so the join terminates. A shrink skips both loops;
+        // `set_active` alone retires the tail workers, whose handles
+        // stay in their slots for lazy reclaiming.
+        for slot in slots.iter_mut().take(target).skip(current) {
+            if let Some(handle) = slot.take() {
+                let _ = handle.join();
             }
-            self.set_active(target);
-            for (index, slot) in slots.iter_mut().enumerate().take(target).skip(current) {
-                *slot = Some(spawn_worker(self, index));
-            }
-            self.work_available.notify_all();
+        }
+        self.set_active(target);
+        for (index, slot) in slots.iter_mut().enumerate().take(target).skip(current) {
+            *slot = Some(spawn_worker(self, index));
         }
         self.metrics.set_active_workers(target);
         self.resizes.fetch_add(1, Ordering::Relaxed);
@@ -241,10 +248,10 @@ impl Shared {
         trigger: ResizeTrigger,
         cooldown: Option<Duration>,
     ) -> Option<ResizeEvent> {
-        let active = self.active.load(Ordering::Acquire);
-        if active == 0 {
-            return None;
-        }
+        let (active, queue_depth) = {
+            let st = self.lock_state();
+            (st.active, st.queue.len() as u64)
+        };
         if let Some(cooldown) = cooldown {
             let st = self
                 .autoscale_state
@@ -259,7 +266,6 @@ impl Shared {
                 }
             }
         }
-        let queue_depth = self.metrics.queue_depth.load(Ordering::Relaxed);
         // In-flight-aware busy signal: long-running jobs count while
         // they run, so a busy pool never reads as idle and gets
         // shrunk out from under its own workload.
@@ -305,53 +311,24 @@ impl Shared {
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    loop {
-        if index >= shared.active.load(Ordering::Acquire) {
-            // Retired by an elastic shrink. Queued work is never lost:
-            // the remaining active workers steal from every shard,
-            // including this one's.
-            return;
+    while let Some(task) = shared.next_task(index) {
+        // Fault seam: a scheduled execution delay stalls this worker
+        // *before* it runs the task, perturbing execution and
+        // completion interleavings without touching any result.
+        if let Some(plan) = shared.fault.as_deref() {
+            if let Some(delay) = plan.next_execution_delay() {
+                std::thread::sleep(delay);
+            }
         }
-        if let Some(task) = shared.take_task(index) {
-            // Fault seam: a scheduled execution delay stalls this
-            // worker *before* it runs the task, perturbing steal and
-            // completion interleavings without touching any result.
-            if let Some(plan) = shared.fault.as_deref() {
-                if let Some(delay) = plan.next_execution_delay() {
-                    std::thread::sleep(delay);
-                }
-            }
-            // The task wrapper contains its own catch_unwind and
-            // in-flight accounting; it never unwinds into the worker
-            // loop. Busy time is attributed to this worker for the
-            // utilization metrics, and the start is stamped so the
-            // autoscaler sees the job while it runs.
-            shared.metrics.note_worker_start(index);
-            let start = Instant::now();
-            task();
-            shared.metrics.record_worker_job(index, start.elapsed());
-            continue;
-        }
-        let mut st = shared.state.lock().expect("pool state poisoned");
-        loop {
-            if index >= shared.active.load(Ordering::Acquire) {
-                // Retired while parked. The notify that woke us may
-                // have been meant for an active worker — pass it
-                // along instead of swallowing it, or a queued job
-                // could sit until an incidental steal.
-                if st.queued > 0 {
-                    shared.work_available.notify_one();
-                }
-                return;
-            }
-            if st.queued > 0 {
-                break; // rescan the shards
-            }
-            if st.shutdown {
-                return; // drained + shutdown requested
-            }
-            st = shared.work_available.wait(st).expect("pool state poisoned");
-        }
+        // The task wrapper contains its own catch_unwind and in-flight
+        // accounting; it never unwinds into the worker loop. Busy time
+        // is attributed to this worker for the utilization metrics, and
+        // the start is stamped so the autoscaler sees the job while it
+        // runs.
+        shared.metrics.note_worker_start(index);
+        let start = Instant::now();
+        task();
+        shared.metrics.record_worker_job(index, start.elapsed());
     }
 }
 
@@ -417,46 +394,24 @@ where
     (task, handle)
 }
 
-/// A job bounced by [`Runtime::try_spawn`] because every shard was
-/// full. Holds the (unexecuted) work, the priority it was submitted
-/// under, and its handle; the caller decides whether to retry
-/// ([`Runtime::try_resubmit`]), block ([`Runtime::resubmit`]), or
-/// absorb the backpressure on its own thread
-/// ([`RejectedJob::run_inline`]).
+/// A job bounced by [`Runtime::try_spawn_with`] because the run queue
+/// was full. The job was dropped without running and counted in
+/// `jobs_rejected`; what to do next (defer, shed, submit again later)
+/// is the caller's policy.
 pub struct RejectedJob<T> {
-    priority: Priority,
-    task: Task,
-    handle: JobHandle<T>,
+    _job: PhantomData<fn() -> T>,
 }
 
 impl<T> std::fmt::Debug for RejectedJob<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RejectedJob")
-            .field("priority", &self.priority)
-            .finish_non_exhaustive()
+        f.write_str("RejectedJob")
     }
 }
 
-impl<T> RejectedJob<T> {
-    /// Executes the job on the calling thread (metrics still record
-    /// its completion and wall time) and returns its outcome.
-    pub fn run_inline(self) -> JobOutcome<T> {
-        (self.task)();
-        self.handle.join()
-    }
-
-    /// The priority the job was originally submitted under (reused on
-    /// resubmission).
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-}
-
-/// An elastic sharded worker pool. See the crate docs for the full
-/// architecture story.
+/// An elastic worker pool over one bounded priority run queue. See the
+/// crate docs for the full architecture story.
 pub struct Runtime {
     shared: Arc<Shared>,
-    next_shard: AtomicUsize,
     /// Background autoscaler thread, if running.
     scaler: Mutex<Option<JoinHandle<()>>>,
 }
@@ -512,15 +467,13 @@ impl Runtime {
         metrics.set_active_workers(config.workers);
         let resizes = metrics.counter("pool.resizes");
         let shared = Arc::new(Shared {
-            shards: (0..max_workers)
-                .map(|_| Shard::new(config.queue_capacity))
-                .collect(),
             metrics,
             state: Mutex::new(PoolState {
-                queued: 0,
+                queue: RunQueue::default(),
+                active: config.workers,
                 shutdown: false,
             }),
-            active: AtomicUsize::new(config.workers),
+            queue_capacity: config.queue_capacity,
             work_available: Condvar::new(),
             space_available: Condvar::new(),
             workers: Mutex::new((0..max_workers).map(|_| None).collect()),
@@ -545,7 +498,6 @@ impl Runtime {
         }
         let runtime = Runtime {
             shared,
-            next_shard: AtomicUsize::new(0),
             scaler: Mutex::new(None),
         };
         if let Some(autoscale) = config.autoscale {
@@ -554,15 +506,10 @@ impl Runtime {
         runtime
     }
 
-    /// The current **active** worker count (elastic; see
+    /// The current active worker count (elastic; see
     /// [`Runtime::resize`]).
-    pub fn workers(&self) -> usize {
-        self.active_workers()
-    }
-
-    /// The current active worker count.
     pub fn active_workers(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.lock_state().active
     }
 
     /// The elastic floor.
@@ -570,7 +517,7 @@ impl Runtime {
         self.shared.min_workers
     }
 
-    /// The elastic ceiling (= shard count).
+    /// The elastic ceiling.
     pub fn max_workers(&self) -> usize {
         self.shared.max_workers
     }
@@ -580,10 +527,11 @@ impl Runtime {
     /// applied count.
     ///
     /// Shrinking retires the highest-indexed workers as soon as they
-    /// are idle; their queued work is stolen by the survivors, so no
-    /// job is ever dropped or reordered. Growing first reclaims any
-    /// retired thread occupying the slot (joining it), then spawns a
-    /// fresh worker. Resizing a shut-down pool is a no-op.
+    /// are idle; queued jobs stay in the one run queue the survivors
+    /// drain, so no job is ever dropped or reordered. Growing first
+    /// reclaims any retired thread occupying the slot (joining it),
+    /// then spawns a fresh worker. Resizing a shut-down pool is a
+    /// no-op.
     pub fn resize(&self, target: usize) -> usize {
         self.shared.resize_to(target)
     }
@@ -679,9 +627,9 @@ impl Runtime {
 
     /// Fires any faults scheduled at the current user-submission
     /// index. Chaos panics travel the full normal path (enqueue,
-    /// steal, execute, `catch_unwind`) as independent jobs; forced
-    /// resizes go through [`Shared::resize_to`] so they are
-    /// indistinguishable from autoscaler storms.
+    /// execute, `catch_unwind`) as independent jobs; forced resizes go
+    /// through [`Shared::resize_to`] so they are indistinguishable
+    /// from autoscaler storms.
     fn fire_submission_faults(&self) {
         let Some(plan) = self.shared.fault.clone() else {
             return;
@@ -694,7 +642,7 @@ impl Runtime {
                     });
                     // Straight to the queue (not spawn_with) so a
                     // chaos job cannot recursively trigger faults.
-                    self.submit_blocking(Priority::default(), task);
+                    let _ = self.shared.enqueue(Priority::default(), task, true);
                     plan.note_panic_injected();
                     // Nobody joins a chaos job; dropping the handle is
                     // fine — the completion slot absorbs the outcome.
@@ -713,80 +661,8 @@ impl Runtime {
         self.shared.metrics.snapshot()
     }
 
-    fn is_shut_down(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .shutdown
-    }
-
-    /// One round-robin pass over the **active** shards; hands the task
-    /// back when everything is full. (Shards of retired workers still
-    /// drain via stealing but receive no new work.)
-    fn try_enqueue(&self, priority: Priority, task: Task) -> Result<(), Task> {
-        let n = self
-            .shared
-            .active
-            .load(Ordering::Acquire)
-            .clamp(1, self.shared.shards.len());
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        let mut task = task;
-        self.shared.reserve_queued();
-        for offset in 0..n {
-            let index = (start + offset) % n;
-            match self.shared.shards[index].try_push(priority, task) {
-                Ok(()) => {
-                    self.shared
-                        .metrics
-                        .jobs_submitted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.work_available.notify_one();
-                    // A concurrent shrink may have retired this shard's
-                    // owner between the `active` load above and the
-                    // push. Re-check and kick *every* worker so a
-                    // survivor steals the job promptly instead of it
-                    // waiting for an incidental steal.
-                    if index >= self.shared.active.load(Ordering::Acquire) {
-                        self.shared.work_available.notify_all();
-                    }
-                    return Ok(());
-                }
-                Err(bounced) => task = bounced,
-            }
-        }
-        self.shared.release_queued();
-        Err(task)
-    }
-
-    fn submit_blocking(&self, priority: Priority, task: Task) {
-        let mut task = task;
-        loop {
-            assert!(
-                !self.is_shut_down(),
-                "cannot submit jobs to a runtime after shutdown"
-            );
-            match self.try_enqueue(priority, task) {
-                Ok(()) => return,
-                Err(bounced) => {
-                    task = bounced;
-                    // Wait for a worker to free queue space. The
-                    // timeout covers the unsynchronized window between
-                    // the failed pass and this wait (a pop in that
-                    // window would otherwise be a lost wakeup).
-                    let st = self.shared.state.lock().expect("pool state poisoned");
-                    let _ = self
-                        .shared
-                        .space_available
-                        .wait_timeout(st, Duration::from_millis(1))
-                        .expect("pool state poisoned");
-                }
-            }
-        }
-    }
-
     /// Submits a job at [`Priority::normal`], **blocking** the caller
-    /// while every shard is full (backpressure). Returns a handle to
+    /// while the run queue is full (backpressure). Returns a handle to
     /// `join` for the outcome.
     ///
     /// # Panics
@@ -811,23 +687,18 @@ impl Runtime {
     {
         self.fire_submission_faults();
         let (task, handle) = package(Arc::clone(&self.shared.metrics), f);
-        self.submit_blocking(priority, task);
+        let _ = self.shared.enqueue(priority, task, true);
         handle
     }
 
-    /// Submits a job at [`Priority::normal`] without blocking: when
-    /// every shard is full the job comes back as a [`RejectedJob`]
-    /// (and `jobs_rejected` is counted), letting the caller choose its
-    /// own backpressure policy.
-    pub fn try_spawn<T, F>(&self, f: F) -> Result<JobHandle<T>, RejectedJob<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.try_spawn_with(Priority::default(), f)
-    }
-
-    /// Like [`Runtime::try_spawn`], under an explicit [`Priority`].
+    /// Like [`Runtime::spawn_with`], but never blocks: when the run
+    /// queue is full the job is dropped unexecuted and comes back as a
+    /// [`RejectedJob`] (and `jobs_rejected` is counted), letting the
+    /// caller choose its own backpressure policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runtime was already shut down.
     pub fn try_spawn_with<T, F>(
         &self,
         priority: Priority,
@@ -839,59 +710,16 @@ impl Runtime {
     {
         self.fire_submission_faults();
         let (task, handle) = package(Arc::clone(&self.shared.metrics), f);
-        match self.try_enqueue(priority, task) {
+        match self.shared.enqueue(priority, task, false) {
             Ok(()) => Ok(handle),
-            Err(task) => {
+            Err(_dropped) => {
                 self.shared
                     .metrics
                     .jobs_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                Err(RejectedJob {
-                    priority,
-                    task,
-                    handle,
-                })
+                Err(RejectedJob { _job: PhantomData })
             }
         }
-    }
-
-    /// Retries a previously rejected job (at its original priority)
-    /// without blocking.
-    pub fn try_resubmit<T>(
-        &self,
-        rejected: RejectedJob<T>,
-    ) -> Result<JobHandle<T>, RejectedJob<T>> {
-        let RejectedJob {
-            priority,
-            task,
-            handle,
-        } = rejected;
-        match self.try_enqueue(priority, task) {
-            Ok(()) => Ok(handle),
-            Err(task) => {
-                self.shared
-                    .metrics
-                    .jobs_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(RejectedJob {
-                    priority,
-                    task,
-                    handle,
-                })
-            }
-        }
-    }
-
-    /// Resubmits a previously rejected job (at its original
-    /// priority), blocking until it fits.
-    pub fn resubmit<T>(&self, rejected: RejectedJob<T>) -> JobHandle<T> {
-        let RejectedJob {
-            priority,
-            task,
-            handle,
-        } = rejected;
-        self.submit_blocking(priority, task);
-        handle
     }
 
     /// Submits every job of a batch at [`Priority::normal`] (blocking
@@ -938,10 +766,7 @@ impl Runtime {
         if workers.is_empty() {
             return; // already shut down
         }
-        {
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
-            st.shutdown = true;
-        }
+        self.shared.lock_state().shutdown = true;
         self.shared.work_available.notify_all();
         for worker in workers.into_iter().flatten() {
             let _ = worker.join();
@@ -1025,26 +850,23 @@ mod tests {
         });
         started_rx.recv().unwrap();
         // Fill the single queue slot.
-        let queued = rt.try_spawn(|| 1).expect("one slot free");
-        // Pool saturated: the next submission bounces.
-        let rejected = match rt.try_spawn_with(Priority::urgent(), || 2) {
-            Err(r) => r,
-            Ok(_) => panic!("expected rejection from a saturated pool"),
-        };
-        assert_eq!(rejected.priority(), Priority::urgent());
-        assert!(rt.snapshot().jobs_rejected >= 1);
-        // The caller can absorb the backpressure inline...
-        assert_eq!(rejected.run_inline(), Ok(2));
-        // ...or retry after releasing the worker.
-        let rejected = match rt.try_spawn(|| 3) {
-            Err(r) => r,
-            Ok(_) => panic!("still saturated"),
-        };
+        let queued = rt
+            .try_spawn_with(Priority::bulk(), || 1)
+            .expect("one slot free");
+        // Pool saturated: the next submission bounces, whatever its
+        // class, and is counted.
+        let bounced = rt.try_spawn_with(Priority::urgent(), || 2);
+        assert!(bounced.is_err(), "expected rejection from a saturated pool");
+        assert_eq!(rt.snapshot().jobs_rejected, 1);
+        // Once the worker drains the queue, the retry is accepted.
         release_tx.send(()).unwrap();
         assert_eq!(blocker.join(), Ok("blocker done"));
-        let handle = rt.resubmit(rejected);
-        assert_eq!(handle.join(), Ok(3));
         assert_eq!(queued.join(), Ok(1));
+        let retried = rt
+            .try_spawn_with(Priority::urgent(), || 2)
+            .expect("queue drained");
+        assert_eq!(retried.join(), Ok(2));
+        assert_eq!(rt.snapshot().jobs_rejected, 1);
     }
 
     #[test]
@@ -1094,11 +916,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "after shutdown")]
+    fn try_spawning_after_shutdown_panics() {
+        // The non-blocking path must refuse too: no worker would ever
+        // run the job, and its handle would never complete.
+        let mut rt = small(1, 1);
+        rt.shutdown();
+        let _ = rt.try_spawn_with(Priority::normal(), || 0);
+    }
+
+    #[test]
     fn work_is_shared_across_workers() {
-        // With more jobs than one shard can hold and all submissions
-        // spread round-robin, every worker participates; the steal
-        // counter is exercised opportunistically (no strict assertion
-        // — stealing depends on scheduling).
+        // More jobs than the queue holds, drained by four workers
+        // popping one shared queue: every job runs exactly once.
         let rt = small(4, 2);
         let outcomes = rt.run_batch((0..200u64).map(|i| {
             move || {
@@ -1131,11 +961,8 @@ mod tests {
         assert_eq!(snap.per_worker.len(), 3);
         let executed: u64 = snap.per_worker.iter().map(|w| w.jobs_executed).sum();
         assert_eq!(executed, 60, "{:?}", snap.per_worker);
-        let stolen: u64 = snap.per_worker.iter().map(|w| w.steals).sum();
-        assert_eq!(stolen, snap.jobs_stolen);
         for w in &snap.per_worker {
             assert!(w.lifetime_ns > 0);
-            assert!(w.steals <= w.jobs_executed);
             let u = w.utilization();
             assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
         }
@@ -1160,7 +987,7 @@ mod tests {
         assert_eq!(rt.resize(100), 4, "clamped to max_workers");
         assert_eq!(rt.resize(0), 1, "clamped to min_workers");
         assert_eq!(rt.resize(3), 3);
-        assert_eq!(rt.workers(), 3);
+        assert_eq!(rt.active_workers(), 3);
         assert_eq!(rt.snapshot().workers, 3, "snapshot reports active count");
         assert!(rt.snapshot().counter("pool.resizes").unwrap_or(0) >= 3);
     }
@@ -1210,8 +1037,8 @@ mod tests {
         });
         started_rx.recv().unwrap();
         let handles: Vec<_> = (0..40u64).map(|i| rt.spawn(move || i)).collect();
-        // Shrink while jobs are queued across all four shards; the
-        // lone survivor must steal and drain everything.
+        // Shrink while jobs are queued; the lone survivor must drain
+        // everything.
         assert_eq!(rt.resize(1), 1);
         release_tx.send(()).unwrap();
         assert_eq!(blocker.join(), Ok(()));
@@ -1223,12 +1050,8 @@ mod tests {
 
     #[test]
     fn shrink_under_concurrent_submission_never_strands_jobs() {
-        // Regression (stale-shard routing): a submission that loads
-        // `active`, then races a shrink, could land its job on a
-        // retired worker's shard where it waited for an incidental
-        // steal — stalling the batch join. The re-check in
-        // `try_enqueue` plus retiring workers passing wakeups along
-        // must keep every batch bounded.
+        // Shrinks racing submissions: a job queued while a worker
+        // retires must still reach a survivor, or a batch join stalls.
         let rt = Runtime::with_config(RuntimeConfig {
             workers: 4,
             queue_capacity: 16,
@@ -1257,13 +1080,12 @@ mod tests {
 
     #[test]
     fn queue_count_returns_to_zero_after_concurrent_submission() {
-        // Regression (phantom queued job): a job used to be counted only
-        // after it was pushed, so a worker that popped it in between
-        // decremented first (saturating at 0) and the late increment
-        // left the count at +1 for good. Parked workers then spun on
-        // `queued > 0` and `Runtime::drop` never returned, so the pool
-        // is dropped on a helper thread with a timeout: the old bug
-        // fails this test instead of hanging it.
+        // Concurrent submitters racing the workers: the queue-depth
+        // gauge must read 0 once every job has run, and the pool must
+        // still shut down. A miscounted queue can spin idle workers
+        // forever and hang `Runtime::drop`, so the pool is dropped on a
+        // helper thread with a timeout: such a bug fails this test
+        // instead of hanging it.
         let rt = small(2, 16);
         let mut stuck_after = None;
         for round in 0..200 {
@@ -1523,6 +1345,60 @@ mod tests {
             .collect();
         assert_eq!(urgents, vec![0, 1, 2, 3, 4]);
         assert_eq!(bulks, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_freed_worker_runs_queued_urgent_work_before_bulk() {
+        // Both workers busy, then a Bulk job and an Urgent job queue
+        // up, in that order. The worker that frees first must take the
+        // Urgent job.
+        let rt = Runtime::with_config(RuntimeConfig {
+            workers: 2,
+            queue_capacity: 8,
+            min_workers: 2,
+            max_workers: 2,
+            autoscale: None,
+        });
+        let (started_tx, started_rx) = mpsc::channel();
+        let mut releases = Vec::new();
+        let mut blockers = Vec::new();
+        for blocker in 0..2 {
+            let started_tx = started_tx.clone();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            releases.push(release_tx);
+            blockers.push(rt.spawn(move || {
+                let worker = std::thread::current().name().map(str::to_owned);
+                started_tx.send((blocker, worker)).unwrap();
+                let _ = release_rx.recv();
+            }));
+        }
+        let mut on_worker_0 = None;
+        for _ in 0..2 {
+            let (blocker, worker) = started_rx.recv().unwrap();
+            if worker.as_deref() == Some("fcr-runtime-0") {
+                on_worker_0 = Some(blocker);
+            }
+        }
+        let on_worker_0 = on_worker_0.expect("a blocker runs on fcr-runtime-0");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<_> = [("bulk", Priority::bulk()), ("urgent", Priority::urgent())]
+            .into_iter()
+            .map(|(class, priority)| {
+                let log = Arc::clone(&log);
+                rt.spawn_with(priority, move || log.lock().unwrap().push(class))
+            })
+            .collect();
+        releases[on_worker_0].send(()).unwrap();
+        for h in handles {
+            assert_eq!(h.join(), Ok(()));
+        }
+        assert_eq!(*log.lock().unwrap(), ["urgent", "bulk"]);
+        for release in &releases {
+            let _ = release.send(());
+        }
+        for b in blockers {
+            assert_eq!(b.join(), Ok(()));
+        }
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! they run in is a free policy knob. A [`Priority`] attaches a service
 //! class ([`PriorityClass::Urgent`] / [`PriorityClass::Normal`] /
 //! [`PriorityClass::Bulk`]) and an optional absolute deadline to every
-//! submitted job; queue shards keep one small deque per class, ordered
-//! earliest-deadline-first (EDF) within the class, and both the owner's
-//! pop and siblings' steals always take the
-//! highest-class-earliest-deadline job first.
+//! submitted job; the pool's run queue keeps one small deque per class,
+//! ordered earliest-deadline-first (EDF) within the class, and every
+//! pop takes the highest-class-earliest-deadline job first.
 //!
 //! Priorities change **only execution order** — never results. Every
 //! simulation job derives its RNG streams from `(master seed, run,
@@ -19,11 +18,11 @@
 
 use std::time::{Duration, Instant};
 
-/// The service class of a job: which per-shard deque it queues in.
+/// The service class of a job: which run-queue deque it waits in.
 ///
-/// Classes are strict: no Bulk job runs while an Urgent or Normal job
-/// is queued anywhere a worker can see (own shard pop and sibling
-/// steal both scan classes in this order).
+/// Classes are strict: a worker never starts a Bulk job while an
+/// Urgent or Normal job is queued (every pop scans the classes in this
+/// order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PriorityClass {
     /// Latency-sensitive work (interactive trace runs, live probes):
@@ -38,7 +37,7 @@ pub enum PriorityClass {
 }
 
 impl PriorityClass {
-    /// Number of classes (= per-shard deque count).
+    /// Number of classes (= run-queue deque count).
     pub const COUNT: usize = 3;
 
     /// Every class, in dequeue order (highest first).

@@ -1,21 +1,20 @@
-//! Sharded bounded priority queues.
+//! The run queue: one bounded priority queue shared by every worker.
 //!
-//! Each worker owns one [`Shard`]: a bounded queue holding one small
-//! deque per [`PriorityClass`], ordered earliest-deadline-first (EDF)
-//! within the class (deadline-less jobs keep FIFO submission order
-//! behind every deadlined sibling). The owner's pop and siblings'
-//! steals follow the same discipline — highest class first, earliest
-//! deadline first inside it — so a mixed Urgent/Bulk workload reorders
-//! identically no matter which worker drains a shard.
+//! [`RunQueue`] holds one small deque per [`PriorityClass`], ordered
+//! earliest-deadline-first (EDF) within the class (deadline-less jobs
+//! keep FIFO submission order behind every deadlined sibling). A pop
+//! takes the highest class first, earliest deadline first inside it,
+//! so whichever worker frees up next runs the most urgent queued job.
+//! The pool keeps the queue inside its state mutex; it has no lock of
+//! its own.
 
 use crate::job::Task;
 use crate::priority::{Priority, PriorityClass};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// One queued job: its EDF key plus the work itself. `seq` is the
-/// shard-local admission number breaking deadline ties FIFO.
+/// queue-wide admission number breaking deadline ties FIFO.
 struct Entry {
     deadline: Option<Instant>,
     seq: u64,
@@ -36,94 +35,56 @@ impl Entry {
     }
 }
 
-struct ShardInner {
+/// The pool's queued jobs, one EDF deque per class.
+#[derive(Default)]
+pub(crate) struct RunQueue {
     /// One EDF deque per class, indexed by [`PriorityClass::rank`].
     classes: [VecDeque<Entry>; PriorityClass::COUNT],
-    /// Total queued entries across the classes (bounded by capacity).
+    /// Total queued entries across the classes.
     len: usize,
     /// Next admission number.
     next_seq: u64,
 }
 
-/// One bounded priority queue, owned by a single worker but stealable
-/// by the rest of the pool.
-pub(crate) struct Shard {
-    inner: Mutex<ShardInner>,
-    capacity: usize,
-}
-
-impl Shard {
-    pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "shard capacity must be positive");
-        Shard {
-            inner: Mutex::new(ShardInner {
-                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-                next_seq: 0,
-            }),
-            capacity,
-        }
+impl RunQueue {
+    /// Jobs queued across every class.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
-    /// Enqueues `task` under `priority` unless the shard is at
-    /// capacity (summed over all classes), in which case the task is
+    /// Enqueues `task` under `priority` unless `capacity` jobs (summed
+    /// over all classes) are already queued, in which case the task is
     /// handed back (backpressure).
-    pub(crate) fn try_push(&self, priority: Priority, task: Task) -> Result<(), Task> {
-        let mut inner = self.inner.lock().expect("shard poisoned");
-        if inner.len >= self.capacity {
+    pub(crate) fn try_push(
+        &mut self,
+        capacity: usize,
+        priority: Priority,
+        task: Task,
+    ) -> Result<(), Task> {
+        if self.len >= capacity {
             return Err(task);
         }
         let entry = Entry {
             deadline: priority.deadline,
-            seq: inner.next_seq,
+            seq: self.next_seq,
             task,
         };
-        inner.next_seq += 1;
-        let queue = &mut inner.classes[priority.class.rank()];
+        self.next_seq += 1;
+        let queue = &mut self.classes[priority.class.rank()];
         // EDF insertion point. Deadline-less entries carry the largest
         // admission number, so they always land at the back — pushing
         // without a deadline stays O(1) FIFO.
         let at = queue.partition_point(|existing| existing.precedes(&entry));
         queue.insert(at, entry);
-        inner.len += 1;
+        self.len += 1;
         Ok(())
     }
 
     /// Takes the highest-class earliest-deadline job, if any.
-    fn take(&self) -> Option<Task> {
-        let mut inner = self.inner.lock().expect("shard poisoned");
-        for rank in 0..PriorityClass::COUNT {
-            if let Some(entry) = inner.classes[rank].pop_front() {
-                inner.len -= 1;
-                return Some(entry.task);
-            }
-        }
-        None
-    }
-
-    /// Owner-side pop: highest class first, EDF inside the class.
-    pub(crate) fn pop(&self) -> Option<Task> {
-        self.take()
-    }
-
-    /// Thief-side pop. Same discipline as [`Shard::pop`]: a steal must
-    /// not demote an Urgent job behind a Bulk one just because a
-    /// different worker drained the shard.
-    pub(crate) fn steal(&self) -> Option<Task> {
-        self.take()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("shard poisoned").len
-    }
-}
-
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+    pub(crate) fn pop(&mut self) -> Option<Task> {
+        let entry = self.classes.iter_mut().find_map(VecDeque::pop_front)?;
+        self.len -= 1;
+        Some(entry.task)
     }
 }
 
@@ -131,7 +92,7 @@ impl std::fmt::Debug for Shard {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     fn noop() -> Task {
@@ -144,20 +105,27 @@ mod tests {
         Box::new(move || log.lock().unwrap().push(tag))
     }
 
-    /// `try_push` asserting admission (`Task` isn't `Debug`, so plain
-    /// `unwrap` doesn't compile).
-    fn push(shard: &Shard, priority: Priority, task: Task) {
-        assert!(shard.try_push(priority, task).is_ok(), "shard full");
+    /// `try_push` with room to spare, asserting admission (`Task` isn't
+    /// `Debug`, so plain `unwrap` doesn't compile).
+    fn push(queue: &mut RunQueue, priority: Priority, task: Task) {
+        assert!(queue.try_push(16, priority, task).is_ok(), "queue full");
+    }
+
+    fn drain(queue: &mut RunQueue) {
+        while let Some(task) = queue.pop() {
+            task();
+        }
     }
 
     #[test]
     fn bounded_push_and_fifo_pop_within_a_class() {
         let order = Arc::new(AtomicU32::new(0));
-        let shard = Shard::new(2);
+        let mut queue = RunQueue::default();
         for tag in [10u32, 20] {
             let order = Arc::clone(&order);
-            assert!(shard
+            assert!(queue
                 .try_push(
+                    2,
                     Priority::normal(),
                     Box::new(move || {
                         order.store(tag, Ordering::SeqCst);
@@ -166,86 +134,82 @@ mod tests {
                 .is_ok());
         }
         // Full: the task comes back.
-        assert!(shard.try_push(Priority::normal(), noop()).is_err());
-        assert_eq!(shard.len(), 2);
-        // FIFO within the class, for both pop and steal.
-        shard.pop().expect("first")();
+        assert!(queue.try_push(2, Priority::normal(), noop()).is_err());
+        assert_eq!(queue.len(), 2);
+        // A larger bound (the pool grew) admits it.
+        assert!(queue.try_push(3, Priority::normal(), noop()).is_ok());
+        // FIFO within the class.
+        queue.pop().expect("first")();
         assert_eq!(order.load(Ordering::SeqCst), 10);
-        shard.steal().expect("second")();
+        queue.pop().expect("second")();
         assert_eq!(order.load(Ordering::SeqCst), 20);
-        assert!(shard.pop().is_none());
-        assert!(shard.steal().is_none());
+        queue.pop().expect("third")();
+        assert!(queue.pop().is_none());
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn classes_dequeue_urgent_before_normal_before_bulk() {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let shard = Shard::new(16);
+        let mut queue = RunQueue::default();
         // Submit in the *worst* order: bulk, normal, urgent.
-        push(&shard, Priority::bulk(), tagged(&log, 3));
-        push(&shard, Priority::normal(), tagged(&log, 2));
-        push(&shard, Priority::urgent(), tagged(&log, 1));
-        push(&shard, Priority::bulk(), tagged(&log, 4));
-        while let Some(task) = shard.pop() {
-            task();
-        }
+        push(&mut queue, Priority::bulk(), tagged(&log, 3));
+        push(&mut queue, Priority::normal(), tagged(&log, 2));
+        push(&mut queue, Priority::urgent(), tagged(&log, 1));
+        push(&mut queue, Priority::bulk(), tagged(&log, 4));
+        drain(&mut queue);
         assert_eq!(*log.lock().unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(shard.len(), 0);
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn edf_orders_within_a_class_and_capacity_spans_classes() {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let shard = Shard::new(4);
+        let mut queue = RunQueue::default();
         let base = Instant::now();
         let at = |ms: u64| base + Duration::from_millis(ms);
         // Out-of-order deadlines plus one deadline-less straggler.
         push(
-            &shard,
+            &mut queue,
             Priority::normal().with_deadline(at(300)),
             tagged(&log, 30),
         );
-        push(&shard, Priority::normal(), tagged(&log, 99));
+        push(&mut queue, Priority::normal(), tagged(&log, 99));
         push(
-            &shard,
+            &mut queue,
             Priority::normal().with_deadline(at(100)),
             tagged(&log, 10),
         );
         push(
-            &shard,
+            &mut queue,
             Priority::normal().with_deadline(at(200)),
             tagged(&log, 20),
         );
-        // Capacity counts across classes: a 5th push bounces even in a
-        // different (higher) class.
-        assert!(shard.try_push(Priority::urgent(), noop()).is_err());
-        // Steals follow the same EDF order as pops.
-        shard.steal().expect("edf head")();
-        while let Some(task) = shard.pop() {
-            task();
-        }
+        // Capacity counts across classes: a 5th push into a 4-job
+        // queue bounces even in a different (higher) class.
+        assert!(queue.try_push(4, Priority::urgent(), noop()).is_err());
+        drain(&mut queue);
         assert_eq!(*log.lock().unwrap(), vec![10, 20, 30, 99]);
     }
 
     #[test]
     fn urgent_deadlines_beat_urgent_without() {
         let log = Arc::new(Mutex::new(Vec::new()));
-        let shard = Shard::new(8);
-        push(&shard, Priority::urgent(), tagged(&log, 2));
+        let mut queue = RunQueue::default();
+        push(&mut queue, Priority::urgent(), tagged(&log, 2));
         push(
-            &shard,
+            &mut queue,
             Priority::urgent().with_deadline(Instant::now()),
             tagged(&log, 1),
         );
-        while let Some(task) = shard.pop() {
-            task();
-        }
+        drain(&mut queue);
         assert_eq!(*log.lock().unwrap(), vec![1, 2]);
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = Shard::new(0);
+    fn zero_capacity_admits_nothing() {
+        let mut queue = RunQueue::default();
+        assert!(queue.try_push(0, Priority::urgent(), noop()).is_err());
+        assert_eq!(queue.len(), 0);
     }
 }

@@ -51,7 +51,7 @@ mod tests {
         let a = shared() as *const Runtime;
         let b = shared() as *const Runtime;
         assert_eq!(a, b);
-        assert!(shared().workers() >= 1);
+        assert!(shared().active_workers() >= 1);
         assert!(
             shared().autoscaler_running(),
             "shared pool must be self-managing"

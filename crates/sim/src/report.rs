@@ -95,11 +95,10 @@ pub fn scheme_list(schemes: &[Scheme], summaries: &[SchemeSummary]) -> String {
 pub fn runtime_metrics_table(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "runtime pool ({} workers)", snapshot.workers);
-    let rows: [(&str, u64); 7] = [
+    let rows: [(&str, u64); 6] = [
         ("jobs submitted", snapshot.jobs_submitted),
         ("jobs completed", snapshot.jobs_completed),
         ("jobs failed", snapshot.jobs_failed),
-        ("jobs stolen", snapshot.jobs_stolen),
         ("jobs rejected", snapshot.jobs_rejected),
         ("queue depth", snapshot.queue_depth),
         ("in flight", snapshot.jobs_in_flight),
@@ -149,17 +148,16 @@ pub fn runtime_metrics_table(snapshot: &MetricsSnapshot) -> String {
     if !snapshot.per_worker.is_empty() {
         let _ = writeln!(
             out,
-            "  {:<8} {:>8} {:>12} {:>8} {:>10}",
-            "worker", "jobs", "busy (ms)", "steals", "util"
+            "  {:<8} {:>8} {:>12} {:>10}",
+            "worker", "jobs", "busy (ms)", "util"
         );
         for w in &snapshot.per_worker {
             let _ = writeln!(
                 out,
-                "  {:<8} {:>8} {:>12.2} {:>8} {:>9.1}%",
+                "  {:<8} {:>8} {:>12.2} {:>9.1}%",
                 w.index,
                 w.jobs_executed,
                 w.busy_ns as f64 / 1e6,
-                w.steals,
                 100.0 * w.utilization(),
             );
         }

@@ -14,8 +14,8 @@
 //! | `shard` | executed intra-run shard | `run`, `window`, `gop_start`, `gops`, `wall_ns` |
 //! | `span` | span event (opt-in) | `id`, `parent` (`null` for roots), `phase`, `wall_ns` |
 //! | `resize` | elastic-pool resize | `from`, `to`, `queue_depth`, `utilization`, `trigger` (`manual`/`loop`) |
-//! | `worker` | pool worker | `index`, `busy_ns`, `lifetime_ns`, `jobs`, `steals`, `utilization` |
-//! | `pool` | runtime snapshot | `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed`, `jobs_stolen` |
+//! | `worker` | pool worker | `index`, `busy_ns`, `lifetime_ns`, `jobs`, `utilization` |
+//! | `pool` | runtime snapshot | `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed` |
 //!
 //! The per-record renderers below are shared between the batch
 //! [`to_jsonl`] export and the sink's live stream writer
@@ -166,19 +166,18 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>)
         for w in &rt.per_worker {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"worker\",\"index\":{},\"busy_ns\":{},\"lifetime_ns\":{},\"jobs\":{},\"steals\":{},\"utilization\":{}}}",
+                "{{\"type\":\"worker\",\"index\":{},\"busy_ns\":{},\"lifetime_ns\":{},\"jobs\":{},\"utilization\":{}}}",
                 w.index,
                 w.busy_ns,
                 w.lifetime_ns,
                 w.jobs_executed,
-                w.steals,
                 num(w.utilization()),
             );
         }
         let _ = writeln!(
             out,
-            "{{\"type\":\"pool\",\"workers\":{},\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_failed\":{},\"jobs_stolen\":{}}}",
-            rt.workers, rt.jobs_submitted, rt.jobs_completed, rt.jobs_failed, rt.jobs_stolen,
+            "{{\"type\":\"pool\",\"workers\":{},\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_failed\":{}}}",
+            rt.workers, rt.jobs_submitted, rt.jobs_completed, rt.jobs_failed,
         );
     }
     out
@@ -248,7 +247,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnaps
             ("submitted", rt.jobs_submitted),
             ("completed", rt.jobs_completed),
             ("failed", rt.jobs_failed),
-            ("stolen", rt.jobs_stolen),
             ("rejected", rt.jobs_rejected),
         ] {
             let _ = writeln!(

@@ -14,9 +14,9 @@
 //!   paper's baseline single-FBS scenario (a [`SimSession`] under
 //!   [`ShardPolicy::WholeRun`]); the batch is large enough to keep
 //!   every worker busy, and the snapshot printed at the end shows the
-//!   pool-level counters
-//!   (submitted/completed/failed/stolen), the wall-time histogram, and
-//!   the domain counters (`slots_simulated`, `solver_invocations`).
+//!   pool-level counters (submitted/completed/failed), the wall-time
+//!   histogram, and the domain counters (`slots_simulated`,
+//!   `solver_invocations`).
 //! - **`--shards`** — intra-run sharding benchmark: the same runs are
 //!   executed first serially on one thread, then as a sharded
 //!   [`SimSession`] (GOP-aligned slot windows on the elastic pool).
@@ -96,7 +96,7 @@ fn run_batch_mode(jobs: u64, gops: u32) {
         .seed(2011)
         .shards(ShardPolicy::WholeRun);
 
-    let workers = pool::shared().workers();
+    let workers = pool::shared().active_workers();
     println!(
         "submitting {jobs} simulation runs ({gops} GOPs each, {} slots/run) to {workers} workers...",
         config.total_slots(),
@@ -169,7 +169,7 @@ fn run_shards_mode(runs: u64, gops: u32) {
     let sharded_elapsed = started.elapsed();
     let sharded_psnr_sum: f64 = sharded.iter().map(RunResult::mean_psnr).sum();
 
-    let workers = pool::shared().workers();
+    let workers = pool::shared().active_workers();
     let speedup = serial_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64();
     println!(
         "{runs} runs x {gops} GOPs, policy {:?}, {workers} workers:",
@@ -249,7 +249,7 @@ fn run_mixed_mode(runs: u64, gops: u32) {
     println!(
         "{runs} runs x {gops} GOPs under {} priority orderings on {} workers:",
         orderings.len(),
-        pool::shared().workers(),
+        pool::shared().active_workers(),
     );
     let mut baseline: Option<(Vec<RunResult>, f64)> = None;
     for (label, priority) in orderings {
@@ -303,7 +303,7 @@ fn main() {
         println!(
             "autoscaler: {} loop resize events ({} workers active at exit)",
             events.len(),
-            pool.workers(),
+            pool.active_workers(),
         );
         for event in events.iter().take(6) {
             println!(

@@ -18,7 +18,7 @@
 //! | [`video`] | MGS rate–PSNR model, sequences, GOPs, NAL packets, sessions |
 //! | [`net`] | topology, association, interference graphs |
 //! | [`core`] | the allocation algorithms and bounds (the paper's contribution) |
-//! | [`runtime`] | the sharded worker-pool scheduling runtime with live metrics |
+//! | [`runtime`] | the elastic worker-pool scheduling runtime with live metrics |
 //! | [`telemetry`] | span tracing, solver convergence capture, JSONL export |
 //! | [`sim`] | the slot-level simulator and sharded simulation sessions |
 //! | [`serve`] | the always-on streaming service: admission control, churn, live metrics |
