@@ -17,6 +17,7 @@ use crate::bounds;
 use crate::interfering::{ChannelAssignment, InterferingProblem};
 use crate::waterfill::WaterfillingSolver;
 use fcr_net::node::FbsId;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One committed step of the greedy algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,13 +161,26 @@ impl GreedyAllocator {
             .flat_map(|i| (0..m).map(move |ch| (FbsId(i), ch)))
             .collect();
 
+        let mut memo_hits = 0u64;
         while !candidates.is_empty() {
-            // Step 3: the pair with the largest Q increase.
+            // Step 3: the pair with the largest Q increase. Q depends on
+            // the trial only through its G vector, and channels with
+            // bit-equal posteriors give candidates bit-equal G vectors:
+            // each distinct G of the step is solved once.
+            let mut memo: HashMap<Vec<u64>, f64> = HashMap::new();
             let mut best: Option<(usize, f64)> = None;
             for (idx, (fbs, ch)) in candidates.iter().enumerate() {
                 let mut trial = assignment.clone();
                 trial.assign(*fbs, *ch);
-                let q = problem.q_value(&trial, &self.solver);
+                let g = problem.g_for(&trial);
+                let key: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
+                let q = match memo.entry(key) {
+                    Entry::Occupied(hit) => {
+                        memo_hits += 1;
+                        *hit.get()
+                    }
+                    Entry::Vacant(miss) => *miss.insert(problem.q_at(g, &self.solver).0),
+                };
                 let delta = q - q_current;
                 if best.is_none_or(|(_, d)| delta > d) {
                     best = Some((idx, delta));
@@ -192,6 +206,7 @@ impl GreedyAllocator {
             candidates.retain(|(f, ch)| !(*ch == channel && (*f == fbs || neighbors.contains(f))));
         }
 
+        fcr_telemetry::incr("greedy.q_memo_hits", memo_hits);
         self.finish(problem, assignment, steps, q_empty)
     }
 
@@ -363,6 +378,7 @@ mod tests {
     use super::*;
     use crate::problem::UserState;
     use fcr_net::interference::InterferenceGraph;
+    use proptest::prelude::*;
 
     fn path3() -> InterferenceGraph {
         InterferenceGraph::new(3, &[(FbsId(0), FbsId(1)), (FbsId(1), FbsId(2))])
@@ -562,5 +578,133 @@ mod tests {
         assert!(a.incremental(true).is_incremental());
         assert!(!a.incremental(true).incremental(false).is_incremental());
         assert_eq!(GreedyAllocator::default(), GreedyAllocator::new());
+    }
+
+    /// The cold greedy before the per-step `Q` memo: every candidate of
+    /// every step solved. Kept only as the bit-identity oracle.
+    fn unmemoised_cold(allocator: &GreedyAllocator, problem: &InterferingProblem) -> GreedyOutcome {
+        let n = problem.num_fbss();
+        let m = problem.num_channels();
+        let q_empty = problem.q_empty(&allocator.solver);
+        let mut assignment = ChannelAssignment::empty(n, m);
+        let mut q_current = q_empty;
+        let mut steps = Vec::new();
+        let mut candidates: Vec<(FbsId, usize)> = (0..n)
+            .flat_map(|i| (0..m).map(move |ch| (FbsId(i), ch)))
+            .collect();
+        while !candidates.is_empty() {
+            let mut best: Option<(usize, f64)> = None;
+            for (idx, (fbs, ch)) in candidates.iter().enumerate() {
+                let mut trial = assignment.clone();
+                trial.assign(*fbs, *ch);
+                let delta = problem.q_value(&trial, &allocator.solver) - q_current;
+                if best.is_none_or(|(_, d)| delta > d) {
+                    best = Some((idx, delta));
+                }
+            }
+            let (best_idx, delta) = best.expect("candidates nonempty");
+            let (fbs, channel) = candidates[best_idx];
+            assignment.assign(fbs, channel);
+            q_current += delta;
+            steps.push(GreedyStep {
+                fbs,
+                channel,
+                delta: delta.max(0.0),
+                degree: problem.graph().degree(fbs),
+            });
+            let neighbors = problem.graph().neighbors(fbs);
+            candidates.retain(|(f, ch)| !(*ch == channel && (*f == fbs || neighbors.contains(f))));
+        }
+        allocator.finish(problem, assignment, steps, q_empty)
+    }
+
+    fn assert_same_outcome(got: &GreedyOutcome, want: &GreedyOutcome) {
+        assert_eq!(got.assignment(), want.assignment());
+        assert_eq!(got.steps().len(), want.steps().len());
+        for (g, w) in got.steps().iter().zip(want.steps()) {
+            assert_eq!((g.fbs, g.channel, g.degree), (w.fbs, w.channel, w.degree));
+            assert_eq!(g.delta.to_bits(), w.delta.to_bits(), "Δ at {g:?}");
+        }
+        assert_eq!(got.q_value().to_bits(), want.q_value().to_bits());
+        assert_eq!(got.q_empty().to_bits(), want.q_empty().to_bits());
+        assert_eq!(got.allocation().len(), want.allocation().len());
+        for (g, w) in got
+            .allocation()
+            .users()
+            .iter()
+            .zip(want.allocation().users())
+        {
+            assert_eq!(g.mode, w.mode);
+            assert_eq!(g.rho_mbs.to_bits(), w.rho_mbs.to_bits());
+            assert_eq!(g.rho_fbs.to_bits(), w.rho_fbs.to_bits());
+        }
+    }
+
+    #[test]
+    fn the_memo_is_bit_identical_on_repeated_channel_weights() {
+        // Channels 0 and 2 share a posterior, so trials granting either
+        // to the same FBS have bit-equal G vectors.
+        let p = InterferingProblem::new(
+            fig5_problem().users().to_vec(),
+            path3(),
+            vec![0.9, 0.8, 0.9, 0.7],
+        )
+        .unwrap();
+        let allocator = GreedyAllocator::new();
+        assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
+        let p = fig5_problem();
+        assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
+    }
+
+    /// A success probability or rate that is sometimes exactly zero.
+    fn zero_or(range: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        (0..5u8, range).prop_map(|(k, v)| if k == 0 { 0.0 } else { v })
+    }
+
+    /// Per user: `w`, FBS (taken modulo the FBS count), MBS and FBS
+    /// rates, MBS and FBS success.
+    type UserSpec = (f64, usize, f64, f64, f64, f64);
+
+    /// Channel posteriors come from a small set, zero included, so that
+    /// trials often share a G vector.
+    const WEIGHTS: [f64; 4] = [0.0, 0.35, 0.8, 1.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memoised cold greedy commits the same pairs with the same
+        /// `Δ` bits, and ends at the same `Q` bits and allocation bits,
+        /// as the oracle that solves every candidate.
+        #[test]
+        fn the_memoised_greedy_is_bit_identical_to_the_oracle(
+            users in proptest::collection::vec(
+                (
+                    5.0..50.0f64,
+                    0..6usize,
+                    zero_or(0.1..=1.0),
+                    zero_or(0.1..=1.0),
+                    zero_or(0.05..=1.0),
+                    zero_or(0.05..=1.0),
+                ),
+                1..=12,
+            ),
+            num_fbss in 1..=6usize,
+            edges in proptest::collection::vec(proptest::bool::ANY, 15),
+            weights in proptest::collection::vec(0..WEIGHTS.len(), 1..=4),
+        ) {
+            let users: Vec<UserState> = users
+                .iter()
+                .map(|&(w, fbs, r0, r1, s0, s1): &UserSpec| {
+                    UserState::new(w, FbsId(fbs % num_fbss), r0, r1, s0, s1).unwrap()
+                })
+                .collect();
+            let pairs = (0..num_fbss).flat_map(|i| ((i + 1)..num_fbss).map(move |j| (FbsId(i), FbsId(j))));
+            let edges: Vec<(FbsId, FbsId)> = pairs.zip(&edges).filter(|(_, on)| **on).map(|(e, _)| e).collect();
+            let graph = InterferenceGraph::new(num_fbss, &edges);
+            let weights = weights.iter().map(|&k| WEIGHTS[k]).collect();
+            let p = InterferingProblem::new(users, graph, weights).unwrap();
+            let allocator = GreedyAllocator::new();
+            assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
+        }
     }
 }

@@ -259,11 +259,21 @@ impl InterferingProblem {
         assignment: &ChannelAssignment,
         solver: &WaterfillingSolver,
     ) -> (f64, crate::allocation::Allocation) {
+        self.q_at(self.g_for(assignment), solver)
+    }
+
+    /// `Q` and its allocation at the channel counts `g`: `Q(c)` depends
+    /// on the assignment only through `G = g_for(c)`.
+    pub(crate) fn q_at(
+        &self,
+        g: Vec<f64>,
+        solver: &WaterfillingSolver,
+    ) -> (f64, crate::allocation::Allocation) {
         // Each Q(c) evaluation is one inner time-share solve — the
         // O(N²M²) term of Table III. The counter makes the actual
         // inner-solve volume observable per run.
         fcr_telemetry::incr("greedy.inner_solves", 1);
-        let problem = self.problem_for(assignment);
+        let problem = SlotProblem::new(self.users.clone(), g).expect("validated at construction");
         let alloc = solver.solve(&problem);
         (problem.objective(&alloc), alloc)
     }

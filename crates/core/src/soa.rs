@@ -131,9 +131,13 @@ impl SoaProblem {
 }
 
 /// Reusable buffers for one budget-constraint fill: the gathered
-/// `(user, success, w, rate)` columns, the effectiveness mask, and the
-/// two share vectors the bisection ping-pongs between. One scratch
+/// `(user, success, w, rate)` columns, each member's `w / rate`
+/// quotient, the effectiveness mask, and the share output. One scratch
 /// serves a whole solve; nothing inside the bisection loop allocates.
+///
+/// The scratch also tallies the work done through it (budget fills and
+/// bisection steps); the entry point that owns it flushes the tallies
+/// to `fcr_telemetry` once, when it returns.
 #[derive(Debug, Default, Clone)]
 pub struct FillScratch {
     /// User ids of the constraint's members, ascending.
@@ -144,10 +148,18 @@ pub struct FillScratch {
     pub w: Vec<f64>,
     /// Rates, aligned with `idx`.
     pub c: Vec<f64>,
+    /// `w / c`, aligned with `idx`: the same IEEE division
+    /// [`crate::lagrangian::best_share`] performs, done once per member
+    /// instead of once per bisection step.
+    pub(crate) q: Vec<f64>,
     /// `s > 0 && c > 0` mask, aligned with `idx`.
     pub effective: Vec<bool>,
     /// Share output buffer, aligned with `idx`.
     pub shares: Vec<f64>,
+    /// Budgets filled through this scratch since the last flush.
+    pub(crate) budget_fills: u64,
+    /// Bisection steps run through this scratch since the last flush.
+    pub(crate) bisection_steps: u64,
 }
 
 impl FillScratch {
@@ -162,6 +174,7 @@ impl FillScratch {
         self.s.clear();
         self.w.clear();
         self.c.clear();
+        self.q.clear();
         self.effective.clear();
         self.shares.clear();
     }
@@ -172,7 +185,47 @@ impl FillScratch {
         self.s.push(s);
         self.w.push(w);
         self.c.push(c);
+        self.q.push(w / c);
         self.effective.push(s > 0.0 && c > 0.0);
+    }
+
+    /// Member `k`'s share at water level `lambda`: `[s/λ − w/c]` clamped
+    /// to `[0, 1]`, 1 at a free budget (`λ ≤ 0`) and 0 for a member that
+    /// cannot benefit — [`crate::lagrangian::best_share`], bit for bit.
+    pub(crate) fn share(&self, k: usize, lambda: f64) -> f64 {
+        if !self.effective[k] {
+            0.0
+        } else if lambda <= 0.0 {
+            1.0
+        } else {
+            (self.s[k] / lambda - self.q[k]).clamp(0.0, 1.0)
+        }
+    }
+
+    /// `Σ_k share(k, λ)`, summed in member order — the left fold
+    /// `shares.iter().sum()` takes, without writing the shares.
+    pub(crate) fn share_sum(&self, lambda: f64) -> f64 {
+        (0..self.len()).map(|k| self.share(k, lambda)).sum()
+    }
+
+    /// Writes every member's share at `lambda` to `shares`.
+    pub(crate) fn set_shares(&mut self, lambda: f64) {
+        self.shares.clear();
+        for k in 0..self.len() {
+            let share = self.share(k, lambda);
+            self.shares.push(share);
+        }
+    }
+
+    /// Adds the work tallied since the last flush to the
+    /// `waterfill.budget_fills` and `waterfill.bisection_steps`
+    /// counters and zeroes the tallies. With telemetry off this is one
+    /// relaxed load per counter.
+    pub(crate) fn flush_counters(&mut self) {
+        fcr_telemetry::incr("waterfill.budget_fills", self.budget_fills);
+        fcr_telemetry::incr("waterfill.bisection_steps", self.bisection_steps);
+        self.budget_fills = 0;
+        self.bisection_steps = 0;
     }
 
     /// Members gathered for the current constraint.

@@ -13,8 +13,20 @@
 //! level λ found by bisection on the monotone map `λ ↦ Σ_j ρ_j(λ)`.
 //! The solver alternates exact fills with Table-I-style mode
 //! best-responses at the implied prices, then polishes with
-//! single-user mode flips; every iterate is primal-feasible, and the
-//! best objective seen is returned.
+//! single-user mode flips and pairwise swaps; every iterate is
+//! primal-feasible, and the best objective seen is returned.
+//!
+//! On these problems the best-response loop rarely converges: in most
+//! solves it settles into a 2-cycle between two mode vectors. The loop
+//! stops at the first repeated vector, since a fill depends only on its
+//! modes, so it fills about three vectors per solve on the paper's
+//! Fig. 5 workload instead of sixteen. The flip/swap polish does the
+//! real mode search: in a probe it improved on the loop's best in 32%
+//! of the paper's `Q(c)` solves and in 92% of the `pu_burst` pack's
+//! serve-path solves.
+//!
+//! Each bisection stops at the first step that moves neither bound;
+//! every later step would repeat it.
 //!
 //! This is *not* the paper's distributed algorithm — that is
 //! [`crate::dual`] — but it computes the same optimum (the tests check
@@ -29,10 +41,14 @@ use crate::soa::{FillScratch, SoaProblem};
 /// Water-filling solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaterfillingSolver {
-    /// Maximum mode-reassignment rounds before falling back to the best
-    /// solution seen.
+    /// Cap on the mode vectors the best-response loop fills, and on the
+    /// polish's passes. The loop stops earlier, at the first mode
+    /// vector it has already filled; the polish, at the first pass
+    /// that improves nothing.
     pub max_rounds: usize,
-    /// Bisection iterations per fill (60 reaches f64 precision).
+    /// Cap on the bisection steps per budget fill (60 reaches f64
+    /// precision). A fill stops earlier, at the first step that moves
+    /// neither end of the bracket.
     pub bisection_iters: usize,
     /// When `num_users ≤ exhaustive_modes_up_to` (internally capped at
     /// 20), [`Self::solve`] skips the heuristic mode iteration and
@@ -88,17 +104,36 @@ impl WaterfillingSolver {
     /// reaches the dual solver's value; exactly global when the
     /// [`Self::exact_up_to`] path applies).
     pub fn solve(&self, problem: &SlotProblem) -> Allocation {
-        if problem.num_users() <= self.exhaustive_modes_up_to.min(20) {
-            return self.solve_exact_modes(problem);
-        }
         // One SoA view and one scratch serve every fill of the solve —
         // the gathers become contiguous sweeps and the bisection stops
         // allocating (the hot-path win that makes massive-N Q(c)
         // evaluations cheap).
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
+        let allocation = if problem.num_users() <= self.exhaustive_modes_up_to.min(20) {
+            self.solve_exact_modes(problem, &soa, &mut scratch)
+        } else {
+            self.solve_heuristic_modes(problem, &soa, &mut scratch)
+        };
+        fcr_telemetry::incr("waterfill.solves", 1);
+        scratch.flush_counters();
+        allocation
+    }
+
+    /// The mode loop, then the polish. The loop stops at the first mode
+    /// vector it has already filled: a fill depends only on its modes
+    /// and `best` moves only on a strict improvement, so every later
+    /// round would repeat a value already seen. It fills the distinct
+    /// prefix of the best-response sequence, at most `max_rounds`
+    /// vectors.
+    fn solve_heuristic_modes(
+        &self,
+        problem: &SlotProblem,
+        soa: &SoaProblem,
+        scratch: &mut FillScratch,
+    ) -> Allocation {
         // Myopic initial modes: compare each branch's solo value.
-        let mut modes: Vec<Mode> = problem
+        let modes: Vec<Mode> = problem
             .users()
             .iter()
             .enumerate()
@@ -114,18 +149,12 @@ impl WaterfillingSolver {
             })
             .collect();
 
-        let mut best = self.fill_soa(&soa, &modes, &mut scratch).0;
+        let (mut best, mut lambdas) = self.fill_soa(soa, &modes, scratch);
         let mut best_value = problem.objective(&best);
-
-        for _ in 0..self.max_rounds {
-            let (alloc, lambdas) = self.fill_soa(&soa, &modes, &mut scratch);
-            let value = problem.objective(&alloc);
-            if value > best_value {
-                best_value = value;
-                best = alloc;
-            }
+        let mut filled = vec![modes];
+        while filled.len() < self.max_rounds {
             // Best-response modes at the implied prices (Table I step 4).
-            let new_modes: Vec<Mode> = problem
+            let modes: Vec<Mode> = problem
                 .users()
                 .iter()
                 .map(|u| {
@@ -138,22 +167,36 @@ impl WaterfillingSolver {
                     sol.allocation.mode
                 })
                 .collect();
-            if new_modes == modes {
+            if filled.contains(&modes) {
                 break;
             }
-            modes = new_modes;
+            let (alloc, next) = self.fill_soa(soa, &modes, scratch);
+            let value = problem.objective(&alloc);
+            if value > best_value {
+                best_value = value;
+                best = alloc;
+            }
+            lambdas = next;
+            filled.push(modes);
         }
+        fcr_telemetry::incr("waterfill.mode_rounds", filled.len() as u64);
 
-        self.polish_with(problem, &soa, &mut scratch, best)
+        // `best` is a fill of its own modes, so the polish starts from
+        // it as it is.
+        let start = IncrementalFill::new(problem, &best);
+        self.polish_with(problem, soa, scratch, best, start)
     }
 
     /// Global optimum by enumeration: every `2^n` binary mode vector of
     /// Theorem 1, each filled exactly, best objective wins. Only called
     /// for `n ≤ min(exhaustive_modes_up_to, 20)`, so the loop is cheap.
-    fn solve_exact_modes(&self, problem: &SlotProblem) -> Allocation {
+    fn solve_exact_modes(
+        &self,
+        problem: &SlotProblem,
+        soa: &SoaProblem,
+        scratch: &mut FillScratch,
+    ) -> Allocation {
         let n = problem.num_users();
-        let soa = SoaProblem::from_problem(problem);
-        let mut scratch = FillScratch::new();
         let mut best: Option<(f64, Allocation)> = None;
         for bits in 0..(1u32 << n) {
             let modes: Vec<Mode> = (0..n)
@@ -165,7 +208,7 @@ impl WaterfillingSolver {
                     }
                 })
                 .collect();
-            let candidate = self.fill_soa(&soa, &modes, &mut scratch).0;
+            let candidate = self.fill_soa(soa, &modes, scratch).0;
             let value = problem.objective(&candidate);
             if best.as_ref().is_none_or(|(b, _)| value > *b) {
                 best = Some((value, candidate));
@@ -193,29 +236,34 @@ impl WaterfillingSolver {
     /// Panics if `allocation` covers a different number of users than
     /// `problem`.
     pub fn polish(&self, problem: &SlotProblem, allocation: Allocation) -> Allocation {
+        assert_eq!(
+            allocation.len(),
+            problem.num_users(),
+            "allocation size mismatch"
+        );
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
-        self.polish_with(problem, &soa, &mut scratch, allocation)
+        let modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
+        // The input need not be a fill of its own modes; every candidate
+        // is, so the search runs on that fill from the start.
+        let start = IncrementalFill::new(problem, &self.fill_soa(&soa, &modes, &mut scratch).0);
+        let polished = self.polish_with(problem, &soa, &mut scratch, allocation, start);
+        scratch.flush_counters();
+        polished
     }
 
+    /// The polish search from `fill`, the fill of `allocation`'s modes.
     fn polish_with(
         &self,
         problem: &SlotProblem,
         soa: &SoaProblem,
         scratch: &mut FillScratch,
         allocation: Allocation,
+        mut fill: IncrementalFill,
     ) -> Allocation {
-        assert_eq!(
-            allocation.len(),
-            problem.num_users(),
-            "allocation size mismatch"
-        );
         let n_users = problem.num_users();
         let mut best_value = problem.objective(&allocation);
         let mut modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
-        // The input need not be a fill of its own modes; every candidate
-        // is, so the search runs on that fill from the start.
-        let mut fill = IncrementalFill::new(problem, &self.fill_soa(soa, &modes, scratch).0);
         let mut accepted = false;
         let flip = |m: Mode| match m {
             Mode::Mbs => Mode::Fbs,
@@ -312,7 +360,9 @@ impl WaterfillingSolver {
     ) -> (Allocation, Vec<f64>) {
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
-        self.fill_soa(&soa, modes, &mut scratch)
+        let filled = self.fill_soa(&soa, modes, &mut scratch);
+        scratch.flush_counters();
+        filled
     }
 
     /// As [`Self::fill_with_prices`], but through a prebuilt
@@ -351,6 +401,7 @@ impl WaterfillingSolver {
         scratch: &mut FillScratch,
         mut write: impl FnMut(usize, UserAllocation),
     ) -> f64 {
+        scratch.budget_fills += 1;
         scratch.clear();
         if b == 0 {
             // Members gathered in ascending user order, exactly as the
@@ -386,26 +437,11 @@ impl WaterfillingSolver {
     fn fill_constraint(&self, scratch: &mut FillScratch) -> f64 {
         // Users that cannot benefit (zero rate or success) always get 0
         // — the `effective` mask was computed at push time.
-        fn shares_into(scratch: &mut FillScratch, lambda: f64) {
-            scratch.shares.clear();
-            for k in 0..scratch.idx.len() {
-                scratch.shares.push(if !scratch.effective[k] {
-                    0.0
-                } else {
-                    lagrangian::best_share(scratch.s[k], lambda, scratch.w[k], scratch.c[k])
-                });
-            }
-        }
-
         let n_eff = scratch.effective.iter().filter(|e| **e).count();
-        if n_eff == 0 {
-            scratch.shares.clear();
-            scratch.shares.resize(scratch.len(), 0.0);
-            return 0.0;
-        }
-        if n_eff == 1 {
-            // A single beneficiary takes the whole budget (λ = 0 cap).
-            shares_into(scratch, 0.0);
+        if n_eff <= 1 {
+            // A lone beneficiary takes the whole budget (λ = 0 cap);
+            // without one, every share is 0.
+            scratch.set_shares(0.0);
             return 0.0;
         }
         // λ_hi: every share hits zero.
@@ -421,16 +457,22 @@ impl WaterfillingSolver {
         let mut lo = 0.0;
         let mut hi = lambda_hi;
         for _ in 0..self.bisection_iters {
+            scratch.bisection_steps += 1;
             let mid = 0.5 * (lo + hi);
-            shares_into(scratch, mid);
-            if scratch.shares.iter().sum::<f64>() > 1.0 {
-                lo = mid;
+            let bound = if scratch.share_sum(mid) > 1.0 {
+                &mut lo
             } else {
-                hi = mid;
+                &mut hi
+            };
+            // A step that moves neither bound leaves `(lo, hi)` as it
+            // found them, so every later step would repeat it.
+            if *bound == mid {
+                break;
             }
+            *bound = mid;
         }
         // `hi` is on the feasible side (Σ ≤ 1).
-        shares_into(scratch, hi);
+        scratch.set_shares(hi);
         hi
     }
 }
@@ -680,62 +722,239 @@ mod tests {
         }
     }
 
-    /// The full-refill polish the incremental one replaced: every
-    /// candidate refills all N + 1 budgets and re-sums every term. Kept
-    /// only as the bit-identity oracle.
-    fn full_refill_polish(
-        solver: &WaterfillingSolver,
-        problem: &SlotProblem,
-        allocation: Allocation,
-    ) -> Allocation {
-        let soa = SoaProblem::from_problem(problem);
-        let mut scratch = FillScratch::new();
-        let mut best_value = problem.objective(&allocation);
-        let mut best = allocation;
-        let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
-        let flip = |m: Mode| match m {
-            Mode::Mbs => Mode::Fbs,
-            Mode::Fbs => Mode::Mbs,
-        };
-        let mut improved = true;
-        let mut passes = 0;
-        while improved && passes < solver.max_rounds {
-            improved = false;
-            passes += 1;
-            for j in 0..problem.num_users() {
-                let old = modes[j];
-                modes[j] = flip(old);
-                let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
-                let value = problem.objective(&candidate);
-                if value > best_value + 1e-12 {
-                    best_value = value;
-                    best = candidate;
-                    improved = true;
+    /// The solver before its repeated work went, kept only as the
+    /// bit-identity oracle: it fills straight from the array-of-structs
+    /// problem, every fill runs all `bisection_iters` halvings with
+    /// `lagrangian::best_share` per member, round 0 of the mode loop
+    /// refills the initial modes, the loop runs all `max_rounds` rounds
+    /// unless a round repeats the one before, and the polish refills
+    /// every budget per candidate.
+    mod oracle {
+        use super::*;
+
+        /// One budget over `members = [(success, w, rate)]`: λ and the
+        /// shares.
+        fn fill_constraint(
+            solver: &WaterfillingSolver,
+            members: &[(f64, f64, f64)],
+        ) -> (f64, Vec<f64>) {
+            let effective = |&(s, _, c): &(f64, f64, f64)| s > 0.0 && c > 0.0;
+            let shares_at = |lambda: f64| -> Vec<f64> {
+                members
+                    .iter()
+                    .map(|m| {
+                        if effective(m) {
+                            lagrangian::best_share(m.0, lambda, m.1, m.2)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            };
+            let n_eff = members.iter().filter(|m| effective(m)).count();
+            if n_eff == 0 {
+                return (0.0, vec![0.0; members.len()]);
+            }
+            if n_eff == 1 {
+                return (0.0, shares_at(0.0));
+            }
+            let mut lambda_hi = f64::MIN_POSITIVE;
+            for m in members.iter().filter(|m| effective(m)) {
+                lambda_hi = lambda_hi.max(m.0 * m.2 / m.1);
+            }
+            let lambda_hi = lambda_hi * (1.0 + 1e-9);
+            let (mut lo, mut hi) = (0.0, lambda_hi);
+            for _ in 0..solver.bisection_iters {
+                let mid = 0.5 * (lo + hi);
+                if shares_at(mid).iter().sum::<f64>() > 1.0 {
+                    lo = mid;
                 } else {
-                    modes[j] = old;
+                    hi = mid;
                 }
             }
-            if !improved && problem.num_users() <= solver.swap_users_up_to {
-                'swaps: for j in 0..problem.num_users() {
-                    for k in (j + 1)..problem.num_users() {
-                        if modes[j] == modes[k] {
-                            continue;
+            (hi, shares_at(hi))
+        }
+
+        /// Every budget filled at `modes`, and the water levels.
+        pub(super) fn fill(
+            solver: &WaterfillingSolver,
+            problem: &SlotProblem,
+            modes: &[Mode],
+        ) -> (Allocation, Vec<f64>) {
+            let mut users = vec![UserAllocation::idle(); problem.num_users()];
+            let mut lambdas = Vec::new();
+            for b in 0..=problem.num_fbss() {
+                let members: Vec<usize> = (0..problem.num_users())
+                    .filter(|&j| match modes[j] {
+                        Mode::Mbs => b == 0,
+                        Mode::Fbs => b == 1 + problem.user(j).fbs().0,
+                    })
+                    .collect();
+                let gathered: Vec<(f64, f64, f64)> = members
+                    .iter()
+                    .map(|&j| {
+                        let u = problem.user(j);
+                        if b == 0 {
+                            (u.success_mbs(), u.w(), u.r_mbs())
+                        } else {
+                            (u.success_fbs(), u.w(), problem.fbs_rate(j))
                         }
-                        modes.swap(j, k);
-                        let candidate = solver.fill_soa(&soa, &modes, &mut scratch).0;
-                        let value = problem.objective(&candidate);
-                        if value > best_value + 1e-12 {
-                            best_value = value;
-                            best = candidate;
-                            improved = true;
-                            break 'swaps;
+                    })
+                    .collect();
+                let (lambda, shares) = fill_constraint(solver, &gathered);
+                for (&j, &share) in members.iter().zip(&shares) {
+                    users[j] = if b == 0 {
+                        UserAllocation::mbs(share)
+                    } else {
+                        UserAllocation::fbs(share)
+                    };
+                }
+                lambdas.push(lambda);
+            }
+            (Allocation::new(users), lambdas)
+        }
+
+        /// Flip and swap local search, every candidate refilled in
+        /// full and scored with `SlotProblem::objective`.
+        pub(super) fn polish(
+            solver: &WaterfillingSolver,
+            problem: &SlotProblem,
+            allocation: Allocation,
+        ) -> Allocation {
+            let mut best_value = problem.objective(&allocation);
+            let mut best = allocation;
+            let mut modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
+            let flip = |m: Mode| match m {
+                Mode::Mbs => Mode::Fbs,
+                Mode::Fbs => Mode::Mbs,
+            };
+            let mut improved = true;
+            let mut passes = 0;
+            while improved && passes < solver.max_rounds {
+                improved = false;
+                passes += 1;
+                for j in 0..problem.num_users() {
+                    let old = modes[j];
+                    modes[j] = flip(old);
+                    let candidate = fill(solver, problem, &modes).0;
+                    let value = problem.objective(&candidate);
+                    if value > best_value + 1e-12 {
+                        best_value = value;
+                        best = candidate;
+                        improved = true;
+                    } else {
+                        modes[j] = old;
+                    }
+                }
+                if !improved && problem.num_users() <= solver.swap_users_up_to {
+                    'swaps: for j in 0..problem.num_users() {
+                        for k in (j + 1)..problem.num_users() {
+                            if modes[j] == modes[k] {
+                                continue;
+                            }
+                            modes.swap(j, k);
+                            let candidate = fill(solver, problem, &modes).0;
+                            let value = problem.objective(&candidate);
+                            if value > best_value + 1e-12 {
+                                best_value = value;
+                                best = candidate;
+                                improved = true;
+                                break 'swaps;
+                            }
+                            modes.swap(j, k);
                         }
-                        modes.swap(j, k);
                     }
                 }
             }
+            best
         }
-        best
+
+        /// The solve, and the mode vectors its best-response loop
+        /// filled in order (round 0's refill of the initial modes
+        /// included; empty on the exact path).
+        pub(super) fn solve(
+            solver: &WaterfillingSolver,
+            problem: &SlotProblem,
+        ) -> (Allocation, Vec<Vec<Mode>>) {
+            let n = problem.num_users();
+            if n <= solver.exhaustive_modes_up_to.min(20) {
+                let mut best: Option<(f64, Allocation)> = None;
+                for bits in 0..(1u32 << n) {
+                    let modes: Vec<Mode> = (0..n)
+                        .map(|j| {
+                            if bits >> j & 1 == 1 {
+                                Mode::Fbs
+                            } else {
+                                Mode::Mbs
+                            }
+                        })
+                        .collect();
+                    let candidate = fill(solver, problem, &modes).0;
+                    let value = problem.objective(&candidate);
+                    if best.as_ref().is_none_or(|(b, _)| value > *b) {
+                        best = Some((value, candidate));
+                    }
+                }
+                return (best.expect("2^n ≥ 1 vectors").1, Vec::new());
+            }
+            let mut modes: Vec<Mode> = problem
+                .users()
+                .iter()
+                .enumerate()
+                .map(|(j, u)| {
+                    let v_mbs =
+                        lagrangian::branch_value(u.success_mbs(), 0.0, u.w(), u.r_mbs(), 1.0);
+                    let v_fbs = lagrangian::branch_value(
+                        u.success_fbs(),
+                        0.0,
+                        u.w(),
+                        problem.fbs_rate(j),
+                        1.0,
+                    );
+                    if v_mbs > v_fbs {
+                        Mode::Mbs
+                    } else {
+                        Mode::Fbs
+                    }
+                })
+                .collect();
+            let mut best = fill(solver, problem, &modes).0;
+            let mut best_value = problem.objective(&best);
+            let mut filled = Vec::new();
+            for _ in 0..solver.max_rounds {
+                let (alloc, lambdas) = fill(solver, problem, &modes);
+                filled.push(modes.clone());
+                let value = problem.objective(&alloc);
+                if value > best_value {
+                    best_value = value;
+                    best = alloc;
+                }
+                let new_modes: Vec<Mode> = problem
+                    .users()
+                    .iter()
+                    .map(|u| {
+                        lagrangian::solve_user(
+                            u,
+                            problem.g(u.fbs()),
+                            lambdas[0],
+                            lambdas[1 + u.fbs().0],
+                        )
+                        .allocation
+                        .mode
+                    })
+                    .collect();
+                if new_modes == modes {
+                    break;
+                }
+                modes = new_modes;
+            }
+            // The polish used to refill its input's modes first; the
+            // refill is `best` again, which is why `solve` skips it.
+            let modes: Vec<Mode> = best.users().iter().map(|u| u.mode).collect();
+            let refill = fill(solver, problem, &modes).0;
+            assert!(same_bits(refill.users(), best.users()), "best is a fill");
+            (polish(solver, problem, best), filled)
+        }
     }
 
     /// A success probability or rate that is sometimes exactly zero (the
@@ -793,9 +1012,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The incremental polish returns exactly what refilling every
-        /// budget per candidate returns: the same mode and the same bits
-        /// in every share, from a fill or from a non-fill start, with
-        /// and without the swap neighborhood.
+        /// budget per candidate with the oracle's fills returns: the
+        /// same mode and the same bits in every share, from a fill or
+        /// from a non-fill start, with and without the swap
+        /// neighborhood.
         #[test]
         fn incremental_polish_is_bit_identical_to_full_refill(
             users in arb_users(),
@@ -816,7 +1036,7 @@ mod tests {
                 solver.fill_given_modes(&p, &modes)
             };
             let got = solver.polish(&p, start.clone());
-            let want = full_refill_polish(&solver, &p, start);
+            let want = oracle::polish(&solver, &p, start);
             prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
         }
 
@@ -855,6 +1075,138 @@ mod tests {
             prop_assert!(same_bits(&fill.users, before.users()));
             prop_assert_eq!(fill.value().to_bits(), p.objective(&before).to_bits());
         }
+    }
+
+    /// Channel counts that are sometimes exactly zero.
+    fn arb_g() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(zero_or(0.05..=6.0), 6)
+    }
+
+    /// The default solver half the time; otherwise one with the mode
+    /// loop or the bisection capped anywhere from 0, or with the exact
+    /// path on (up to 3 users) and the swaps on or off.
+    fn arb_solver() -> impl Strategy<Value = WaterfillingSolver> {
+        (
+            0..6u8,
+            0..=20usize,
+            0..=80usize,
+            0..=3usize,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(k, max_rounds, bisection_iters, exact, swaps)| {
+                let default = WaterfillingSolver::default();
+                match k {
+                    3 => WaterfillingSolver {
+                        max_rounds,
+                        ..default
+                    },
+                    4 => WaterfillingSolver {
+                        bisection_iters,
+                        ..default
+                    },
+                    5 => WaterfillingSolver {
+                        exhaustive_modes_up_to: exact,
+                        swap_users_up_to: if swaps { default.swap_users_up_to } else { 0 },
+                        ..default
+                    },
+                    _ => default,
+                }
+            })
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every fill — modes, shares and water levels — has the bits
+        /// of the oracle's fill, whose bisection runs every step and
+        /// calls `best_share` per member, at the default cap and at any
+        /// cap from 0 to 80 steps.
+        #[test]
+        fn fills_are_bit_identical_to_the_unbroken_bisection(
+            users in arb_users(),
+            g in arb_g(),
+            num_fbss in 1..=6usize,
+            capped in proptest::bool::ANY,
+            cap in 0..=80usize,
+        ) {
+            let (p, modes) = instance(&users, &g, num_fbss);
+            let default = WaterfillingSolver::default();
+            let solver = WaterfillingSolver {
+                bisection_iters: if capped { cap } else { default.bisection_iters },
+                ..default
+            };
+            let (got, got_lambdas) = solver.fill_with_prices(&p, &modes);
+            let (want, want_lambdas) = oracle::fill(&solver, &p, &modes);
+            prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+            prop_assert_eq!(bits(&got_lambdas), bits(&want_lambdas));
+        }
+
+        /// `solve` returns the oracle's solve bit for bit — every mode
+        /// and every share — under the default solver and under capped,
+        /// exact-path and swap-free ones.
+        #[test]
+        fn solve_is_bit_identical_to_the_oracle_solve(
+            users in arb_users(),
+            g in arb_g(),
+            num_fbss in 1..=6usize,
+            solver in arb_solver(),
+        ) {
+            let (p, _) = instance(&users, &g, num_fbss);
+            let got = solver.solve(&p);
+            let (want, _) = oracle::solve(&solver, &p);
+            prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        }
+    }
+
+    /// An instance on which the oracle's best-response loop 2-cycles
+    /// through all 16 rounds, and whose second mode vector fills better
+    /// than the first: the loop must fill both before it stops, and
+    /// keep the second.
+    #[test]
+    fn a_two_cycling_instance_solves_to_the_oracle_bits() {
+        let users = vec![
+            UserState::new(28.6, FbsId(0), 0.72, 0.72, 0.58, 0.87).unwrap(),
+            UserState::new(31.1, FbsId(0), 0.72, 0.72, 0.5, 0.52).unwrap(),
+            UserState::new(29.8, FbsId(0), 0.72, 0.72, 0.58, 0.47).unwrap(),
+            UserState::new(31.8, FbsId(0), 0.72, 0.72, 0.51, 0.32).unwrap(),
+        ];
+        let p = SlotProblem::single_fbs(users, 2.53).unwrap();
+        let solver = WaterfillingSolver::default();
+        let (want, filled) = oracle::solve(&solver, &p);
+        assert_eq!(filled.len(), solver.max_rounds);
+        let (a, b) = (&filled[0], &filled[1]);
+        assert_ne!(a, b);
+        for (k, modes) in filled.iter().enumerate() {
+            assert_eq!(modes, if k % 2 == 0 { a } else { b }, "round {k}");
+        }
+        let value = |modes: &[Mode]| p.objective(&solver.fill_given_modes(&p, modes));
+        assert!(value(b) > value(a), "the second vector fills better");
+        let got = solver.solve(&p);
+        assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+    }
+
+    /// A lone beneficiary takes the whole budget through the `λ ≤ 0`
+    /// branch, even when its `w / rate` overflows: at λ = 0,
+    /// `s/λ − w/rate` would be `∞ − ∞`, a NaN.
+    #[test]
+    fn a_lone_member_whose_quotient_overflows_takes_the_whole_budget() {
+        let users = vec![
+            UserState::new(30.0, FbsId(0), 0.72, 1e-310, 0.9, 0.8).unwrap(),
+            UserState::new(29.0, FbsId(0), 0.72, 0.72, 0.9, 0.0).unwrap(),
+        ];
+        let p = SlotProblem::single_fbs(users, 1.0).unwrap();
+        assert!((p.user(0).w() / p.fbs_rate(0)).is_infinite());
+        let modes = [Mode::Fbs, Mode::Fbs];
+        let solver = WaterfillingSolver::default();
+        let (got, got_lambdas) = solver.fill_with_prices(&p, &modes);
+        assert_eq!(got.user(0).rho_fbs, 1.0);
+        let (want, want_lambdas) = oracle::fill(&solver, &p, &modes);
+        assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        assert_eq!(bits(&got_lambdas), bits(&want_lambdas));
     }
 
     proptest! {
