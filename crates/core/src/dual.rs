@@ -279,6 +279,7 @@ impl DualSolver {
         // Convergence telemetry (Tables I/II): how hard the subgradient
         // loop worked, the step-11 residual it stopped at, and the
         // final prices. No-op unless telemetry is enabled.
+        fcr_telemetry::incr("dual.iterations", iterations as u64);
         if fcr_telemetry::is_enabled() {
             fcr_telemetry::record_solve(fcr_telemetry::SolveRecord {
                 iterations,

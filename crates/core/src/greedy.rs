@@ -11,10 +11,21 @@
 //!
 //! Worst-case complexity is `O(N²M²)` inner solves, as stated in
 //! Section IV-C.2.
+//!
+//! Those solves repeat each other's work, and a run skips the repeats
+//! at two levels, both bit-identical to solving everything:
+//! - Within one step of the cold path, each distinct `G` vector is
+//!   solved once (`Q` depends on a trial only through `G`).
+//! - Every `Q` solve of a run, on either path, and the final solve at
+//!   the committed assignment share one fill cache, created and dropped
+//!   by [`GreedyAllocator::allocate`]. A budget fill depends only on
+//!   the budget, its FBS's `G_i` and the members it gathers, so a fill
+//!   one solve made is replayed by any later solve that needs it.
 
 use crate::allocation::{Allocation, Mode};
 use crate::bounds;
 use crate::interfering::{ChannelAssignment, InterferingProblem};
+use crate::soa::FillScratch;
 use crate::waterfill::WaterfillingSolver;
 use fcr_net::node::FbsId;
 use std::collections::hash_map::{Entry, HashMap};
@@ -141,19 +152,28 @@ impl GreedyAllocator {
 
     /// Runs the greedy algorithm on `problem`.
     pub fn allocate(&self, problem: &InterferingProblem) -> GreedyOutcome {
+        // One fill cache per run, shared by every `Q` solve and by the
+        // final solve, and dropped with the run: the users and the
+        // solver it assumes fixed are fixed only here.
+        let mut scratch = FillScratch::caching();
         if self.incremental {
-            return self.allocate_incremental(problem);
+            return self.allocate_incremental(problem, &mut scratch);
         }
-        self.allocate_cold(problem)
+        self.allocate_cold(problem, &mut scratch)
     }
 
-    fn allocate_cold(&self, problem: &InterferingProblem) -> GreedyOutcome {
+    fn allocate_cold(
+        &self,
+        problem: &InterferingProblem,
+        scratch: &mut FillScratch,
+    ) -> GreedyOutcome {
         let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::GreedyAlloc);
         let n = problem.num_fbss();
         let m = problem.num_channels();
-        let q_empty = problem.q_empty(&self.solver);
-
         let mut assignment = ChannelAssignment::empty(n, m);
+        let q_empty = problem
+            .q_at(problem.g_for(&assignment), &self.solver, scratch)
+            .0;
         let mut q_current = q_empty;
         let mut steps = Vec::new();
         // Candidate set C = N × A(t).
@@ -179,7 +199,7 @@ impl GreedyAllocator {
                         memo_hits += 1;
                         *hit.get()
                     }
-                    Entry::Vacant(miss) => *miss.insert(problem.q_at(g, &self.solver).0),
+                    Entry::Vacant(miss) => *miss.insert(problem.q_at(g, &self.solver, scratch).0),
                 };
                 let delta = q - q_current;
                 if best.is_none_or(|(_, d)| delta > d) {
@@ -207,7 +227,7 @@ impl GreedyAllocator {
         }
 
         fcr_telemetry::incr("greedy.q_memo_hits", memo_hits);
-        self.finish(problem, assignment, steps, q_empty)
+        self.finish(problem, assignment, steps, q_empty, scratch)
     }
 
     /// The incremental (lazy) variant: per-candidate `Δ` evaluations
@@ -226,12 +246,18 @@ impl GreedyAllocator {
     /// step `Δ_l` is exact — the committed state is re-anchored with a
     /// fresh solve (or the evaluation that chose it), so the gain
     /// telescopes to `Q(π_L) − Q(∅)` exactly as in the cold path.
-    fn allocate_incremental(&self, problem: &InterferingProblem) -> GreedyOutcome {
+    fn allocate_incremental(
+        &self,
+        problem: &InterferingProblem,
+        scratch: &mut FillScratch,
+    ) -> GreedyOutcome {
         let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::GreedyAlloc);
         let n = problem.num_fbss();
         let m = problem.num_channels();
-        let (q_empty, empty_alloc) =
-            problem.q_solution(&ChannelAssignment::empty(n, m), &self.solver);
+        let q_solution = |assignment: &ChannelAssignment, scratch: &mut FillScratch| {
+            problem.q_at(problem.g_for(assignment), &self.solver, scratch)
+        };
+        let (q_empty, empty_alloc) = q_solution(&ChannelAssignment::empty(n, m), scratch);
 
         struct Candidate {
             fbs: FbsId,
@@ -283,7 +309,7 @@ impl GreedyAllocator {
                 }
                 let mut trial = assignment.clone();
                 trial.assign(candidates[top].fbs, candidates[top].channel);
-                let (q, alloc) = problem.q_solution(&trial, &self.solver);
+                let (q, alloc) = q_solution(&trial, scratch);
                 candidates[top].delta = q - q_current;
                 candidates[top].fresh = true;
                 last_eval = Some((top, q, signature_of(&alloc)));
@@ -299,7 +325,7 @@ impl GreedyAllocator {
                 Some((idx, q, sig)) if idx == top => (q, sig),
                 _ => {
                     cache_hits += 1;
-                    let (q, alloc) = problem.q_solution(&assignment, &self.solver);
+                    let (q, alloc) = q_solution(&assignment, scratch);
                     (q, signature_of(&alloc))
                 }
             };
@@ -333,7 +359,7 @@ impl GreedyAllocator {
 
         fcr_telemetry::incr("greedy.cache_hits", cache_hits);
         fcr_telemetry::incr("greedy.cache_invalidations", invalidations);
-        self.finish(problem, assignment, steps, q_empty)
+        self.finish(problem, assignment, steps, q_empty, scratch)
     }
 
     fn finish(
@@ -342,10 +368,11 @@ impl GreedyAllocator {
         assignment: ChannelAssignment,
         steps: Vec<GreedyStep>,
         q_empty: f64,
+        scratch: &mut FillScratch,
     ) -> GreedyOutcome {
         debug_assert!(assignment.is_conflict_free(problem.graph()));
         let final_problem = problem.problem_for(&assignment);
-        let allocation = self.solver.solve(&final_problem);
+        let allocation = self.solver.solve_in(&final_problem, scratch);
         let q_value = final_problem.objective(&allocation);
         // Eq.-(23) bookkeeping: the per-step gap terms D(l)·Δ_l make
         // the per-run optimality bound observable. No-op when
@@ -615,7 +642,94 @@ mod tests {
             let neighbors = problem.graph().neighbors(fbs);
             candidates.retain(|(f, ch)| !(*ch == channel && (*f == fbs || neighbors.contains(f))));
         }
-        allocator.finish(problem, assignment, steps, q_empty)
+        allocator.finish(problem, assignment, steps, q_empty, &mut FillScratch::new())
+    }
+
+    /// The incremental greedy before the fill cache: every `Q` solved
+    /// through a fresh scratch. Kept only as the bit-identity oracle.
+    fn uncached_incremental(
+        allocator: &GreedyAllocator,
+        problem: &InterferingProblem,
+    ) -> GreedyOutcome {
+        let n = problem.num_fbss();
+        let m = problem.num_channels();
+        let (q_empty, empty_alloc) =
+            problem.q_solution(&ChannelAssignment::empty(n, m), &allocator.solver);
+        struct Candidate {
+            fbs: FbsId,
+            channel: usize,
+            delta: f64,
+            fresh: bool,
+        }
+        let mut candidates: Vec<Candidate> = (0..n)
+            .flat_map(|i| {
+                (0..m).map(move |ch| Candidate {
+                    fbs: FbsId(i),
+                    channel: ch,
+                    delta: f64::INFINITY,
+                    fresh: false,
+                })
+            })
+            .collect();
+        let signature_of = |alloc: &Allocation| -> (Vec<Mode>, f64) {
+            (
+                alloc.users().iter().map(|u| u.mode).collect(),
+                alloc.mbs_load(),
+            )
+        };
+        let mut assignment = ChannelAssignment::empty(n, m);
+        let mut q_current = q_empty;
+        let mut signature = signature_of(&empty_alloc);
+        let mut steps = Vec::new();
+        while !candidates.is_empty() {
+            let mut last_eval: Option<(usize, f64, (Vec<Mode>, f64))> = None;
+            let top = loop {
+                let mut top = 0;
+                for k in 1..candidates.len() {
+                    if candidates[k].delta > candidates[top].delta {
+                        top = k;
+                    }
+                }
+                if candidates[top].fresh {
+                    break top;
+                }
+                let mut trial = assignment.clone();
+                trial.assign(candidates[top].fbs, candidates[top].channel);
+                let (q, alloc) = problem.q_solution(&trial, &allocator.solver);
+                candidates[top].delta = q - q_current;
+                candidates[top].fresh = true;
+                last_eval = Some((top, q, signature_of(&alloc)));
+            };
+            let (fbs, channel) = (candidates[top].fbs, candidates[top].channel);
+            assignment.assign(fbs, channel);
+            let (q_new, sig_new) = match last_eval {
+                Some((idx, q, sig)) if idx == top => (q, sig),
+                _ => {
+                    let (q, alloc) = problem.q_solution(&assignment, &allocator.solver);
+                    (q, signature_of(&alloc))
+                }
+            };
+            let delta = q_new - q_current;
+            q_current = q_new;
+            steps.push(GreedyStep {
+                fbs,
+                channel,
+                delta: delta.max(0.0),
+                degree: problem.graph().degree(fbs),
+            });
+            let neighbors = problem.graph().neighbors(fbs);
+            candidates.retain(|c| {
+                !(c.channel == channel && (c.fbs == fbs || neighbors.contains(&c.fbs)))
+            });
+            let moved = sig_new.0 != signature.0 || (sig_new.1 - signature.1).abs() > 1e-9;
+            for c in &mut candidates {
+                if moved || c.fbs == fbs {
+                    c.fresh = false;
+                }
+            }
+            signature = sig_new;
+        }
+        allocator.finish(problem, assignment, steps, q_empty, &mut FillScratch::new())
     }
 
     fn assert_same_outcome(got: &GreedyOutcome, want: &GreedyOutcome) {
@@ -669,15 +783,12 @@ mod tests {
     /// trials often share a G vector.
     const WEIGHTS: [f64; 4] = [0.0, 0.35, 0.8, 1.0];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The memoised cold greedy commits the same pairs with the same
-        /// `Δ` bits, and ends at the same `Q` bits and allocation bits,
-        /// as the oracle that solves every candidate.
-        #[test]
-        fn the_memoised_greedy_is_bit_identical_to_the_oracle(
-            users in proptest::collection::vec(
+    /// Up to 12 users on up to 6 FBSs of a random interference graph,
+    /// with rates and successes sometimes 0, and up to 4 channels whose
+    /// posteriors come from [`WEIGHTS`].
+    fn arb_problem() -> impl Strategy<Value = InterferingProblem> {
+        (
+            proptest::collection::vec(
                 (
                     5.0..50.0f64,
                     0..6usize,
@@ -688,23 +799,104 @@ mod tests {
                 ),
                 1..=12,
             ),
-            num_fbss in 1..=6usize,
-            edges in proptest::collection::vec(proptest::bool::ANY, 15),
-            weights in proptest::collection::vec(0..WEIGHTS.len(), 1..=4),
-        ) {
-            let users: Vec<UserState> = users
-                .iter()
-                .map(|&(w, fbs, r0, r1, s0, s1): &UserSpec| {
-                    UserState::new(w, FbsId(fbs % num_fbss), r0, r1, s0, s1).unwrap()
-                })
-                .collect();
-            let pairs = (0..num_fbss).flat_map(|i| ((i + 1)..num_fbss).map(move |j| (FbsId(i), FbsId(j))));
-            let edges: Vec<(FbsId, FbsId)> = pairs.zip(&edges).filter(|(_, on)| **on).map(|(e, _)| e).collect();
-            let graph = InterferenceGraph::new(num_fbss, &edges);
-            let weights = weights.iter().map(|&k| WEIGHTS[k]).collect();
-            let p = InterferingProblem::new(users, graph, weights).unwrap();
+            1..=6usize,
+            proptest::collection::vec(proptest::bool::ANY, 15),
+            proptest::collection::vec(0..WEIGHTS.len(), 1..=4),
+        )
+            .prop_map(|(users, num_fbss, edges, weights)| {
+                let users: Vec<UserState> = users
+                    .iter()
+                    .map(|&(w, fbs, r0, r1, s0, s1): &UserSpec| {
+                        UserState::new(w, FbsId(fbs % num_fbss), r0, r1, s0, s1).unwrap()
+                    })
+                    .collect();
+                let pairs = (0..num_fbss)
+                    .flat_map(|i| ((i + 1)..num_fbss).map(move |j| (FbsId(i), FbsId(j))));
+                let edges: Vec<(FbsId, FbsId)> = pairs
+                    .zip(&edges)
+                    .filter(|(_, on)| **on)
+                    .map(|(e, _)| e)
+                    .collect();
+                let graph = InterferenceGraph::new(num_fbss, &edges);
+                let weights = weights.iter().map(|&k| WEIGHTS[k]).collect();
+                InterferingProblem::new(users, graph, weights).unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memoised cold greedy, its fills cached, commits the same
+        /// pairs with the same `Δ` bits, and ends at the same `Q` bits and
+        /// allocation bits, as the oracle that solves every candidate
+        /// through a fresh scratch.
+        #[test]
+        fn the_memoised_greedy_is_bit_identical_to_the_oracle(p in arb_problem()) {
             let allocator = GreedyAllocator::new();
             assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
+        }
+
+        /// The incremental greedy, its fills cached, matches the same
+        /// path solving every `Q` through a fresh scratch, bit for bit.
+        #[test]
+        fn the_cached_incremental_greedy_is_bit_identical_to_the_oracle(p in arb_problem()) {
+            let allocator = GreedyAllocator::new().incremental(true);
+            assert_same_outcome(&allocator.allocate(&p), &uncached_incremental(&allocator, &p));
+        }
+    }
+
+    /// Two runs on problems with the same graph, channels and user
+    /// links but with the users' qualities reversed, so that fills of
+    /// the first run share their keys with fills of the second but not
+    /// their shares: the second run must replay no fill of the first, on
+    /// either path.
+    #[test]
+    fn a_run_replays_no_fill_of_an_earlier_run() {
+        let first = fig5_problem();
+        let reversed = first.users().iter().rev().map(UserState::w);
+        let users = first
+            .users()
+            .iter()
+            .zip(reversed)
+            .map(|(u, w)| UserState::new(w, u.fbs(), 0.72, 0.72, 0.5, 0.9).unwrap())
+            .collect();
+        let second =
+            InterferingProblem::new(users, path3(), first.channel_weights().to_vec()).unwrap();
+        let cold = GreedyAllocator::new();
+        let warm = cold.incremental(true);
+        cold.allocate(&first);
+        assert_same_outcome(&cold.allocate(&second), &unmemoised_cold(&cold, &second));
+        warm.allocate(&first);
+        assert_same_outcome(
+            &warm.allocate(&second),
+            &uncached_incremental(&warm, &second),
+        );
+    }
+
+    /// Two users of FBS 0 with no MBS link whose FBS quotients `w/rate`
+    /// overflow once FBS 0 holds a channel (`r_fbs = 1e-310`): every
+    /// solve granting FBS 0 a channel fills their budget with λ deep in
+    /// the subnormals. Both paths end finite and feasible, and bit-equal
+    /// to their uncached oracles.
+    #[test]
+    fn a_run_over_overflowing_quotients_is_finite_and_feasible() {
+        let users = vec![
+            UserState::new(30.0, FbsId(0), 0.72, 1e-310, 0.0, 0.8).unwrap(),
+            UserState::new(29.0, FbsId(0), 0.72, 1e-310, 0.0, 0.9).unwrap(),
+            user(28.8, 1),
+        ];
+        let graph = InterferenceGraph::new(2, &[(FbsId(0), FbsId(1))]);
+        let p = InterferingProblem::new(users, graph, vec![0.9, 1.0]).unwrap();
+        let cold = GreedyAllocator::new();
+        let warm = cold.incremental(true);
+        for (got, want) in [
+            (cold.allocate(&p), unmemoised_cold(&cold, &p)),
+            (warm.allocate(&p), uncached_incremental(&warm, &p)),
+        ] {
+            let solved = p.problem_for(got.assignment());
+            assert!(solved.is_feasible(got.allocation(), 0.0), "{got:?}");
+            assert!(got.q_value().is_finite() && got.upper_bound().is_finite());
+            assert_same_outcome(&got, &want);
         }
     }
 }

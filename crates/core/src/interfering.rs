@@ -9,8 +9,10 @@
 //! remaining time-share problem is exactly problem (17), solved by
 //! [`crate::dual`] or [`crate::waterfill`].
 
+use crate::allocation::Allocation;
 use crate::error::{check_probability, CoreError};
 use crate::problem::{SlotProblem, UserState};
+use crate::soa::FillScratch;
 use crate::waterfill::WaterfillingSolver;
 use fcr_net::interference::InterferenceGraph;
 use fcr_net::node::FbsId;
@@ -258,23 +260,26 @@ impl InterferingProblem {
         &self,
         assignment: &ChannelAssignment,
         solver: &WaterfillingSolver,
-    ) -> (f64, crate::allocation::Allocation) {
-        self.q_at(self.g_for(assignment), solver)
+    ) -> (f64, Allocation) {
+        self.q_at(self.g_for(assignment), solver, &mut FillScratch::new())
     }
 
     /// `Q` and its allocation at the channel counts `g`: `Q(c)` depends
-    /// on the assignment only through `G = g_for(c)`.
+    /// on the assignment only through `G = g_for(c)`. The solve runs
+    /// through `scratch`, which a greedy run shares across its `Q`
+    /// solves so that they share its fill cache.
     pub(crate) fn q_at(
         &self,
         g: Vec<f64>,
         solver: &WaterfillingSolver,
-    ) -> (f64, crate::allocation::Allocation) {
+        scratch: &mut FillScratch,
+    ) -> (f64, Allocation) {
         // Each Q(c) evaluation is one inner time-share solve — the
         // O(N²M²) term of Table III. The counter makes the actual
         // inner-solve volume observable per run.
         fcr_telemetry::incr("greedy.inner_solves", 1);
         let problem = SlotProblem::new(self.users.clone(), g).expect("validated at construction");
-        let alloc = solver.solve(&problem);
+        let alloc = solver.solve_in(&problem, scratch);
         (problem.objective(&alloc), alloc)
     }
 

@@ -60,7 +60,17 @@ pub fn best_share(success: f64, lambda: f64, w: f64, rate: f64) -> f64 {
         // Free resource: take the whole slot.
         return 1.0;
     }
-    (success / lambda - w / rate).clamp(0.0, 1.0)
+    (success / lambda - quotient(w, rate)).clamp(0.0, 1.0)
+}
+
+/// `w / rate`, saturated at the largest finite `f64`. The quotient
+/// overflows only when `w + ρ·rate == w` for every `ρ ≤ 1`, and then a
+/// `λ` small enough for `success/λ` to overflow too would make
+/// `success/λ − w/rate` the NaN `∞ − ∞`; saturated, it is `+∞`, a share
+/// of 1 at that price, and 0 at any price where `success/λ` is finite.
+/// Every finite quotient keeps its bits.
+pub(crate) fn quotient(w: f64, rate: f64) -> f64 {
+    (w / rate).min(f64::MAX)
 }
 
 /// Lagrangian value of one branch at share `rho`: the conditional

@@ -1,14 +1,19 @@
-//! Exact work counts of one cold greedy run on the fig-5 chain.
+//! Exact work counts of the solvers on fixed inputs.
 //!
 //! The telemetry sink is process-global, so these counts live in their
 //! own test binary: unit tests running in parallel in the library's
-//! binary would add their own solves to them.
+//! binary would add their own solves to them. The tests here take turns
+//! on one lock for the same reason.
 
+use fcr_core::dual::{DualConfig, DualSolver};
 use fcr_core::greedy::GreedyAllocator;
-use fcr_core::interfering::InterferingProblem;
-use fcr_core::problem::UserState;
+use fcr_core::interfering::{ChannelAssignment, InterferingProblem};
+use fcr_core::problem::{SlotProblem, UserState};
+use fcr_core::waterfill::WaterfillingSolver;
 use fcr_net::interference::InterferenceGraph;
 use fcr_net::node::FbsId;
+use fcr_telemetry::TelemetrySnapshot;
+use std::sync::{Mutex, PoisonError};
 
 /// The fig-5 chain: three FBSs in a path, two users each, four
 /// channels with the given availability posteriors.
@@ -29,35 +34,50 @@ fn fig5(weights: Vec<f64>) -> InterferingProblem {
     .unwrap()
 }
 
-const COUNTERS: [&str; 6] = [
+const COUNTERS: [&str; 7] = [
     "greedy.inner_solves",
     "greedy.q_memo_hits",
     "waterfill.solves",
     "waterfill.mode_rounds",
     "waterfill.budget_fills",
     "waterfill.bisection_steps",
+    "waterfill.fill_memo_hits",
 ];
 
-/// The counters one cold greedy run on `problem` adds, in the order of
-/// [`COUNTERS`].
-fn counts(problem: &InterferingProblem) -> [u64; 6] {
+/// What `work` counts, alone on a fresh, enabled sink.
+fn counted(work: impl FnOnce()) -> TelemetrySnapshot {
+    static SINK: Mutex<()> = Mutex::new(());
+    let _turn = SINK.lock().unwrap_or_else(PoisonError::into_inner);
+    fcr_telemetry::enable();
     fcr_telemetry::reset();
-    GreedyAllocator::new().allocate(problem);
+    work();
     let snapshot = fcr_telemetry::global().snapshot();
+    fcr_telemetry::disable();
+    snapshot
+}
+
+/// The solver counters `work` adds, in the order of [`COUNTERS`].
+fn counts(work: impl FnOnce()) -> [u64; 7] {
+    let snapshot = counted(work);
     COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0))
 }
 
 #[test]
 fn fig5_greedy_work_counts_are_exact() {
-    fcr_telemetry::enable();
-    let distinct = counts(&fig5(vec![0.9, 0.8, 0.85, 0.7]));
-    let repeated = counts(&fig5(vec![0.9, 0.8, 0.9, 0.7]));
-    fcr_telemetry::disable();
+    let cold = |problem: InterferingProblem| {
+        counts(|| {
+            GreedyAllocator::new().allocate(&problem);
+        })
+    };
+    let distinct = cold(fig5(vec![0.9, 0.8, 0.85, 0.7]));
+    let repeated = cold(fig5(vec![0.9, 0.8, 0.9, 0.7]));
     // Every run solves Q(∅) and evaluates 52 trials: 53 Q solves without
     // the memo. With channels 0 and 2 sharing a posterior, 4 of the
-    // trials repeat a G vector already solved in their step.
-    assert_eq!(distinct, [53, 0, 54, 183, 3178, 78496]);
-    assert_eq!(repeated, [49, 4, 50, 171, 2972, 73984]);
+    // trials repeat a G vector already solved in their step. Every
+    // budget fill is counted, but only a fill the run has not made
+    // before bisects; the others are replayed.
+    assert_eq!(distinct, [53, 0, 54, 183, 3178, 4308, 3010]);
+    assert_eq!(repeated, [49, 4, 50, 171, 2972, 4149, 2815]);
     for [inner_solves, memo_hits, solves, ..] in [distinct, repeated] {
         assert_eq!(inner_solves + memo_hits, 53, "each Q is solved or recalled");
         assert_eq!(
@@ -66,4 +86,52 @@ fn fig5_greedy_work_counts_are_exact() {
             "plus the final allocation's solve"
         );
     }
+}
+
+#[test]
+fn incremental_greedy_work_counts_are_exact() {
+    let problem = fig5(vec![0.9, 0.8, 0.85, 0.7]);
+    let got = counts(|| {
+        GreedyAllocator::new().incremental(true).allocate(&problem);
+    });
+    assert_eq!(got, [28, 0, 29, 101, 1518, 3718, 1381]);
+}
+
+/// A standalone solve fills every budget it needs: nothing outside a
+/// greedy run replays a fill.
+#[test]
+fn a_standalone_solve_replays_no_fill() {
+    let mut assignment = ChannelAssignment::empty(3, 4);
+    assignment.assign(FbsId(0), 0);
+    assignment.assign(FbsId(2), 0);
+    assignment.assign(FbsId(1), 1);
+    let problem = fig5(vec![0.9, 0.8, 0.85, 0.7]).problem_for(&assignment);
+    let got = counts(|| {
+        WaterfillingSolver::new().solve(&problem);
+    });
+    assert_eq!(got, [0, 0, 1, 2, 92, 3064, 0]);
+}
+
+/// One Table I solve: the subgradient iterations it ran, as the solve
+/// reports them and as the counter adds them up.
+#[test]
+fn a_table1_solve_counts_its_dual_iterations() {
+    let user = |w: f64, s0: f64, s1: f64| UserState::new(w, FbsId(0), 0.72, 0.72, s0, s1).unwrap();
+    let problem = SlotProblem::single_fbs(
+        vec![
+            user(30.2, 0.9, 0.85),
+            user(27.6, 0.8, 0.9),
+            user(28.8, 0.85, 0.8),
+        ],
+        3.0,
+    )
+    .unwrap();
+    let mut iterations = 0;
+    let snapshot = counted(|| {
+        iterations = DualSolver::new(DualConfig::default())
+            .solve(&problem)
+            .iterations();
+    });
+    assert_eq!(iterations, 667);
+    assert_eq!(snapshot.counter("dual.iterations"), Some(667));
 }

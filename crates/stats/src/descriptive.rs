@@ -193,15 +193,21 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let h = (sorted.len() as f64 - 1.0) * q;
+    // Only the two order statistics around `h` are needed, so select
+    // them on one copy instead of sorting it: a sort's merge buffer
+    // would be a second copy of the input.
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
+    let mut order: Vec<f64> = values.to_vec();
+    let h = (order.len() as f64 - 1.0) * q;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
+    let (_, &mut at_lo, above) = order.select_nth_unstable_by(lo, cmp);
     if lo == hi {
-        Some(sorted[lo])
+        Some(at_lo)
     } else {
-        Some(sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo]))
+        // The next order statistic is the least value above `lo`.
+        let at_hi = above.iter().copied().min_by(cmp).expect("hi < len");
+        Some(at_lo + (h - lo as f64) * (at_hi - at_lo))
     }
 }
 
@@ -282,6 +288,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "NaN in quantile input")]
+    fn quantile_rejects_nan() {
+        let _ = quantile(&[1.0, f64::NAN, 3.0], 0.5);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn quantile_rejects_bad_level() {
         let _ = quantile(&[1.0], 1.5);
@@ -317,6 +329,31 @@ mod tests {
             let all: Summary = xs.iter().chain(ys.iter()).copied().collect();
             prop_assert!((merged.mean() - all.mean()).abs() < 1e-6);
             prop_assert!((merged.sample_variance() - all.sample_variance()).abs() < 1e-6);
+        }
+
+        /// The selection returns what interpolating in a sorted copy
+        /// returns, repeated values and signed zeros included.
+        #[test]
+        fn quantile_matches_the_sorted_form(
+            xs in proptest::collection::vec(
+                (0..4u8, -1e3..1e3f64).prop_map(|(k, x)| match k {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => (x / 100.0).round(),
+                    _ => x,
+                }),
+                1..200,
+            ),
+            q in 0.0..=1.0f64,
+        ) {
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let h = (sorted.len() as f64 - 1.0) * q;
+            let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+            let want = sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo]);
+            let want = if lo == hi { sorted[lo] } else { want };
+            prop_assert_eq!(quantile(&xs, q), Some(want));
+            prop_assert_eq!(median(&xs), quantile(&xs, 0.5));
         }
 
         #[test]
