@@ -14,6 +14,13 @@ use std::time::Instant;
 
 use super::Scale;
 
+/// How many times the shipped pack's horizon a full-scale replay runs.
+/// Re-seeded over the pack's own 40 slots, the walk need not carry
+/// anyone across a cell boundary (the default seed hands over no one);
+/// over 400 slots, seeds 1–5 and the default seed each hand over
+/// dozens of times.
+const FULL_HORIZON_FACTOR: u64 = 10;
+
 /// Workload knobs for the `scenario` area.
 #[derive(Debug, Clone)]
 pub struct ScenarioParams {
@@ -31,12 +38,16 @@ pub struct ScenarioParams {
 impl ScenarioParams {
     /// The preset for `scale`: the shipped mobility/churn pack, at
     /// smoke scale verbatim (so CI measures exactly what the goldens
-    /// pin), at full scale re-seeded for a fresh walk.
+    /// pin), at full scale re-seeded for a fresh walk over ten times
+    /// its horizon.
     pub fn at(scale: Scale, seed: u64) -> Self {
         let mut pack = fcr_scenario::shipped::named("mobility_churn").expect("shipped pack");
         if let Scale::Full = scale {
             pack.seed = seed & ((1 << 53) - 1);
             pack.name = format!("mobility_churn_{}", pack.seed);
+            if let Some(churn) = &mut pack.churn {
+                churn.slots *= FULL_HORIZON_FACTOR;
+            }
         }
         ScenarioParams {
             scale,
@@ -108,6 +119,21 @@ pub fn run(params: &ScenarioParams) -> BenchEnvelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full-scale preset walks the re-seeded pack over ten times its
+    /// horizon, and at the default seed somebody crosses a cell
+    /// boundary, as the budget's `handovers_attempted ≥ 1` requires.
+    #[test]
+    fn the_full_scale_replay_hands_over_at_the_default_seed() {
+        // `fcr-bench`'s default seed.
+        let seed = 20110620;
+        let smoke = ScenarioParams::at(Scale::Smoke, seed);
+        let full = ScenarioParams::at(Scale::Full, seed);
+        let slots = |p: &ScenarioParams| p.pack.churn.expect("churn section").slots;
+        assert_eq!(slots(&full), FULL_HORIZON_FACTOR * slots(&smoke));
+        let envelope = run(&full);
+        assert!(envelope.metric_value("handovers_attempted").unwrap_or(0.0) >= 1.0);
+    }
 
     #[test]
     fn scenario_area_replays_the_shipped_pack() {

@@ -290,11 +290,10 @@ impl DualSolver {
         }
 
         // Final primal recovery: exact fill at the converged modes, then
-        // mode-local-search polish (removes the near-tie mode errors a
-        // tolerance-truncated subgradient loop can leave).
-        let wf = WaterfillingSolver::new();
-        let filled = wf.fill_given_modes(problem, &modes);
-        let allocation = wf.polish(problem, filled);
+        // mode-local-search polish from that fill and its water levels
+        // (removes the near-tie mode errors a tolerance-truncated
+        // subgradient loop can leave).
+        let allocation = WaterfillingSolver::new().fill_and_polish(problem, &modes);
         let objective = problem.objective(&allocation);
         DualSolution {
             allocation,

@@ -146,8 +146,9 @@ impl SoaProblem {
 /// serves a whole solve; nothing inside the bisection loop allocates.
 ///
 /// The scratch also tallies the work done through it (budget fills,
-/// bisection steps and replayed fills); the solve that uses it flushes
-/// the tallies to `fcr_telemetry` once, when it returns.
+/// bisection steps, replayed fills, and the polish candidates refilled
+/// and ruled out); the solve that uses it flushes the tallies to
+/// `fcr_telemetry` once, when it returns.
 ///
 /// A scratch from [`FillScratch::new`] fills every budget it is asked
 /// to. The greedy allocator passes one scratch to every solve of a run,
@@ -177,6 +178,12 @@ pub struct FillScratch {
     pub(crate) bisection_steps: u64,
     /// Fills replayed from `cache` since the last flush.
     pub(crate) fill_memo_hits: u64,
+    /// Polish candidates refilled through this scratch since the last
+    /// flush.
+    pub(crate) polish_refills: u64,
+    /// Polish candidates the fill's prices ruled out without a refill
+    /// since the last flush.
+    pub(crate) polish_pruned: u64,
     /// The fills of the greedy run this scratch serves; `None` outside
     /// a greedy run.
     cache: Option<FillCache>,
@@ -288,16 +295,21 @@ impl FillScratch {
     }
 
     /// Adds the work tallied since the last flush to the
-    /// `waterfill.budget_fills`, `waterfill.bisection_steps` and
-    /// `waterfill.fill_memo_hits` counters and zeroes the tallies. With
+    /// `waterfill.budget_fills`, `waterfill.bisection_steps`,
+    /// `waterfill.fill_memo_hits`, `waterfill.polish_refills` and
+    /// `waterfill.polish_pruned` counters and zeroes the tallies. With
     /// telemetry off this is one relaxed load per counter.
     pub(crate) fn flush_counters(&mut self) {
         fcr_telemetry::incr("waterfill.budget_fills", self.budget_fills);
         fcr_telemetry::incr("waterfill.bisection_steps", self.bisection_steps);
         fcr_telemetry::incr("waterfill.fill_memo_hits", self.fill_memo_hits);
+        fcr_telemetry::incr("waterfill.polish_refills", self.polish_refills);
+        fcr_telemetry::incr("waterfill.polish_pruned", self.polish_pruned);
         self.budget_fills = 0;
         self.bisection_steps = 0;
         self.fill_memo_hits = 0;
+        self.polish_refills = 0;
+        self.polish_pruned = 0;
     }
 
     /// Members gathered for the current constraint.

@@ -23,7 +23,15 @@
 //! Fig. 5 workload instead of sixteen. The flip/swap polish does the
 //! real mode search: in a probe it improved on the loop's best in 32%
 //! of the paper's `Q(c)` solves and in 92% of the `pu_burst` pack's
-//! serve-path solves.
+//! serve-path solves. Yet most of its candidates lose, and the fill's
+//! own water levels say which. At those prices every user's Lagrangian
+//! (eqs. (13)–(14)) prices a move to its other branch, and by weak
+//! duality no candidate fills to more than the current value plus the
+//! budgets' slack plus its movers' reduced costs. The polish refills
+//! only the candidates whose bound, plus a derived bound on the
+//! rounding, can clear its acceptance step: on the paper's Fig. 5
+//! workload about one in seven. A skipped candidate is one its refill
+//! would have rejected, so every result keeps its bits (DESIGN §15).
 //!
 //! Each bisection stops at the first step that moves neither bound;
 //! every later step would repeat it.
@@ -167,6 +175,7 @@ impl WaterfillingSolver {
 
         let (mut best, mut lambdas) = self.fill_soa(soa, &modes, scratch);
         let mut best_value = problem.objective(&best);
+        let mut best_lambdas = lambdas.clone();
         let mut filled = vec![modes];
         while filled.len() < self.max_rounds {
             // Best-response modes at the implied prices (Table I step 4).
@@ -191,6 +200,7 @@ impl WaterfillingSolver {
             if value > best_value {
                 best_value = value;
                 best = alloc;
+                best_lambdas.clone_from(&next);
             }
             lambdas = next;
             filled.push(modes);
@@ -198,8 +208,8 @@ impl WaterfillingSolver {
         fcr_telemetry::incr("waterfill.mode_rounds", filled.len() as u64);
 
         // `best` is a fill of its own modes, so the polish starts from
-        // it as it is.
-        let start = IncrementalFill::new(problem, &best);
+        // it and its water levels as they are.
+        let start = IncrementalFill::new(problem, &best, best_lambdas);
         self.polish_with(problem, soa, scratch, best, start)
     }
 
@@ -244,8 +254,10 @@ impl WaterfillingSolver {
     /// A candidate changes the members of the MBS budget and of the
     /// changed users' FBS budgets only, so only those budgets are
     /// refilled and only their members' objective terms recomputed; the
-    /// rest of the fill carries over. The result is bit-identical to
-    /// refilling every budget per candidate.
+    /// rest of the fill carries over. A candidate that the fill's water
+    /// levels prove cannot clear the acceptance step is not refilled at
+    /// all (DESIGN §15). The result is bit-identical to refilling every
+    /// budget per candidate.
     ///
     /// # Panics
     ///
@@ -257,12 +269,34 @@ impl WaterfillingSolver {
             problem.num_users(),
             "allocation size mismatch"
         );
+        let modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
+        self.polish_fill_of(problem, &modes, Some(allocation))
+    }
+
+    /// [`Self::polish`] of [`Self::fill_given_modes`]`(problem, modes)`,
+    /// bit for bit, with the modes filled once: the polish starts from
+    /// that fill and its water levels instead of filling the same modes
+    /// again. The dual's primal recovery.
+    pub(crate) fn fill_and_polish(&self, problem: &SlotProblem, modes: &[Mode]) -> Allocation {
+        self.polish_fill_of(problem, modes, None)
+    }
+
+    /// Fills `modes` and polishes from that fill. The polish returns
+    /// `input` when it improves on nothing, or the fill itself without
+    /// one.
+    fn polish_fill_of(
+        &self,
+        problem: &SlotProblem,
+        modes: &[Mode],
+        input: Option<Allocation>,
+    ) -> Allocation {
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
-        let modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
-        // The input need not be a fill of its own modes; every candidate
+        // An input need not be a fill of its own modes; every candidate
         // is, so the search runs on that fill from the start.
-        let start = IncrementalFill::new(problem, &self.fill_soa(&soa, &modes, &mut scratch).0);
+        let (filled, lambdas) = self.fill_soa(&soa, modes, &mut scratch);
+        let start = IncrementalFill::new(problem, &filled, lambdas);
+        let allocation = input.unwrap_or(filled);
         let polished = self.polish_with(problem, &soa, &mut scratch, allocation, start);
         scratch.flush_counters();
         polished
@@ -281,16 +315,25 @@ impl WaterfillingSolver {
         let mut best_value = problem.objective(&allocation);
         let mut modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
         let mut accepted = false;
-        let flip = |m: Mode| match m {
-            Mode::Mbs => Mode::Fbs,
-            Mode::Fbs => Mode::Mbs,
-        };
+        let mut prices = Prices::new(soa);
+        // The prices are those of `fill`'s water levels; a kept
+        // candidate moves them.
+        let mut priced = false;
         let mut improved = true;
         let mut passes = 0;
         while improved && passes < self.max_rounds {
             improved = false;
             passes += 1;
             for j in 0..n_users {
+                if !priced {
+                    prices.update(soa, &fill);
+                    priced = true;
+                }
+                if !prices.admits(prices.flip[j], best_value + 1e-12) {
+                    scratch.polish_pruned += 1;
+                    continue;
+                }
+                scratch.polish_refills += 1;
                 modes[j] = flip(modes[j]);
                 let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j]);
                 if value > best_value + 1e-12 {
@@ -298,6 +341,7 @@ impl WaterfillingSolver {
                     fill.keep();
                     accepted = true;
                     improved = true;
+                    priced = false;
                 } else {
                     fill.undo();
                     modes[j] = flip(modes[j]);
@@ -309,6 +353,11 @@ impl WaterfillingSolver {
                         if modes[j] == modes[k] {
                             continue;
                         }
+                        if !prices.admits(prices.swap[j] + prices.swap[k], best_value + 1e-12) {
+                            scratch.polish_pruned += 1;
+                            continue;
+                        }
+                        scratch.polish_refills += 1;
                         modes.swap(j, k);
                         let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j, k]);
                         if value > best_value + 1e-12 {
@@ -316,6 +365,7 @@ impl WaterfillingSolver {
                             fill.keep();
                             accepted = true;
                             improved = true;
+                            priced = false;
                             break 'swaps;
                         }
                         fill.undo();
@@ -334,8 +384,8 @@ impl WaterfillingSolver {
     /// Turns `fill` into the fill of `modes`, which differ from its own
     /// modes only at the `changed` users: refills the MBS budget and
     /// each changed user's FBS budget (every other budget keeps its
-    /// members, hence its shares), logging what it overwrites. Returns
-    /// the candidate's objective.
+    /// members, hence its shares and water level), logging what it
+    /// overwrites. Returns the candidate's objective.
     fn refill(
         &self,
         problem: &SlotProblem,
@@ -345,13 +395,15 @@ impl WaterfillingSolver {
         fill: &mut IncrementalFill,
         changed: &[usize],
     ) -> f64 {
-        self.fill_budget(soa, modes, 0, scratch, |u, a| fill.write(problem, u, a));
+        let lambda = self.fill_budget(soa, modes, 0, scratch, |u, a| fill.write(problem, u, a));
+        fill.set_level(0, lambda);
         for (k, &j) in changed.iter().enumerate() {
             let fbs = soa.fbs(j);
             if changed[..k].iter().all(|&i| soa.fbs(i) != fbs) {
-                self.fill_budget(soa, modes, 1 + fbs.0, scratch, |u, a| {
+                let lambda = self.fill_budget(soa, modes, 1 + fbs.0, scratch, |u, a| {
                     fill.write(problem, u, a);
                 });
+                fill.set_level(1 + fbs.0, lambda);
             }
         }
         fill.value()
@@ -504,16 +556,44 @@ impl WaterfillingSolver {
     }
 }
 
+fn flip(mode: Mode) -> Mode {
+    match mode {
+        Mode::Mbs => Mode::Fbs,
+        Mode::Fbs => Mode::Mbs,
+    }
+}
+
+/// The budget a user in `mode` draws on: 0 for the MBS, `1 + i` for
+/// its FBS `i`.
+fn budget_of(soa: &SoaProblem, j: usize, mode: Mode) -> usize {
+    match mode {
+        Mode::Mbs => 0,
+        Mode::Fbs => 1 + soa.fbs(j).0,
+    }
+}
+
+/// User `j`'s success probability and rate in `mode`.
+fn branch_of(soa: &SoaProblem, j: usize, mode: Mode) -> (f64, f64) {
+    match mode {
+        Mode::Mbs => (soa.s_mbs(j), soa.r_mbs(j)),
+        Mode::Fbs => (soa.s_fbs(j), soa.fbs_rate(j)),
+    }
+}
+
 /// The polish's working fill: each user's entry and objective term,
-/// plus a log of what the candidate under evaluation overwrote.
+/// each budget's water level, plus a log of what the candidate under
+/// evaluation overwrote.
 struct IncrementalFill {
     users: Vec<UserAllocation>,
     terms: Vec<f64>,
+    lambdas: Vec<f64>,
     log: Vec<(usize, UserAllocation, f64)>,
+    level_log: Vec<(usize, f64)>,
 }
 
 impl IncrementalFill {
-    fn new(problem: &SlotProblem, fill: &Allocation) -> Self {
+    /// The working copy of `fill`, whose water levels are `lambdas`.
+    fn new(problem: &SlotProblem, fill: &Allocation, lambdas: Vec<f64>) -> Self {
         let users = fill.users().to_vec();
         let terms = (0..users.len())
             .map(|j| problem.entry_objective(j, users[j]))
@@ -521,7 +601,9 @@ impl IncrementalFill {
         Self {
             users,
             terms,
+            lambdas,
             log: Vec::new(),
+            level_log: Vec::new(),
         }
     }
 
@@ -529,6 +611,12 @@ impl IncrementalFill {
         self.log.push((j, self.users[j], self.terms[j]));
         self.users[j] = a;
         self.terms[j] = problem.entry_objective(j, a);
+    }
+
+    /// Sets budget `b`'s water level.
+    fn set_level(&mut self, b: usize, lambda: f64) {
+        self.level_log.push((b, self.lambdas[b]));
+        self.lambdas[b] = lambda;
     }
 
     /// The objective: the cached terms summed in user order, the same
@@ -540,14 +628,165 @@ impl IncrementalFill {
     /// Accepts the candidate.
     fn keep(&mut self) {
         self.log.clear();
+        self.level_log.clear();
     }
 
-    /// Rejects the candidate: restores every entry and term it wrote.
+    /// Rejects the candidate: restores every entry, term and water
+    /// level it wrote.
     fn undo(&mut self) {
         while let Some((j, a, term)) = self.log.pop() {
             self.users[j] = a;
             self.terms[j] = term;
         }
+        while let Some((b, lambda)) = self.level_log.pop() {
+            self.lambdas[b] = lambda;
+        }
+    }
+}
+
+/// The unit roundoff `u` of `f64`.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// `γ_k = k·u / (1 − k·u)`: the relative error bound of `k` rounded
+/// operations in sequence, such as a `k + 1`-term sum.
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * UNIT_ROUNDOFF;
+    ku / (1.0 - ku)
+}
+
+/// A fill's water levels as prices on the polish's candidates.
+///
+/// At levels `λ_b ≥ 0`, user `j`'s Lagrangian on a branch is its best
+/// `success·ln(w + ρ·rate) + (1 − success)·ln(w) − λ_b·ρ` over
+/// `ρ ∈ [0, 1]` (eq. (14); [`lagrangian::best_share`] and
+/// [`lagrangian::branch_value`]). Its reduced cost is its other
+/// branch's value minus its current branch's. By weak duality, a
+/// candidate that moves the users `J` fills to at most
+/// `value + Σ_b λ_b·(1 − load_b) + Σ_{j∈J} rc_j`, where `value` and
+/// `load_b` are the fill's. A flip into a budget with no member
+/// strictly inside `(0, 1)` may price that budget above its level, up
+/// to the least full-share marginal value `s·c/(w + c)` of its
+/// saturated members: over that range the budget's own part of the
+/// bound does not grow, and the mover's value only falls. `margin`
+/// bounds the rounding of both objective folds, the reduced costs and
+/// the slack (derived in DESIGN §15).
+struct Prices {
+    /// The sum and the largest of the users' magnitudes `m_j`: the
+    /// largest `|ln|` user `j`'s objective term takes in either mode at
+    /// any share, `max(|ln w|, |ln(w + rate)|)` over both rates, which
+    /// bounds the sum of the term's two components' magnitudes (`w < 1`
+    /// included).
+    magnitude_sum: f64,
+    magnitude_max: f64,
+    /// Per user, the reduced cost of moving it in a swap: its other
+    /// branch at that budget's level.
+    swap: Vec<f64>,
+    /// Per user, the reduced cost of flipping it: as `swap`, at the
+    /// raised destination level where one applies.
+    flip: Vec<f64>,
+    /// `value + Σ_b λ_b·(1 − load_b)`.
+    base: f64,
+    /// The rounding bound added to every candidate's bound.
+    margin: f64,
+    /// Per budget: load, whether a member sits strictly inside
+    /// `(0, 1)`, and the least full-share marginal value of its
+    /// saturated members (`∞` without one).
+    load: Vec<f64>,
+    interior: Vec<bool>,
+    saturated: Vec<f64>,
+}
+
+impl Prices {
+    fn new(soa: &SoaProblem) -> Self {
+        let (mut magnitude_sum, mut magnitude_max) = (0.0, 0.0f64);
+        for j in 0..soa.num_users() {
+            let w = soa.w(j);
+            let widest = soa.r_mbs(j).max(soa.fbs_rate(j));
+            let magnitude = w.ln().abs().max((w + widest).ln().abs());
+            magnitude_sum += magnitude;
+            magnitude_max = magnitude_max.max(magnitude);
+        }
+        Self {
+            magnitude_sum,
+            magnitude_max,
+            swap: Vec::new(),
+            flip: Vec::new(),
+            base: 0.0,
+            margin: 0.0,
+            load: Vec::new(),
+            interior: Vec::new(),
+            saturated: Vec::new(),
+        }
+    }
+
+    /// Prices every user at `fill`'s water levels.
+    fn update(&mut self, soa: &SoaProblem, fill: &IncrementalFill) {
+        let n_budgets = fill.lambdas.len();
+        self.load.clear();
+        self.load.resize(n_budgets, 0.0);
+        self.interior.clear();
+        self.interior.resize(n_budgets, false);
+        self.saturated.clear();
+        self.saturated.resize(n_budgets, f64::INFINITY);
+        for (j, a) in fill.users.iter().enumerate() {
+            let b = budget_of(soa, j, a.mode);
+            let rho = a.rho();
+            self.load[b] += rho;
+            if rho == 1.0 {
+                let (s, c) = branch_of(soa, j, a.mode);
+                self.saturated[b] = self.saturated[b].min(s * c / (soa.w(j) + c));
+            } else if rho > 0.0 {
+                self.interior[b] = true;
+            }
+        }
+        let mut slack = 0.0;
+        let mut weighted = 0.0;
+        let mut lambda_max: f64 = 0.0;
+        for (&lambda, &load) in fill.lambdas.iter().zip(&self.load) {
+            slack += lambda * (1.0 - load);
+            weighted += lambda * (1.0 + load);
+            lambda_max = lambda_max.max(lambda);
+        }
+        self.swap.clear();
+        self.flip.clear();
+        for (j, a) in fill.users.iter().enumerate() {
+            let w = soa.w(j);
+            let (s, c) = branch_of(soa, j, a.mode);
+            let here =
+                lagrangian::branch_value(s, fill.lambdas[budget_of(soa, j, a.mode)], w, c, a.rho());
+            let there = flip(a.mode);
+            let (s, c) = branch_of(soa, j, there);
+            let away = |lambda: f64| {
+                let rho = lagrangian::best_share(s, lambda, w, c);
+                lagrangian::branch_value(s, lambda, w, c, rho) - here
+            };
+            let b = budget_of(soa, j, there);
+            let lambda = fill.lambdas[b];
+            let swap = away(lambda);
+            let raised = self.saturated[b];
+            let flip = if !self.interior[b] && raised.is_finite() && raised > lambda {
+                lambda_max = lambda_max.max(raised);
+                away(raised)
+            } else {
+                swap
+            };
+            self.swap.push(swap);
+            self.flip.push(flip);
+        }
+        let n = fill.users.len();
+        let u = UNIT_ROUNDOFF;
+        self.margin = (2.0 * gamma(n) + 18.0 * u) * (self.magnitude_sum + n as f64)
+            + (3.0 * gamma(n + n_budgets + 2) + 4.0 * u) * weighted
+            + (gamma(n) + 53.0 * u) * (self.magnitude_max + 1.0 + lambda_max);
+        self.base = fill.value() + slack;
+    }
+
+    /// Whether a candidate whose movers' reduced costs sum to
+    /// `reduced_cost` could fill to more than `threshold`. A bound that
+    /// is NaN admits the candidate.
+    fn admits(&self, reduced_cost: f64, threshold: f64) -> bool {
+        let bound = self.base + reduced_cost + self.margin;
+        bound > threshold || bound.is_nan()
     }
 }
 
@@ -1042,7 +1281,8 @@ mod tests {
         /// budget per candidate with the oracle's fills returns: the
         /// same mode and the same bits in every share, from a fill or
         /// from a non-fill start, with and without the swap
-        /// neighborhood.
+        /// neighborhood. From a fill, the dual's fill-once entry point
+        /// returns the same bits.
         #[test]
         fn incremental_polish_is_bit_identical_to_full_refill(
             users in arb_users(),
@@ -1063,14 +1303,18 @@ mod tests {
                 solver.fill_given_modes(&p, &modes)
             };
             let got = solver.polish(&p, start.clone());
+            if !idle_start {
+                let once = solver.fill_and_polish(&p, &modes);
+                prop_assert!(same_bits(once.users(), got.users()), "{once:?} vs {got:?}");
+            }
             let want = oracle::polish(&solver, &p, start);
             prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
         }
 
         /// One candidate, checked directly: refilling the budgets two
-        /// mode changes touch yields the full fill of the new modes and
-        /// the bits of `SlotProblem::objective` on it, and undo restores
-        /// the old fill and its objective.
+        /// mode changes touch yields the full fill of the new modes, its
+        /// water levels and the bits of `SlotProblem::objective` on it,
+        /// and undo restores the old fill, levels and objective.
         #[test]
         fn refill_is_a_full_fill_and_undo_restores_it(
             users in arb_users(),
@@ -1083,8 +1327,8 @@ mod tests {
             let solver = WaterfillingSolver::default();
             let soa = SoaProblem::from_problem(&p);
             let mut scratch = FillScratch::new();
-            let before = solver.fill_soa(&soa, &modes, &mut scratch).0;
-            let mut fill = IncrementalFill::new(&p, &before);
+            let (before, lambdas) = solver.fill_soa(&soa, &modes, &mut scratch);
+            let mut fill = IncrementalFill::new(&p, &before, lambdas.clone());
             let (j, k) = (j % p.num_users(), k % p.num_users());
             let changed = if j == k { vec![j] } else { vec![j, k] };
             let mut moved = modes.clone();
@@ -1095,12 +1339,14 @@ mod tests {
                 };
             }
             let value = solver.refill(&p, &soa, &moved, &mut scratch, &mut fill, &changed);
-            let full = solver.fill_soa(&soa, &moved, &mut scratch).0;
+            let (full, full_lambdas) = solver.fill_soa(&soa, &moved, &mut scratch);
             prop_assert!(same_bits(&fill.users, full.users()));
             prop_assert_eq!(value.to_bits(), p.objective(&full).to_bits());
+            prop_assert_eq!(bits(&fill.lambdas), bits(&full_lambdas));
             fill.undo();
             prop_assert!(same_bits(&fill.users, before.users()));
             prop_assert_eq!(fill.value().to_bits(), p.objective(&before).to_bits());
+            prop_assert_eq!(bits(&fill.lambdas), bits(&lambdas));
         }
     }
 
@@ -1264,6 +1510,217 @@ mod tests {
             let solved = solver.solve(&p);
             assert!(p.is_feasible(&solved, 0.0), "{solved:?}");
         }
+    }
+
+    /// A distinct user of a near-tie instance: `w` in (0.05, 1), where
+    /// `ln w < 0`; FBS (taken modulo the FBS count); MBS and FBS rates
+    /// and successes, each sometimes zero.
+    fn arb_near_tie_user() -> impl Strategy<Value = (f64, usize, f64, f64, f64, f64)> {
+        (
+            0.05..1.0f64,
+            0..6usize,
+            zero_or(0.1..=1.0),
+            zero_or(0.1..=1.0),
+            zero_or(0.05..=1.0),
+            zero_or(0.05..=1.0),
+        )
+    }
+
+    /// Users as copies of the distinct ones (index taken modulo their
+    /// count), each starting in FBS mode or not.
+    fn arb_copies(
+        len: std::ops::RangeInclusive<usize>,
+    ) -> impl Strategy<Value = Vec<(usize, bool)>> {
+        proptest::collection::vec((0..6usize, proptest::bool::ANY), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pruned polish and solve return the oracle's bits on
+        /// instances built to sit on the pruning rule's edges: copies
+        /// of a few users (a swap of two copies ties exactly, with
+        /// reduced costs that cancel), members with zero rates or
+        /// successes and FBSs with `G = 0` (zero shares), FBSs with no
+        /// member or a lone beneficiary (budgets at λ = 0), `w < 1`, and
+        /// one instance in four with 9 to 64 users, whose rounding
+        /// margin passes the 1e-12 acceptance step. Swaps on and off;
+        /// the polish from a fill and from a non-fill start.
+        #[test]
+        fn pruning_is_bit_identical_to_the_oracle_on_near_ties(
+            distinct in proptest::collection::vec(arb_near_tie_user(), 1..=6),
+            few in arb_copies(1..=8),
+            many in arb_copies(9..=64),
+            pick_many in 0..4u8,
+            g in arb_g(),
+            num_fbss in 1..=6usize,
+            idle_start in proptest::bool::ANY,
+            swaps in proptest::bool::ANY,
+        ) {
+            let copies = if pick_many == 0 { &many } else { &few };
+            let users: Vec<UserSpec> = copies
+                .iter()
+                .map(|&(k, fbs_mode)| {
+                    let (w, fbs, r0, r1, s0, s1) = distinct[k % distinct.len()];
+                    (w, fbs, r0, r1, s0, s1, fbs_mode)
+                })
+                .collect();
+            let (p, modes) = instance(&users, &g, num_fbss);
+            let default = WaterfillingSolver::default();
+            let solver = WaterfillingSolver {
+                swap_users_up_to: if swaps { default.swap_users_up_to } else { 0 },
+                ..default
+            };
+            let start = if idle_start {
+                Allocation::idle(p.num_users())
+            } else {
+                solver.fill_given_modes(&p, &modes)
+            };
+            let got = solver.polish(&p, start.clone());
+            let want = oracle::polish(&solver, &p, start);
+            prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+            let got = solver.solve(&p);
+            let (want, _) = oracle::solve(&solver, &p);
+            prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        }
+    }
+
+    /// The fill of `modes` as the polish holds it, and its prices.
+    fn priced(p: &SlotProblem, modes: &[Mode]) -> (IncrementalFill, Prices) {
+        let soa = SoaProblem::from_problem(p);
+        let solver = WaterfillingSolver::default();
+        let (fill, lambdas) = solver.fill_soa(&soa, modes, &mut FillScratch::new());
+        let fill = IncrementalFill::new(p, &fill, lambdas);
+        let mut prices = Prices::new(&soa);
+        prices.update(&soa, &fill);
+        (fill, prices)
+    }
+
+    /// The objective of the fill of `modes`: what a refill scores.
+    fn filled_value(p: &SlotProblem, modes: &[Mode]) -> f64 {
+        p.objective(&WaterfillingSolver::default().fill_given_modes(p, modes))
+    }
+
+    /// User 0 owns a strong FBS link; users 1 and 2 share the MBS and
+    /// have weak FBS links. With user 0 alone in FBS mode, it takes the
+    /// whole FBS budget at λ = 0.
+    fn lone_beneficiary_problem() -> SlotProblem {
+        SlotProblem::single_fbs(
+            vec![
+                UserState::new(30.0, FbsId(0), 0.72, 3.0, 0.9, 0.9).unwrap(),
+                UserState::new(30.0, FbsId(0), 0.72, 0.1, 0.9, 0.9).unwrap(),
+                UserState::new(28.0, FbsId(0), 0.72, 0.1, 0.9, 0.9).unwrap(),
+            ],
+            1.0,
+        )
+        .unwrap()
+    }
+
+    const LONE: [Mode; 3] = [Mode::Fbs, Mode::Mbs, Mode::Mbs];
+
+    /// Flipping the lone beneficiary onto the shared MBS budget: its
+    /// reduced cost at the plain levels rules the flip out (the MBS
+    /// budget has interior members, so no level is raised), and the
+    /// refill would indeed have rejected it.
+    #[test]
+    fn a_flip_its_reduced_cost_rules_out_is_pruned() {
+        let p = lone_beneficiary_problem();
+        let (fill, prices) = priced(&p, &LONE);
+        let threshold = fill.value() + 1e-12;
+        assert_eq!(prices.flip[0].to_bits(), prices.swap[0].to_bits());
+        assert!(prices.flip[0] < 0.0, "{}", prices.flip[0]);
+        assert!(!prices.admits(prices.flip[0], threshold));
+        assert!(filled_value(&p, &[Mode::Mbs; 3]) <= threshold);
+    }
+
+    /// Flipping user 1 into the FBS budget user 0 fills alone at λ = 0:
+    /// at λ = 0 the flip looks like a free full share and the plain
+    /// levels admit it, but priced up to user 0's full-share marginal
+    /// value it is ruled out, and the refill would have rejected it.
+    #[test]
+    fn a_flip_into_a_lone_beneficiarys_budget_is_pruned_at_the_raised_level() {
+        let p = lone_beneficiary_problem();
+        let (fill, prices) = priced(&p, &LONE);
+        let threshold = fill.value() + 1e-12;
+        assert_eq!(fill.lambdas[1], 0.0, "user 0 fills FBS 0 alone");
+        assert_eq!(fill.users[0].rho_fbs, 1.0);
+        assert!(prices.admits(prices.swap[1], threshold), "plain level");
+        assert!(!prices.admits(prices.flip[1], threshold), "raised level");
+        assert!(filled_value(&p, &[Mode::Fbs, Mode::Fbs, Mode::Mbs]) <= threshold);
+    }
+
+    /// Swapping the lone beneficiary with an MBS user: the two reduced
+    /// costs rule the swap out, and the refill would have rejected it.
+    #[test]
+    fn a_swap_its_reduced_costs_rule_out_is_pruned() {
+        let p = lone_beneficiary_problem();
+        let (fill, prices) = priced(&p, &LONE);
+        let threshold = fill.value() + 1e-12;
+        assert!(!prices.admits(prices.swap[0] + prices.swap[1], threshold));
+        assert!(filled_value(&p, &[Mode::Mbs, Mode::Fbs, Mode::Mbs]) <= threshold);
+    }
+
+    /// With everyone on the MBS, the empty FBS budget sits at λ = 0 with
+    /// no saturated member, so no level is raised: the flip of user 0
+    /// there is admitted, refilled and kept, as the oracle keeps it.
+    #[test]
+    fn a_flip_its_prices_cannot_rule_out_is_refilled_and_kept() {
+        let p = lone_beneficiary_problem();
+        let all_mbs = [Mode::Mbs; 3];
+        let (fill, prices) = priced(&p, &all_mbs);
+        let threshold = fill.value() + 1e-12;
+        assert_eq!(prices.flip[0].to_bits(), prices.swap[0].to_bits());
+        assert!(prices.admits(prices.flip[0], threshold));
+        assert!(filled_value(&p, &LONE) > threshold);
+        let solver = WaterfillingSolver::default();
+        let start = solver.fill_given_modes(&p, &all_mbs);
+        let got = solver.polish(&p, start.clone());
+        assert_eq!(got.user(0).mode, Mode::Fbs);
+        let want = oracle::polish(&solver, &p, start);
+        assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+    }
+
+    /// `n` copies of one paper-like user, alternating between the MBS
+    /// and the FBS.
+    fn copies(n: usize) -> (SlotProblem, Vec<Mode>) {
+        let p = SlotProblem::single_fbs(vec![user(30.2, 0.9, 0.85); n], 3.0).unwrap();
+        let modes = (0..n)
+            .map(|j| if j % 2 == 0 { Mode::Mbs } else { Mode::Fbs })
+            .collect();
+        (p, modes)
+    }
+
+    /// Swapping two copies of one user leaves the fill's value as it
+    /// is up to rounding, and their reduced costs cancel exactly. At
+    /// the paper's 9 users the margin is below the 1e-12 acceptance
+    /// step, so the swap is pruned; at the dual's 2 000 users the folds
+    /// of 2 000 terms can round past the step and the swap is refilled.
+    #[test]
+    fn a_zero_reduced_cost_move_is_pruned_at_9_users_and_refilled_at_2000() {
+        for (n, admitted) in [(9, false), (2000, true)] {
+            let (p, modes) = copies(n);
+            let (fill, prices) = priced(&p, &modes);
+            assert_eq!(prices.swap[0] + prices.swap[1], 0.0);
+            assert_eq!(
+                prices.admits(prices.swap[0] + prices.swap[1], fill.value() + 1e-12),
+                admitted,
+                "n = {n}: margin {:e}",
+                prices.margin
+            );
+        }
+        let (p, modes) = copies(9);
+        let mut swapped = modes.clone();
+        swapped.swap(0, 1);
+        assert!(filled_value(&p, &swapped) <= filled_value(&p, &modes) + 1e-12);
+    }
+
+    /// A bound that is NaN (an overflowed level, say) proves nothing, so
+    /// it admits its candidate.
+    #[test]
+    fn a_nan_bound_admits_its_candidate() {
+        let (fill, prices) = priced(&paper_like_problem(), &[Mode::Fbs; 3]);
+        assert!(prices.admits(f64::NAN, fill.value()));
+        assert!(!prices.admits(f64::NEG_INFINITY, fill.value()));
     }
 
     proptest! {

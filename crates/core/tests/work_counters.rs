@@ -34,7 +34,7 @@ fn fig5(weights: Vec<f64>) -> InterferingProblem {
     .unwrap()
 }
 
-const COUNTERS: [&str; 7] = [
+const COUNTERS: [&str; 9] = [
     "greedy.inner_solves",
     "greedy.q_memo_hits",
     "waterfill.solves",
@@ -42,6 +42,8 @@ const COUNTERS: [&str; 7] = [
     "waterfill.budget_fills",
     "waterfill.bisection_steps",
     "waterfill.fill_memo_hits",
+    "waterfill.polish_refills",
+    "waterfill.polish_pruned",
 ];
 
 /// What `work` counts, alone on a fresh, enabled sink.
@@ -57,7 +59,7 @@ fn counted(work: impl FnOnce()) -> TelemetrySnapshot {
 }
 
 /// The solver counters `work` adds, in the order of [`COUNTERS`].
-fn counts(work: impl FnOnce()) -> [u64; 7] {
+fn counts(work: impl FnOnce()) -> [u64; 9] {
     let snapshot = counted(work);
     COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0))
 }
@@ -75,9 +77,11 @@ fn fig5_greedy_work_counts_are_exact() {
     // the memo. With channels 0 and 2 sharing a posterior, 4 of the
     // trials repeat a G vector already solved in their step. Every
     // budget fill is counted, but only a fill the run has not made
-    // before bisects; the others are replayed.
-    assert_eq!(distinct, [53, 0, 54, 183, 3178, 4308, 3010]);
-    assert_eq!(repeated, [49, 4, 50, 171, 2972, 4149, 2815]);
+    // before bisects; the others are replayed. The polishes refill only
+    // the candidates their fills' prices cannot rule out: 155 of 1 005
+    // and 147 of 942.
+    assert_eq!(distinct, [53, 0, 54, 183, 1118, 2310, 1007, 155, 850]);
+    assert_eq!(repeated, [49, 4, 50, 171, 1049, 2151, 946, 147, 795]);
     for [inner_solves, memo_hits, solves, ..] in [distinct, repeated] {
         assert_eq!(inner_solves + memo_hits, 53, "each Q is solved or recalled");
         assert_eq!(
@@ -94,11 +98,12 @@ fn incremental_greedy_work_counts_are_exact() {
     let got = counts(|| {
         GreedyAllocator::new().incremental(true).allocate(&problem);
     });
-    assert_eq!(got, [28, 0, 29, 101, 1518, 3718, 1381]);
+    assert_eq!(got, [28, 0, 29, 101, 510, 1828, 432, 42, 405]);
 }
 
 /// A standalone solve fills every budget it needs: nothing outside a
-/// greedy run replays a fill.
+/// greedy run replays a fill. Its polish refills 10 of its 36
+/// candidates.
 #[test]
 fn a_standalone_solve_replays_no_fill() {
     let mut assignment = ChannelAssignment::empty(3, 4);
@@ -109,11 +114,14 @@ fn a_standalone_solve_replays_no_fill() {
     let got = counts(|| {
         WaterfillingSolver::new().solve(&problem);
     });
-    assert_eq!(got, [0, 0, 1, 2, 92, 3064, 0]);
+    assert_eq!(got, [0, 0, 1, 2, 32, 967, 0, 10, 26]);
 }
 
 /// One Table I solve: the subgradient iterations it ran, as the solve
-/// reports them and as the counter adds them up.
+/// reports them and as the counter adds them up, and the primal
+/// recovery's work. The recovery fills the converged modes once (two
+/// budgets) and polishes from that fill, whose prices rule out all five
+/// of its candidates.
 #[test]
 fn a_table1_solve_counts_its_dual_iterations() {
     let user = |w: f64, s0: f64, s1: f64| UserState::new(w, FbsId(0), 0.72, 0.72, s0, s1).unwrap();
@@ -134,4 +142,6 @@ fn a_table1_solve_counts_its_dual_iterations() {
     });
     assert_eq!(iterations, 667);
     assert_eq!(snapshot.counter("dual.iterations"), Some(667));
+    let recovery = COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0));
+    assert_eq!(recovery, [0, 0, 0, 0, 2, 54, 0, 0, 5]);
 }
