@@ -60,7 +60,6 @@ pub fn run(params: &RuntimeParams) -> BenchEnvelope {
     let mut config = RuntimeConfig::default();
     if params.workers > 0 {
         config.workers = params.workers;
-        config.max_workers = params.workers;
     }
     let runtime = Runtime::with_config(config);
 

@@ -77,7 +77,6 @@ pub fn run(params: &ScenarioParams) -> BenchEnvelope {
         },
         Arc::new(Runtime::with_config(RuntimeConfig {
             workers: params.workers,
-            max_workers: params.workers,
             ..RuntimeConfig::default()
         })),
     );

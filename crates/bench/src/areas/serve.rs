@@ -66,7 +66,6 @@ pub fn run(params: &ServeParams) -> BenchEnvelope {
     let mut config = RuntimeConfig::default();
     if params.workers > 0 {
         config.workers = params.workers;
-        config.max_workers = params.workers;
     }
     let runtime = Arc::new(Runtime::with_config(config));
     let service = Service::new(

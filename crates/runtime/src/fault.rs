@@ -18,16 +18,12 @@
 //!   (counting every execution, chaos jobs included). This perturbs
 //!   execution/completion interleavings without altering any job's
 //!   output.
-//! * **Resizes** ([`FaultKind::Resize`]) force the pool to
-//!   grow/shrink to a target worker count right before the `at`-th
-//!   user submission, simulating autoscaler storms at adversarial
-//!   points.
 //!
 //! Faults fire **exactly once**: each is keyed by a monotone sequence
-//! number (submission order for panics/resizes, execution order for
-//! delays) and removed from the plan when consumed. The plan keeps
-//! counters so tests can assert via [`FaultPlan::report`] that every
-//! scheduled fault actually fired.
+//! number (submission order for panics, execution order for delays)
+//! and removed from the plan when consumed. The plan keeps counters so
+//! tests can assert via [`FaultPlan::report`] that every scheduled
+//! fault actually fired.
 //!
 //! Plans are either hand-built ([`FaultPlan::new`]) or derived
 //! deterministically from a seed ([`FaultPlan::seeded`]) using an
@@ -46,15 +42,12 @@ pub enum FaultKind {
     WorkerPanic,
     /// Stall the executing worker for the given duration.
     Delay(Duration),
-    /// Force a resize to the given worker count (clamped to the
-    /// runtime's `[min_workers, max_workers]` band).
-    Resize(usize),
 }
 
 /// A fault scheduled at a specific point in the pool's lifetime.
 ///
-/// `at` counts *user submissions* for `WorkerPanic`/`Resize` faults
-/// and *task executions* for `Delay` faults, both starting at 0.
+/// `at` counts *user submissions* for `WorkerPanic` faults and *task
+/// executions* for `Delay` faults, both starting at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Sequence number at which the fault fires (see type docs).
@@ -75,10 +68,6 @@ pub struct FaultSpec {
     pub delays: u32,
     /// Upper bound (exclusive cap) for each random delay.
     pub max_delay: Duration,
-    /// How many forced resizes to schedule.
-    pub resizes: u32,
-    /// Inclusive worker-count band resize targets are drawn from.
-    pub worker_bounds: (usize, usize),
 }
 
 impl Default for FaultSpec {
@@ -88,19 +77,8 @@ impl Default for FaultSpec {
             panics: 3,
             delays: 4,
             max_delay: Duration::from_millis(5),
-            resizes: 2,
-            worker_bounds: (1, 4),
         }
     }
-}
-
-/// Faults fired at the submission seam.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SubmissionFault {
-    /// Enqueue a chaos job that panics.
-    Panic,
-    /// Force a resize to the given worker count.
-    Resize(usize),
 }
 
 /// Summary of a plan's progress, from [`FaultPlan::report`].
@@ -112,8 +90,6 @@ pub struct FaultReport {
     pub panics_injected: u64,
     /// Execution delays applied so far.
     pub delays_injected: u64,
-    /// Forced resizes applied so far.
-    pub resizes_injected: u64,
     /// Faults still scheduled but not yet fired.
     pub pending: u64,
 }
@@ -121,7 +97,7 @@ pub struct FaultReport {
 impl FaultReport {
     /// Total faults fired so far.
     pub fn total_injected(&self) -> u64 {
-        self.panics_injected + self.delays_injected + self.resizes_injected
+        self.panics_injected + self.delays_injected
     }
 }
 
@@ -129,15 +105,14 @@ impl FaultReport {
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    /// Submission-seam faults, keyed by user-submission sequence.
-    submission: Mutex<BTreeMap<u64, Vec<SubmissionFault>>>,
+    /// Chaos panics to inject, counted per user-submission sequence.
+    panics: Mutex<BTreeMap<u64, u64>>,
     /// Execution delays, keyed by task-execution sequence.
     delays: Mutex<BTreeMap<u64, Duration>>,
     submitted: AtomicU64,
     executed: AtomicU64,
     panics_injected: AtomicU64,
     delays_injected: AtomicU64,
-    resizes_injected: AtomicU64,
 }
 
 impl FaultPlan {
@@ -153,8 +128,6 @@ impl FaultPlan {
         let mut state = seed;
         let mut next = move || splitmix64(&mut state);
         let jobs = spec.jobs.max(1);
-        let (lo, hi) = spec.worker_bounds;
-        let (lo, hi) = (lo.max(1), hi.max(lo.max(1)));
         let mut events = Vec::new();
         for _ in 0..spec.panics {
             events.push(FaultEvent {
@@ -169,29 +142,15 @@ impl FaultPlan {
                 kind: FaultKind::Delay(Duration::from_micros(next() % span + 1)),
             });
         }
-        for _ in 0..spec.resizes {
-            let target = lo + (next() as usize) % (hi - lo + 1);
-            events.push(FaultEvent {
-                at: next() % jobs,
-                kind: FaultKind::Resize(target),
-            });
-        }
         Self::from_events(seed, &events)
     }
 
     fn from_events(seed: u64, events: &[FaultEvent]) -> Self {
-        let mut submission: BTreeMap<u64, Vec<SubmissionFault>> = BTreeMap::new();
+        let mut panics: BTreeMap<u64, u64> = BTreeMap::new();
         let mut delays: BTreeMap<u64, Duration> = BTreeMap::new();
         for ev in events {
             match ev.kind {
-                FaultKind::WorkerPanic => submission
-                    .entry(ev.at)
-                    .or_default()
-                    .push(SubmissionFault::Panic),
-                FaultKind::Resize(n) => submission
-                    .entry(ev.at)
-                    .or_default()
-                    .push(SubmissionFault::Resize(n)),
+                FaultKind::WorkerPanic => *panics.entry(ev.at).or_default() += 1,
                 FaultKind::Delay(d) => {
                     // Collapse colliding delay keys by accumulation so
                     // no scheduled delay is silently lost.
@@ -202,13 +161,12 @@ impl FaultPlan {
         }
         FaultPlan {
             seed,
-            submission: Mutex::new(submission),
+            panics: Mutex::new(panics),
             delays: Mutex::new(delays),
             submitted: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             panics_injected: AtomicU64::new(0),
             delays_injected: AtomicU64::new(0),
-            resizes_injected: AtomicU64::new(0),
         }
     }
 
@@ -219,28 +177,27 @@ impl FaultPlan {
 
     /// Progress snapshot: what fired, what is still pending.
     pub fn report(&self) -> FaultReport {
-        let pending_sub: u64 = self
-            .submission
+        let pending_panics: u64 = self
+            .panics
             .lock()
             .expect("fault plan poisoned")
             .values()
-            .map(|v| v.len() as u64)
             .sum();
         let pending_del = self.delays.lock().expect("fault plan poisoned").len() as u64;
         FaultReport {
             seed: self.seed,
             panics_injected: self.panics_injected.load(Ordering::Relaxed),
             delays_injected: self.delays_injected.load(Ordering::Relaxed),
-            resizes_injected: self.resizes_injected.load(Ordering::Relaxed),
-            pending: pending_sub + pending_del,
+            pending: pending_panics + pending_del,
         }
     }
 
-    /// Called by the pool once per *user* submission; returns any
-    /// faults scheduled at this submission index (each exactly once).
-    pub(crate) fn take_submission_faults(&self) -> Vec<SubmissionFault> {
+    /// Called by the pool once per *user* submission; returns how many
+    /// chaos panics are scheduled at this submission index (each fires
+    /// exactly once).
+    pub(crate) fn take_submission_panics(&self) -> u64 {
         let seq = self.submitted.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.submission.lock().expect("fault plan poisoned");
+        let mut map = self.panics.lock().expect("fault plan poisoned");
         map.remove(&seq).unwrap_or_default()
     }
 
@@ -260,10 +217,6 @@ impl FaultPlan {
 
     pub(crate) fn note_panic_injected(&self) {
         self.panics_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_resize_injected(&self) {
-        self.resizes_injected.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -286,21 +239,7 @@ mod tests {
         let spec = FaultSpec::default();
         let a = FaultPlan::seeded(42, &spec);
         let b = FaultPlan::seeded(42, &spec);
-        let sub_a: Vec<_> = a
-            .submission
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (*k, v.len()))
-            .collect();
-        let sub_b: Vec<_> = b
-            .submission
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (*k, v.len()))
-            .collect();
-        assert_eq!(sub_a, sub_b);
+        assert_eq!(*a.panics.lock().unwrap(), *b.panics.lock().unwrap());
         let del_a: Vec<_> = a
             .delays
             .lock()
@@ -325,13 +264,12 @@ mod tests {
             jobs: 1_000_000,
             panics: 8,
             delays: 8,
-            resizes: 8,
             ..FaultSpec::default()
         };
         let a = FaultPlan::seeded(1, &spec);
         let b = FaultPlan::seeded(2, &spec);
-        let keys_a: Vec<u64> = a.submission.lock().unwrap().keys().copied().collect();
-        let keys_b: Vec<u64> = b.submission.lock().unwrap().keys().copied().collect();
+        let keys_a: Vec<u64> = a.panics.lock().unwrap().keys().copied().collect();
+        let keys_b: Vec<u64> = b.panics.lock().unwrap().keys().copied().collect();
         assert_ne!(keys_a, keys_b);
     }
 
@@ -344,16 +282,17 @@ mod tests {
             },
             FaultEvent {
                 at: 1,
-                kind: FaultKind::Resize(3),
+                kind: FaultKind::WorkerPanic,
             },
             FaultEvent {
                 at: 0,
                 kind: FaultKind::Delay(Duration::from_micros(10)),
             },
         ]);
-        assert!(plan.take_submission_faults().is_empty()); // submission 0
-        assert_eq!(plan.take_submission_faults().len(), 2); // submission 1
-        assert!(plan.take_submission_faults().is_empty()); // submission 2
+        assert_eq!(plan.report().pending, 3);
+        assert_eq!(plan.take_submission_panics(), 0); // submission 0
+        assert_eq!(plan.take_submission_panics(), 2); // submission 1
+        assert_eq!(plan.take_submission_panics(), 0); // submission 2
         assert_eq!(plan.next_execution_delay(), Some(Duration::from_micros(10))); // execution 0
         assert_eq!(plan.next_execution_delay(), None); // execution 1
         let report = plan.report();

@@ -11,19 +11,12 @@
 //!
 //! # Architecture
 //!
-//! * **[`Runtime`]** — an **elastic** worker pool sized by
-//!   [`std::thread::available_parallelism`] (overridable via
-//!   [`RuntimeConfig`]). Workers never exceed the configured
-//!   `max_workers` ceiling — a hard concurrency cap regardless of how
-//!   many jobs are submitted — and the active count can grow/shrink
-//!   ([`Runtime::resize`] / [`Runtime::autoscale`] / the always-on
-//!   background loop started by [`Runtime::start_autoscaler`] or
-//!   [`RuntimeConfig::autoscale`]) within `[min_workers,
-//!   max_workers]`, driven by queue depth and per-worker utilization
-//!   (in-flight jobs included, so long shards never read as idle).
-//!   Loop steps respect an [`AutoscaleConfig`] cooldown so a grow is
-//!   never immediately undone by a shrink; every applied step is a
-//!   [`ResizeEvent`] tagged with its [`ResizeTrigger`] provenance.
+//! * **[`Runtime`]** — a pool of exactly `workers` threads, sized by
+//!   [`std::thread::available_parallelism`] unless [`RuntimeConfig`]
+//!   says otherwise. The count is fixed from construction to
+//!   shutdown: a hard concurrency cap regardless of how many jobs are
+//!   submitted. A parked worker costs nothing, so the pool never
+//!   resizes.
 //! * **[`Priority`]** — jobs carry a service class
 //!   ([`PriorityClass::Urgent`] / `Normal` / `Bulk`) plus an optional
 //!   absolute deadline; the run queue keeps one deque per class,
@@ -37,7 +30,7 @@
 //! * **One bounded run queue** — every worker pops the same queue,
 //!   under the lock it parks on, so a freed worker always takes the
 //!   most urgent queued job. The queue holds at most
-//!   `active workers × queue_capacity` jobs.
+//!   `workers × queue_capacity` jobs.
 //! * **Backpressure** — [`Runtime::spawn`] blocks the submitter while
 //!   the queue is full; [`Runtime::try_spawn_with`] instead drops the
 //!   job and returns a [`RejectedJob`], leaving the policy (defer,
@@ -49,8 +42,8 @@
 //!   finishes every queued job before joining the workers.
 //! * **Deterministic fault injection** — a test pool built via
 //!   [`Runtime::with_faults`] replays a seeded [`FaultPlan`] (chaos
-//!   panic jobs, worker execution delays, forced resize storms) at
-//!   exact submission/execution indices, so `fcr-testkit` can prove
+//!   panic jobs and worker execution delays) at exact
+//!   submission/execution indices, so `fcr-testkit` can prove
 //!   zero job loss/duplication and bit-identical results under
 //!   adversarial schedules. Production pools carry no plan and pay
 //!   one `Option` branch per seam.
@@ -58,7 +51,9 @@
 //!   (jobs submitted / completed / failed / rejected, queue depth,
 //!   in-flight gauge, wall-time histogram, plus named domain counters
 //!   such as `slots_simulated`) snapshot-able mid-flight via
-//!   [`Runtime::snapshot`].
+//!   [`Runtime::snapshot`]. [`MetricsSnapshot`] documents the order
+//!   in which a finished job moves the counters and fulfils its
+//!   handle.
 //! * **Per-worker utilization** — each worker's busy time and
 //!   executed job count are tracked individually and exposed as
 //!   [`WorkerSnapshot`] rows (`busy_ns / lifetime_ns` = the worker's
@@ -109,6 +104,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, FaultSpec};
 pub use histogram::HistogramSnapshot;
 pub use job::{JobError, JobHandle, JobOutcome};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, WorkerSnapshot};
-pub use pool::{AutoscaleConfig, RejectedJob, Runtime, RuntimeConfig};
+pub use pool::{RejectedJob, Runtime, RuntimeConfig};
 pub use priority::{Priority, PriorityClass};
-pub use shard::{ResizeEvent, ResizeTrigger, ShardPolicy};
+pub use shard::ShardPolicy;

@@ -1,8 +1,10 @@
 //! The atomic metrics registry and its snapshots.
 //!
-//! Every counter is updated with relaxed atomics on the hot path;
+//! Every counter is updated with one atomic add on the hot path (a
+//! release add for the per-worker job count, relaxed for the rest);
 //! [`MetricsRegistry::snapshot`] can be taken from any thread
-//! mid-flight without pausing the pool.
+//! mid-flight without pausing the pool. [`MetricsSnapshot`] documents
+//! the order in which a finished job moves the counters.
 
 use crate::histogram::{AtomicHistogram, HistogramSnapshot};
 use std::collections::BTreeMap;
@@ -10,43 +12,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Sentinel for "no job currently executing" in
-/// [`WorkerStats::in_flight_since_ns`].
-const IDLE: u64 = u64::MAX;
-
 /// Live per-worker counters: how much wall time worker `i` spent
 /// executing jobs and how many jobs it ran.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WorkerStats {
     busy_ns: AtomicU64,
     jobs_executed: AtomicU64,
-    /// Registry-relative start time (ns since [`MetricsRegistry`]
-    /// construction) of the job this worker is executing right now, or
-    /// [`IDLE`]. Lets the autoscaler's utilization window see a
-    /// long-running job *while it runs* instead of only after it
-    /// completes.
-    in_flight_since_ns: AtomicU64,
-}
-
-impl WorkerStats {
-    fn new() -> Self {
-        WorkerStats {
-            busy_ns: AtomicU64::new(0),
-            jobs_executed: AtomicU64::new(0),
-            in_flight_since_ns: AtomicU64::new(IDLE),
-        }
-    }
 }
 
 /// Live counters for one [`crate::Runtime`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
     started_at: Instant,
-    /// Currently active worker count (elastic pools update this on
-    /// resize).
-    active_workers: AtomicU64,
-    /// Per-worker execution accounting, indexed by worker slot (sized
-    /// to the pool's `max_workers`).
+    /// Per-worker execution accounting, indexed by worker.
     worker_stats: Vec<WorkerStats>,
     /// Jobs accepted into the run queue.
     pub(crate) jobs_submitted: AtomicU64,
@@ -71,8 +49,7 @@ impl MetricsRegistry {
     pub(crate) fn new(workers: usize) -> Self {
         MetricsRegistry {
             started_at: Instant::now(),
-            active_workers: AtomicU64::new(workers as u64),
-            worker_stats: (0..workers).map(|_| WorkerStats::new()).collect(),
+            worker_stats: (0..workers).map(|_| WorkerStats::default()).collect(),
             jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
@@ -97,53 +74,8 @@ impl MetricsRegistry {
         )
     }
 
-    /// Records the pool's current active worker count (called by the
-    /// elastic resize path).
-    pub(crate) fn set_active_workers(&self, n: usize) {
-        self.active_workers.store(n as u64, Ordering::Relaxed);
-    }
-
-    /// Nanoseconds elapsed since the registry was built (the clock
-    /// in-flight job starts are stamped against).
-    pub(crate) fn ns_since_start(&self) -> u64 {
-        u64::try_from(self.started_at.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Total busy nanoseconds across every worker slot, **including**
-    /// the elapsed portion of jobs still executing — the raw signal
-    /// behind the autoscaler's delta-utilization reading.
-    ///
-    /// Counting in-flight elapsed time matters: `busy_ns` alone only
-    /// advances when a job *completes*, so a pool running long shards
-    /// would read ~0% utilization mid-job and get shrunk out from
-    /// under its own workload. The estimate is monotone
-    /// non-decreasing, so window deltas stay non-negative.
-    pub(crate) fn busy_ns_estimate(&self) -> u64 {
-        let now = self.ns_since_start();
-        self.worker_stats
-            .iter()
-            .map(|w| {
-                let completed = w.busy_ns.load(Ordering::Relaxed);
-                let since = w.in_flight_since_ns.load(Ordering::Relaxed);
-                let running = if since == IDLE {
-                    0
-                } else {
-                    now.saturating_sub(since)
-                };
-                completed.saturating_add(running)
-            })
-            .sum()
-    }
-
-    /// Marks worker `index` as having just started executing a job
-    /// (stamps the in-flight clock read by [`Self::busy_ns_estimate`]).
-    pub(crate) fn note_worker_start(&self, index: usize) {
-        if let Some(w) = self.worker_stats.get(index) {
-            w.in_flight_since_ns
-                .store(self.ns_since_start(), Ordering::Relaxed);
-        }
-    }
-
+    /// Counts one finished job. The pool calls this before it fulfils
+    /// the job's handle.
     pub(crate) fn record_job(&self, wall: Duration, ok: bool) {
         if ok {
             self.jobs_completed.fetch_add(1, Ordering::Relaxed);
@@ -154,19 +86,19 @@ impl MetricsRegistry {
     }
 
     /// Attributes one executed job and its wall time to worker
-    /// `index`.
+    /// `index`. The pool calls this after the job's task returned, so
+    /// after its handle was fulfilled; the release store pairs with the
+    /// snapshot's acquire load to carry that order to a poller.
     pub(crate) fn record_worker_job(&self, index: usize, busy: Duration) {
         if let Some(w) = self.worker_stats.get(index) {
             let ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
             w.busy_ns.fetch_add(ns, Ordering::Relaxed);
-            w.jobs_executed.fetch_add(1, Ordering::Relaxed);
-            // The job is done: stop counting it as in-flight.
-            w.in_flight_since_ns.store(IDLE, Ordering::Relaxed);
+            w.jobs_executed.fetch_add(1, Ordering::Release);
         }
     }
 
     /// A point-in-time copy of every counter. Safe to call while the
-    /// pool is running; relaxed loads may be mutually skewed by a few
+    /// pool is running; the loads may be mutually skewed by a few
     /// in-flight jobs.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let named = self
@@ -186,11 +118,11 @@ impl MetricsRegistry {
                 index,
                 busy_ns: w.busy_ns.load(Ordering::Relaxed),
                 lifetime_ns,
-                jobs_executed: w.jobs_executed.load(Ordering::Relaxed),
+                jobs_executed: w.jobs_executed.load(Ordering::Acquire),
             })
             .collect();
         MetricsSnapshot {
-            workers: self.active_workers.load(Ordering::Relaxed) as usize,
+            workers: self.worker_stats.len(),
             uptime,
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
@@ -237,29 +169,46 @@ impl WorkerSnapshot {
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`].
+///
+/// # Completion order
+///
+/// A worker runs a job in this order, and each step is visible to
+/// anyone who sees the next:
+///
+/// 1. the job returns or panics;
+/// 2. `jobs_completed` or `jobs_failed`, `job_wall_time` and
+///    `jobs_in_flight` move;
+/// 3. the job's handle is fulfilled;
+/// 4. the worker's `per_worker[].jobs_executed` and `busy_ns` move.
+///
+/// So a joiner that has joined every handle of a batch sees every job
+/// of it in the step-2 counters. A poller that sees a job in the
+/// step-4 counters can rely on its handle being finished: once the
+/// `jobs_executed` sum equals `jobs_submitted`, every handle is
+/// fulfilled. The converse does not hold: right after a join, the
+/// step-4 counters may still lag by the jobs whose workers have not
+/// got there yet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// **Active** worker count at snapshot time (elastic pools resize
-    /// this between batches; `per_worker.len()` is the slot count,
-    /// i.e. the pool's `max_workers`).
+    /// The pool's worker count, fixed at construction.
     pub workers: usize,
     /// Time since the pool was built.
     pub uptime: Duration,
     /// Jobs accepted into the run queue.
     pub jobs_submitted: u64,
-    /// Jobs that ran to completion.
+    /// Jobs that ran to completion (step 2 of the completion order).
     pub jobs_completed: u64,
-    /// Jobs whose closure panicked (contained).
+    /// Jobs whose closure panicked, contained (step 2).
     pub jobs_failed: u64,
     /// `try_spawn_with` submissions bounced by a full pool.
     pub jobs_rejected: u64,
     /// Jobs queued but not yet started.
     pub queue_depth: u64,
-    /// Jobs executing right now.
+    /// Jobs executing right now (step 2 leaves it).
     pub jobs_in_flight: u64,
-    /// Wall-clock time per executed job.
+    /// Wall-clock time per executed job (step 2).
     pub job_wall_time: HistogramSnapshot,
-    /// Per-worker execution accounting, indexed by worker.
+    /// Per-worker execution accounting, indexed by worker (step 4).
     pub per_worker: Vec<WorkerSnapshot>,
     /// Named domain counters (e.g. `slots_simulated`,
     /// `solver_invocations`), sorted by name.
@@ -342,31 +291,6 @@ mod tests {
             jobs_executed: 1,
         };
         assert_eq!(w.utilization(), 0.0);
-    }
-
-    #[test]
-    fn busy_estimate_counts_in_flight_elapsed_time() {
-        let m = MetricsRegistry::new(2);
-        // Nothing running, nothing completed: estimate is zero.
-        assert_eq!(m.busy_ns_estimate(), 0);
-        // Worker 0 starts a long job and has NOT finished it.
-        m.note_worker_start(0);
-        std::thread::sleep(Duration::from_millis(5));
-        let est = m.busy_ns_estimate();
-        assert!(
-            est >= 4_000_000,
-            "in-flight job invisible to the estimate: {est}ns"
-        );
-        // Completed busy time is unchanged until the job finishes.
-        assert_eq!(m.snapshot().per_worker[0].busy_ns, 0);
-        // Finishing the job moves it from in-flight to completed; the
-        // estimate stays monotone.
-        m.record_worker_job(0, Duration::from_millis(5));
-        let after = m.busy_ns_estimate();
-        assert!(after >= 5_000_000);
-        assert_eq!(m.snapshot().per_worker[0].busy_ns, 5_000_000);
-        // Out-of-range indices are ignored.
-        m.note_worker_start(9);
     }
 
     #[test]

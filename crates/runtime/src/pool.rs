@@ -1,66 +1,39 @@
-//! The elastic worker pool: one bounded priority run queue, blocking
-//! and non-blocking backpressure, panic containment, manual and
-//! always-on background autoscaling within configured bounds, and
-//! graceful shutdown.
+//! The worker pool: a fixed set of `workers` threads over one bounded
+//! priority run queue, with blocking and non-blocking backpressure,
+//! panic containment, and graceful shutdown.
 
-use crate::fault::{FaultPlan, FaultReport, SubmissionFault};
+use crate::fault::{FaultPlan, FaultReport};
 use crate::job::{panic_message, CompletionSlot, JobError, JobHandle, JobOutcome, Task};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::priority::Priority;
 use crate::queue::RunQueue;
-use crate::shard::{ResizeEvent, ResizeTrigger};
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Tuning for the always-on background autoscaler loop
-/// ([`Runtime::start_autoscaler`], or [`RuntimeConfig::autoscale`] to
-/// start it with the pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoscaleConfig {
-    /// How often the loop samples the pool and takes one
-    /// [`Runtime::autoscale`]-style step.
-    pub interval: Duration,
-    /// Hysteresis: after **any** resize, loop-triggered steps are
-    /// suppressed for this long, so a grow can't be immediately undone
-    /// by a shrink (and vice versa). Manual [`Runtime::autoscale`] /
-    /// [`Runtime::resize`] calls are never throttled.
-    pub cooldown: Duration,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            interval: Duration::from_millis(20),
-            cooldown: Duration::from_millis(200),
-        }
-    }
-}
+use std::time::Instant;
 
 /// Sizing knobs for a [`Runtime`].
+///
+/// A pool runs exactly `workers` threads from construction to
+/// shutdown. `min_workers`, `max_workers` and `autoscale` are no-ops:
+/// they remain only so that existing struct literals keep compiling,
+/// and nothing reads them. `autoscale` can only hold `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Number of worker threads started initially.
+    /// Number of worker threads, fixed for the pool's lifetime.
     pub workers: usize,
-    /// Run-queue capacity **per active worker**: the pool's one queue
-    /// holds at most `active workers * queue_capacity` jobs, so the
-    /// bound follows every resize.
+    /// Run-queue capacity per worker: the pool's one queue holds at
+    /// most `workers * queue_capacity` jobs.
     pub queue_capacity: usize,
-    /// Elastic floor: [`Runtime::resize`] / [`Runtime::autoscale`]
-    /// never shrink below this many workers. Clamped to
-    /// `1..=workers` at construction.
+    /// No-op; the pool always runs `workers` threads.
     pub min_workers: usize,
-    /// Elastic ceiling: the pool never grows beyond this many workers.
-    /// Raised to at least `workers` at construction.
+    /// No-op; the pool always runs `workers` threads.
     pub max_workers: usize,
-    /// When `Some`, the pool starts its background autoscaler thread
-    /// at construction (equivalent to calling
-    /// [`Runtime::start_autoscaler`] immediately). `None` (the
-    /// default) keeps sizing fully manual.
-    pub autoscale: Option<AutoscaleConfig>,
+    /// No-op; only `None` can fill it.
+    pub autoscale: Option<Infallible>,
 }
 
 impl Default for RuntimeConfig {
@@ -71,7 +44,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers,
             queue_capacity: 128,
-            min_workers: 1,
+            min_workers: workers,
             max_workers: workers,
             autoscale: None,
         }
@@ -82,46 +55,18 @@ impl Default for RuntimeConfig {
 struct PoolState {
     /// Every queued job, highest class and earliest deadline first.
     queue: RunQueue,
-    /// Number of currently active workers. Workers with
-    /// `index >= active` retire as soon as they are idle.
-    active: usize,
     shutdown: bool,
-}
-
-/// Baselines for delta-utilization readings between autoscale steps,
-/// plus the hysteresis timestamp for the background loop.
-struct AutoscaleState {
-    last_busy_ns: u64,
-    last_at: Instant,
-    /// When the most recent resize (manual or loop) was applied;
-    /// loop-triggered steps within the cooldown are skipped.
-    last_resize_at: Option<Instant>,
 }
 
 struct Shared {
     metrics: Arc<MetricsRegistry>,
     state: Mutex<PoolState>,
-    /// [`RuntimeConfig::queue_capacity`].
-    queue_capacity: usize,
+    /// Most jobs the queue holds: `workers * queue_capacity`.
+    capacity: usize,
     /// Signalled on enqueue; workers park here when idle.
     work_available: Condvar,
     /// Signalled on dequeue; blocked submitters park here.
     space_available: Condvar,
-    /// Worker slots, indexed by worker. `None` = never started or
-    /// joined; a `Some` at index ≥ active is a retired thread whose
-    /// handle is reclaimed lazily on the next grow (or at shutdown).
-    workers: Mutex<Vec<Option<JoinHandle<()>>>>,
-    min_workers: usize,
-    max_workers: usize,
-    autoscale_state: Mutex<AutoscaleState>,
-    /// Named counter `pool.resizes` (also visible in snapshots).
-    resizes: Arc<AtomicU64>,
-    /// Loop-triggered resize events awaiting collection by
-    /// [`Runtime::drain_resize_events`].
-    pending_resizes: Mutex<Vec<ResizeEvent>>,
-    /// Background autoscaler control: `true` asks the loop to exit.
-    scaler_stop: Mutex<bool>,
-    scaler_cv: Condvar,
     /// Deterministic fault schedule ([`Runtime::with_faults`]); `None`
     /// on production pools — the hooks below reduce to one branch.
     fault: Option<Arc<FaultPlan>>,
@@ -147,8 +92,7 @@ impl Shared {
                 drop(st);
                 panic!("cannot submit jobs to a runtime after shutdown");
             }
-            let capacity = st.active * self.queue_capacity;
-            match st.queue.try_push(capacity, priority, task) {
+            match st.queue.try_push(self.capacity, priority, task) {
                 Ok(()) => break,
                 Err(bounced) if block => {
                     task = bounced;
@@ -166,20 +110,12 @@ impl Shared {
         Ok(())
     }
 
-    /// Parks worker `index` until it has a job: the queue's
-    /// highest-class earliest-deadline one. `None` tells the worker to
-    /// exit — it was retired by a shrink, or the pool is shutting down
-    /// and the queue is empty.
-    fn next_task(&self, index: usize) -> Option<Task> {
+    /// Parks a worker until it has a job: the queue's highest-class
+    /// earliest-deadline one. `None` tells the worker to exit: the pool
+    /// is shutting down and the queue is empty.
+    fn next_task(&self) -> Option<Task> {
         let mut st = self.lock_state();
         loop {
-            if index >= st.active {
-                // Retired; the survivors drain the queue. A wake-up this
-                // worker absorbed on its way out needs no hand-off:
-                // `set_active` broadcasts after every change, and that
-                // broadcast reaches the survivors.
-                return None;
-            }
             if let Some(task) = st.queue.pop() {
                 self.metrics
                     .queue_depth
@@ -194,124 +130,10 @@ impl Shared {
             st = self.work_available.wait(st).expect("pool state poisoned");
         }
     }
-
-    /// Publishes a new active-worker count under the state lock, then
-    /// wakes everyone: parked workers re-check whether they retired,
-    /// and blocked submitters re-check the queue bound, which moved
-    /// with the count.
-    fn set_active(&self, target: usize) {
-        self.lock_state().active = target;
-        self.work_available.notify_all();
-        self.space_available.notify_all();
-    }
-
-    /// Sets the active worker count to `target`, clamped to
-    /// `[min_workers, max_workers]`; returns the applied count. See
-    /// [`Runtime::resize`] for the full contract.
-    fn resize_to(self: &Arc<Self>, target: usize) -> usize {
-        let target = target.clamp(self.min_workers, self.max_workers);
-        let mut slots = self.workers.lock().expect("pool workers poisoned");
-        let current = self.lock_state().active;
-        if slots.is_empty() || target == current {
-            // Already shut down, or nothing to do.
-            return current;
-        }
-        // A grow first reclaims retired threads in the slots it
-        // reuses: with `active` still below their index they are
-        // exiting, so the join terminates. A shrink skips both loops;
-        // `set_active` alone retires the tail workers, whose handles
-        // stay in their slots for lazy reclaiming.
-        for slot in slots.iter_mut().take(target).skip(current) {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
-        }
-        self.set_active(target);
-        for (index, slot) in slots.iter_mut().enumerate().take(target).skip(current) {
-            *slot = Some(spawn_worker(self, index));
-        }
-        self.metrics.set_active_workers(target);
-        self.resizes.fetch_add(1, Ordering::Relaxed);
-        // Start the loop's cooldown window: the next loop-triggered
-        // step must not immediately undo this one.
-        self.autoscale_state
-            .lock()
-            .expect("autoscale state poisoned")
-            .last_resize_at = Some(Instant::now());
-        target
-    }
-
-    /// One adaptive sizing step. `cooldown` is `Some` only for
-    /// loop-triggered steps (manual calls are never throttled).
-    fn autoscale_step(
-        self: &Arc<Self>,
-        trigger: ResizeTrigger,
-        cooldown: Option<Duration>,
-    ) -> Option<ResizeEvent> {
-        let (active, queue_depth) = {
-            let st = self.lock_state();
-            (st.active, st.queue.len() as u64)
-        };
-        if let Some(cooldown) = cooldown {
-            let st = self
-                .autoscale_state
-                .lock()
-                .expect("autoscale state poisoned");
-            if let Some(last) = st.last_resize_at {
-                if last.elapsed() < cooldown {
-                    // Hysteresis: too soon after the previous resize.
-                    // Baselines stay untouched so the next reading
-                    // still covers the full window.
-                    return None;
-                }
-            }
-        }
-        // In-flight-aware busy signal: long-running jobs count while
-        // they run, so a busy pool never reads as idle and gets
-        // shrunk out from under its own workload.
-        let busy_ns = self.metrics.busy_ns_estimate();
-        let utilization = {
-            let mut st = self
-                .autoscale_state
-                .lock()
-                .expect("autoscale state poisoned");
-            let now = Instant::now();
-            let dt = now.duration_since(st.last_at).as_nanos() as f64;
-            let dbusy = busy_ns.saturating_sub(st.last_busy_ns) as f64;
-            st.last_busy_ns = busy_ns;
-            st.last_at = now;
-            if dt <= 0.0 {
-                0.0
-            } else {
-                (dbusy / (dt * active as f64)).clamp(0.0, 1.0)
-            }
-        };
-        let target = if queue_depth > active as u64 && active < self.max_workers {
-            (active * 2).min(self.max_workers)
-        } else if queue_depth == 0 && utilization < 0.25 && active > self.min_workers {
-            (active / 2).max(self.min_workers)
-        } else {
-            active
-        };
-        if target == active {
-            return None;
-        }
-        let to = self.resize_to(target);
-        if to == active {
-            return None;
-        }
-        Some(ResizeEvent {
-            from: active,
-            to,
-            queue_depth,
-            utilization,
-            trigger,
-        })
-    }
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    while let Some(task) = shared.next_task(index) {
+    while let Some(task) = shared.next_task() {
         // Fault seam: a scheduled execution delay stalls this worker
         // *before* it runs the task, perturbing execution and
         // completion interleavings without touching any result.
@@ -320,52 +142,13 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 std::thread::sleep(delay);
             }
         }
-        // The task wrapper contains its own catch_unwind and in-flight
-        // accounting; it never unwinds into the worker loop. Busy time
-        // is attributed to this worker for the utilization metrics, and
-        // the start is stamped so the autoscaler sees the job while it
-        // runs.
-        shared.metrics.note_worker_start(index);
+        // The task catches its own panics and fulfils its handle
+        // before it returns. The per-worker record lands after that,
+        // so a poller that sees it can rely on the handle being done
+        // (see `MetricsSnapshot`).
         let start = Instant::now();
         task();
         shared.metrics.record_worker_job(index, start.elapsed());
-    }
-}
-
-fn spawn_worker(shared: &Arc<Shared>, index: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("fcr-runtime-{index}"))
-        .spawn(move || worker_loop(shared, index))
-        .expect("spawning runtime worker failed")
-}
-
-/// The background autoscaler: one [`Shared::autoscale_step`] per
-/// interval, stopping promptly when asked via the condvar.
-fn scaler_loop(shared: Arc<Shared>, config: AutoscaleConfig) {
-    let interval = config.interval.max(Duration::from_micros(100));
-    let mut stop = shared.scaler_stop.lock().expect("scaler control poisoned");
-    loop {
-        if *stop {
-            return;
-        }
-        let (guard, _timeout) = shared
-            .scaler_cv
-            .wait_timeout(stop, interval)
-            .expect("scaler control poisoned");
-        stop = guard;
-        if *stop {
-            return;
-        }
-        drop(stop);
-        if let Some(event) = shared.autoscale_step(ResizeTrigger::Loop, Some(config.cooldown)) {
-            shared
-                .pending_resizes
-                .lock()
-                .expect("resize buffer poisoned")
-                .push(event);
-        }
-        stop = shared.scaler_stop.lock().expect("scaler control poisoned");
     }
 }
 
@@ -383,9 +166,9 @@ where
         metrics.jobs_in_flight.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(f));
+        // Count the job and leave the in-flight gauge *before*
+        // fulfilling the handle, so a joiner sees both.
         metrics.record_job(start.elapsed(), result.is_ok());
-        // Leave the in-flight gauge *before* fulfilling the handle, so
-        // a joiner that snapshots right after a drained batch reads 0.
         metrics.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
         let outcome: JobOutcome<T> =
             result.map_err(|payload| JobError::Panicked(panic_message(payload.as_ref())));
@@ -408,20 +191,19 @@ impl<T> std::fmt::Debug for RejectedJob<T> {
     }
 }
 
-/// An elastic worker pool over one bounded priority run queue. See the
-/// crate docs for the full architecture story.
+/// A fixed-size worker pool over one bounded priority run queue. See
+/// the crate docs for the full architecture story.
 pub struct Runtime {
     shared: Arc<Shared>,
-    /// Background autoscaler thread, if running.
-    scaler: Mutex<Option<JoinHandle<()>>>,
+    workers: usize,
+    /// The worker threads; emptied by [`Runtime::shutdown`].
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("active_workers", &self.active_workers())
-            .field("max_workers", &self.shared.max_workers)
-            .field("autoscaler_running", &self.autoscaler_running())
+            .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
 }
@@ -438,9 +220,7 @@ impl Runtime {
         Self::with_config(RuntimeConfig::default())
     }
 
-    /// A pool with explicit sizing. `min_workers` is clamped to
-    /// `1..=workers` and `max_workers` raised to at least `workers`,
-    /// so any pre-elasticity config keeps its old meaning.
+    /// A pool of exactly `config.workers` threads.
     ///
     /// # Panics
     ///
@@ -450,7 +230,7 @@ impl Runtime {
     }
 
     /// A pool that replays the given deterministic [`FaultPlan`]
-    /// (chaos panics, execution delays, forced resizes — see the
+    /// (chaos panics and execution delays — see the
     /// [`fault`](crate::fault) module docs) while otherwise behaving
     /// exactly like [`Runtime::with_config`]. Intended for test
     /// harnesses; injected faults never alter user-job results.
@@ -461,157 +241,36 @@ impl Runtime {
     fn build(config: RuntimeConfig, fault: Option<Arc<FaultPlan>>) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "need positive queue capacity");
-        let min_workers = config.min_workers.clamp(1, config.workers);
-        let max_workers = config.max_workers.max(config.workers);
-        let metrics = Arc::new(MetricsRegistry::new(max_workers));
-        metrics.set_active_workers(config.workers);
-        let resizes = metrics.counter("pool.resizes");
         let shared = Arc::new(Shared {
-            metrics,
+            metrics: Arc::new(MetricsRegistry::new(config.workers)),
             state: Mutex::new(PoolState {
                 queue: RunQueue::default(),
-                active: config.workers,
                 shutdown: false,
             }),
-            queue_capacity: config.queue_capacity,
+            capacity: config.workers * config.queue_capacity,
             work_available: Condvar::new(),
             space_available: Condvar::new(),
-            workers: Mutex::new((0..max_workers).map(|_| None).collect()),
-            min_workers,
-            max_workers,
-            autoscale_state: Mutex::new(AutoscaleState {
-                last_busy_ns: 0,
-                last_at: Instant::now(),
-                last_resize_at: None,
-            }),
-            resizes,
-            pending_resizes: Mutex::new(Vec::new()),
-            scaler_stop: Mutex::new(false),
-            scaler_cv: Condvar::new(),
             fault,
         });
-        {
-            let mut slots = shared.workers.lock().expect("pool workers poisoned");
-            for (index, slot) in slots.iter_mut().enumerate().take(config.workers) {
-                *slot = Some(spawn_worker(&shared, index));
-            }
-        }
-        let runtime = Runtime {
+        let threads = (0..config.workers)
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("fcr-runtime-{index}"))
+                    .spawn(move || worker_loop(shared, index))
+                    .expect("spawning runtime worker failed")
+            })
+            .collect();
+        Runtime {
             shared,
-            scaler: Mutex::new(None),
-        };
-        if let Some(autoscale) = config.autoscale {
-            runtime.start_autoscaler(autoscale);
+            workers: config.workers,
+            threads,
         }
-        runtime
     }
 
-    /// The current active worker count (elastic; see
-    /// [`Runtime::resize`]).
-    pub fn active_workers(&self) -> usize {
-        self.shared.lock_state().active
-    }
-
-    /// The elastic floor.
-    pub fn min_workers(&self) -> usize {
-        self.shared.min_workers
-    }
-
-    /// The elastic ceiling.
-    pub fn max_workers(&self) -> usize {
-        self.shared.max_workers
-    }
-
-    /// Sets the active worker count to `target`, clamped to the
-    /// configured `[min_workers, max_workers]` bounds, and returns the
-    /// applied count.
-    ///
-    /// Shrinking retires the highest-indexed workers as soon as they
-    /// are idle; queued jobs stay in the one run queue the survivors
-    /// drain, so no job is ever dropped or reordered. Growing first
-    /// reclaims any retired thread occupying the slot (joining it),
-    /// then spawns a fresh worker. Resizing a shut-down pool is a
-    /// no-op.
-    pub fn resize(&self, target: usize) -> usize {
-        self.shared.resize_to(target)
-    }
-
-    /// One **manual** adaptive sizing step (never throttled by the
-    /// autoscaler cooldown): grows the pool (one doubling) when the
-    /// queue backlog exceeds one job per active worker, shrinks it
-    /// (one halving) when the queue is empty and mean per-worker
-    /// utilization since the last step is below 25%. In-flight jobs
-    /// count toward utilization, so a pool running long shards is
-    /// never mistaken for idle. Returns the applied [`ResizeEvent`]
-    /// (with [`ResizeTrigger::Manual`]), or `None` when the size is
-    /// already right.
-    pub fn autoscale(&self) -> Option<ResizeEvent> {
-        self.shared.autoscale_step(ResizeTrigger::Manual, None)
-    }
-
-    /// Starts the always-on background autoscaler: a dedicated thread
-    /// taking one [`Runtime::autoscale`]-style step per
-    /// `config.interval`, with `config.cooldown` hysteresis after any
-    /// resize. Loop-applied [`ResizeEvent`]s (tagged
-    /// [`ResizeTrigger::Loop`]) are buffered for
-    /// [`Runtime::drain_resize_events`]. Returns `false` (and does
-    /// nothing) if the loop is already running.
-    pub fn start_autoscaler(&self, config: AutoscaleConfig) -> bool {
-        let mut scaler = self.scaler.lock().expect("scaler slot poisoned");
-        if scaler.is_some() {
-            return false;
-        }
-        *self
-            .shared
-            .scaler_stop
-            .lock()
-            .expect("scaler control poisoned") = false;
-        let shared = Arc::clone(&self.shared);
-        *scaler = Some(
-            std::thread::Builder::new()
-                .name("fcr-autoscaler".into())
-                .spawn(move || scaler_loop(shared, config))
-                .expect("spawning autoscaler failed"),
-        );
-        true
-    }
-
-    /// Stops the background autoscaler and joins its thread. Returns
-    /// `false` if it was not running. Also called by
-    /// [`Runtime::shutdown`] **before** worker teardown, so no resize
-    /// can race the final joins.
-    pub fn stop_autoscaler(&self) -> bool {
-        let handle = self.scaler.lock().expect("scaler slot poisoned").take();
-        let Some(handle) = handle else {
-            return false;
-        };
-        *self
-            .shared
-            .scaler_stop
-            .lock()
-            .expect("scaler control poisoned") = true;
-        self.shared.scaler_cv.notify_all();
-        let _ = handle.join();
-        true
-    }
-
-    /// Whether the background autoscaler thread is currently running.
-    pub fn autoscaler_running(&self) -> bool {
-        self.scaler.lock().expect("scaler slot poisoned").is_some()
-    }
-
-    /// Takes (and clears) the resize events applied by the background
-    /// autoscaler since the last drain. Manual
-    /// [`Runtime::autoscale`] steps return their event directly and
-    /// are **not** buffered here.
-    pub fn drain_resize_events(&self) -> Vec<ResizeEvent> {
-        std::mem::take(
-            &mut *self
-                .shared
-                .pending_resizes
-                .lock()
-                .expect("resize buffer poisoned"),
-        )
+    /// The pool's worker count, fixed at construction.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The live metrics registry (for registering domain counters).
@@ -625,34 +284,24 @@ impl Runtime {
         self.shared.fault.as_deref().map(FaultPlan::report)
     }
 
-    /// Fires any faults scheduled at the current user-submission
-    /// index. Chaos panics travel the full normal path (enqueue,
-    /// execute, `catch_unwind`) as independent jobs; forced resizes go
-    /// through [`Shared::resize_to`] so they are indistinguishable
-    /// from autoscaler storms.
+    /// Fires any chaos panics scheduled at the current user-submission
+    /// index. Each travels the full normal path (enqueue, execute,
+    /// `catch_unwind`) as an independent job.
     fn fire_submission_faults(&self) {
-        let Some(plan) = self.shared.fault.clone() else {
+        let Some(plan) = self.shared.fault.as_deref() else {
             return;
         };
-        for fault in plan.take_submission_faults() {
-            match fault {
-                SubmissionFault::Panic => {
-                    let (task, handle) = package::<(), _>(Arc::clone(&self.shared.metrics), || {
-                        panic!("fcr-testkit: injected chaos panic")
-                    });
-                    // Straight to the queue (not spawn_with) so a
-                    // chaos job cannot recursively trigger faults.
-                    let _ = self.shared.enqueue(Priority::default(), task, true);
-                    plan.note_panic_injected();
-                    // Nobody joins a chaos job; dropping the handle is
-                    // fine — the completion slot absorbs the outcome.
-                    drop(handle);
-                }
-                SubmissionFault::Resize(target) => {
-                    self.shared.resize_to(target);
-                    plan.note_resize_injected();
-                }
-            }
+        for _ in 0..plan.take_submission_panics() {
+            let (task, handle) = package::<(), _>(Arc::clone(&self.shared.metrics), || {
+                panic!("fcr-testkit: injected chaos panic")
+            });
+            // Straight to the queue (not spawn_with) so a chaos job
+            // cannot recursively trigger faults.
+            let _ = self.shared.enqueue(Priority::default(), task, true);
+            plan.note_panic_injected();
+            // Nobody joins a chaos job; dropping the handle is fine —
+            // the completion slot absorbs the outcome.
+            drop(handle);
         }
     }
 
@@ -752,23 +401,16 @@ impl Runtime {
         handles.into_iter().map(JobHandle::join).collect()
     }
 
-    /// Graceful shutdown: the background autoscaler (if running) is
-    /// stopped and joined first, then every already-queued job still
-    /// runs, then the workers exit and are joined (including any
-    /// threads retired earlier by a shrink). Also invoked on drop.
-    /// Further submissions panic.
+    /// Graceful shutdown: every already-queued job still runs, then
+    /// the workers exit and are joined. Also invoked on drop. Further
+    /// submissions panic.
     pub fn shutdown(&mut self) {
-        // Stop the scaler BEFORE worker teardown: a resize racing the
-        // joins below could spawn workers into slots already taken.
-        self.stop_autoscaler();
-        let workers =
-            std::mem::take(&mut *self.shared.workers.lock().expect("pool workers poisoned"));
-        if workers.is_empty() {
+        if self.threads.is_empty() {
             return; // already shut down
         }
         self.shared.lock_state().shutdown = true;
         self.shared.work_available.notify_all();
-        for worker in workers.into_iter().flatten() {
+        for worker in std::mem::take(&mut self.threads) {
             let _ = worker.join();
         }
     }
@@ -785,6 +427,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn small(workers: usize, capacity: usize) -> Runtime {
         Runtime::with_config(RuntimeConfig {
@@ -887,6 +530,57 @@ mod tests {
     }
 
     #[test]
+    fn a_joined_job_is_already_counted() {
+        // Completion order, first half: the job counters and the
+        // in-flight gauge move before the handle is fulfilled, so a
+        // joiner that reads them the moment its handle finishes
+        // already sees the job.
+        let rt = small(2, 4);
+        let metrics = Arc::clone(rt.metrics());
+        for i in 1..=2000u64 {
+            let handle = rt.spawn(move || {
+                assert!(i % 100 != 0, "every hundredth job fails");
+            });
+            while !handle.is_finished() {
+                std::hint::spin_loop();
+            }
+            let done = metrics.jobs_completed.load(Ordering::Relaxed)
+                + metrics.jobs_failed.load(Ordering::Relaxed);
+            assert_eq!(done, i, "job {i} finished before it was counted");
+            assert_eq!(metrics.jobs_in_flight.load(Ordering::Relaxed), 0, "job {i}");
+            assert_eq!(handle.join().is_ok(), i % 100 != 0);
+        }
+    }
+
+    #[test]
+    fn a_job_counted_on_its_worker_has_a_finished_handle() {
+        // Completion order, second half: a worker's executed count
+        // moves only after the task returned, so a poller that sees
+        // every submitted job counted there finds every handle done.
+        let rt = small(2, 4);
+        let executed = |rt: &Runtime| -> u64 {
+            rt.snapshot()
+                .per_worker
+                .iter()
+                .map(|w| w.jobs_executed)
+                .sum()
+        };
+        for round in 1..=100u64 {
+            let handles: Vec<_> = (0..2)
+                .map(|_| rt.spawn(|| std::thread::sleep(Duration::from_micros(100))))
+                .collect();
+            while executed(&rt) < 2 * round {
+                std::thread::yield_now();
+            }
+            assert!(
+                handles.iter().all(JobHandle::is_finished),
+                "round {round}: counted on a worker before its handle finished"
+            );
+            assert_eq!(rt.snapshot().jobs_submitted, 2 * round);
+        }
+    }
+
+    #[test]
     fn graceful_shutdown_drains_queued_jobs() {
         let counter = Arc::new(AtomicU64::new(0));
         let mut rt = small(2, 64);
@@ -973,112 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn resize_clamps_to_configured_bounds() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 4,
-            ..RuntimeConfig::default()
-        });
-        assert_eq!(rt.active_workers(), 2);
-        assert_eq!(rt.max_workers(), 4);
-        assert_eq!(rt.min_workers(), 1);
-        assert_eq!(rt.resize(100), 4, "clamped to max_workers");
-        assert_eq!(rt.resize(0), 1, "clamped to min_workers");
-        assert_eq!(rt.resize(3), 3);
-        assert_eq!(rt.active_workers(), 3);
-        assert_eq!(rt.snapshot().workers, 3, "snapshot reports active count");
-        assert!(rt.snapshot().counter("pool.resizes").unwrap_or(0) >= 3);
-    }
-
-    #[test]
-    fn resized_pool_still_executes_everything_in_order() {
-        // Interleave shrink-to-1 / grow-to-max with batches; nothing
-        // is dropped or reordered and retired slots come back alive.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 3,
-            queue_capacity: 4,
-            min_workers: 1,
-            max_workers: 3,
-            ..RuntimeConfig::default()
-        });
-        let mut expected = Vec::new();
-        let mut got = Vec::new();
-        for round in 0..4u64 {
-            let size = [1, 3, 2, 3][round as usize];
-            assert_eq!(rt.resize(size), size);
-            let base = round * 50;
-            let outcomes = rt.run_batch((base..base + 50).map(|i| move || i));
-            got.extend(outcomes.into_iter().map(Result::unwrap));
-            expected.extend(base..base + 50);
-        }
-        assert_eq!(got, expected, "resizes must not drop or reorder jobs");
-        let snap = rt.snapshot();
-        assert_eq!(snap.jobs_completed, 200);
-        assert_eq!(snap.queue_depth, 0);
-    }
-
-    #[test]
-    fn shrink_never_strands_queued_work() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 4,
-            queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            ..RuntimeConfig::default()
-        });
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        // Park one job on a worker so the queue backs up a little.
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        let handles: Vec<_> = (0..40u64).map(|i| rt.spawn(move || i)).collect();
-        // Shrink while jobs are queued; the lone survivor must drain
-        // everything.
-        assert_eq!(rt.resize(1), 1);
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.join(), Ok(i as u64));
-        }
-        assert_eq!(rt.snapshot().queue_depth, 0);
-    }
-
-    #[test]
-    fn shrink_under_concurrent_submission_never_strands_jobs() {
-        // Shrinks racing submissions: a job queued while a worker
-        // retires must still reach a survivor, or a batch join stalls.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 4,
-            queue_capacity: 16,
-            min_workers: 1,
-            max_workers: 4,
-            ..RuntimeConfig::default()
-        });
-        std::thread::scope(|scope| {
-            let resizer = scope.spawn(|| {
-                for _ in 0..300 {
-                    rt.resize(1);
-                    rt.resize(4);
-                }
-                rt.resize(1);
-            });
-            for round in 0..60u64 {
-                let base = round * 20;
-                let outcomes = rt.run_batch((base..base + 20).map(|i| move || i));
-                let values: Vec<u64> = outcomes.into_iter().map(Result::unwrap).collect();
-                assert_eq!(values, (base..base + 20).collect::<Vec<_>>());
-            }
-            resizer.join().expect("resizer thread");
-        });
-        assert_eq!(rt.snapshot().queue_depth, 0);
-    }
-
-    #[test]
     fn queue_count_returns_to_zero_after_concurrent_submission() {
         // Concurrent submitters racing the workers: the queue-depth
         // gauge must read 0 once every job has run, and the pool must
@@ -1113,177 +701,6 @@ mod tests {
         assert_eq!(stuck_after, None, "queue_depth stayed above 0 after round");
         assert!(dropped, "Runtime::drop did not return within 30 s");
         dropper.join().expect("dropping the runtime panicked");
-    }
-
-    #[test]
-    fn autoscale_grows_on_backlog_and_shrinks_when_idle() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            ..RuntimeConfig::default()
-        });
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        // Build a backlog deeper than one job per active worker.
-        let handles: Vec<_> = (0..8u64).map(|i| rt.spawn(move || i)).collect();
-        let event = rt.autoscale().expect("backlog must trigger a grow");
-        assert_eq!(event.from, 1);
-        assert_eq!(event.to, 2);
-        assert!(event.queue_depth > 1);
-        assert_eq!(event.trigger, ResizeTrigger::Manual);
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-        for h in handles {
-            assert!(h.join().is_ok());
-        }
-        // Let the utilization window go quiet, then autoscale drains
-        // back down one halving at a time. (Manual steps ignore the
-        // loop cooldown, so back-to-back calls work.)
-        std::thread::sleep(Duration::from_millis(25));
-        let event = rt.autoscale().expect("idle pool must shrink");
-        assert_eq!(event.from, 2);
-        assert_eq!(event.to, 1);
-        assert_eq!(event.queue_depth, 0);
-        assert!(event.utilization < 0.25);
-        // At the floor, nothing more happens.
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(rt.autoscale().is_none());
-        // The shrunken pool still works.
-        assert_eq!(rt.spawn(|| 7).join(), Ok(7));
-    }
-
-    #[test]
-    fn long_running_job_does_not_read_as_idle() {
-        // Regression (utilization accounting): `busy_ns` only advances
-        // on job *completion*, so a pool running one long job used to
-        // read ~0% utilization mid-job and get halved. In-flight
-        // elapsed time must count toward the window.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 2,
-            ..RuntimeConfig::default()
-        });
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        // Empty queue + one worker busy the whole window: utilization
-        // ≈ 0.5 ≥ 25%, so the pool must NOT shrink.
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(
-            rt.autoscale().is_none(),
-            "busy pool shrank mid-job: long-running work read as idle"
-        );
-        assert_eq!(rt.active_workers(), 2);
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-    }
-
-    #[test]
-    fn background_autoscaler_grows_under_backlog_and_buffers_loop_events() {
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 256,
-            min_workers: 1,
-            max_workers: 4,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(5),
-                cooldown: Duration::from_millis(5),
-            }),
-        });
-        assert!(rt.autoscaler_running());
-        assert!(
-            !rt.start_autoscaler(AutoscaleConfig::default()),
-            "second start is a no-op"
-        );
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let blocker = rt.spawn(move || {
-            started_tx.send(()).unwrap();
-            release_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap();
-        let handles: Vec<_> = (0..16u64).map(|i| rt.spawn(move || i)).collect();
-        // The loop must notice the backlog on its own — no manual
-        // autoscale() call here.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.active_workers() < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(
-            rt.active_workers() >= 2,
-            "autoscaler loop never grew the pool"
-        );
-        release_tx.send(()).unwrap();
-        assert_eq!(blocker.join(), Ok(()));
-        for h in handles {
-            assert!(h.join().is_ok());
-        }
-        assert!(rt.stop_autoscaler());
-        assert!(!rt.stop_autoscaler(), "second stop is a no-op");
-        assert!(!rt.autoscaler_running());
-        let events = rt.drain_resize_events();
-        assert!(!events.is_empty(), "loop resizes must be buffered");
-        for event in &events {
-            assert_eq!(event.trigger, ResizeTrigger::Loop);
-        }
-        assert_eq!(events[0].from, 1);
-        assert!(events[0].to >= 2);
-        assert!(events[0].queue_depth > 1);
-        // The drain is destructive.
-        assert!(rt.drain_resize_events().is_empty());
-    }
-
-    #[test]
-    fn autoscaler_loop_converges_without_thrashing_on_steady_work() {
-        // Property-ish: a steady workload (shallow queue, busy
-        // workers) must keep the loop quiet — the cooldown alone
-        // bounds resizes to ≤ 2 over the window, and the signals
-        // should not trigger even that many.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(5),
-                cooldown: Duration::from_millis(200),
-            }),
-        });
-        let before = rt.snapshot().counter("pool.resizes").unwrap_or(0);
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(350) {
-            // Two jobs on two workers: queue depth never exceeds the
-            // active count (no grow signal), and the spinning keeps
-            // utilization well above the shrink threshold.
-            let outcomes = rt.run_batch((0..2u64).map(|i| {
-                move || {
-                    let t = Instant::now();
-                    while t.elapsed() < Duration::from_micros(300) {
-                        std::hint::spin_loop();
-                    }
-                    i
-                }
-            }));
-            assert!(outcomes.iter().all(Result::is_ok));
-        }
-        let resizes = rt.snapshot().counter("pool.resizes").unwrap_or(0) - before;
-        assert!(
-            resizes <= 2,
-            "autoscaler thrashed: {resizes} resizes on a steady workload"
-        );
     }
 
     #[test]
@@ -1352,13 +769,7 @@ mod tests {
         // Both workers busy, then a Bulk job and an Urgent job queue
         // up, in that order. The worker that frees first must take the
         // Urgent job.
-        let rt = Runtime::with_config(RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            min_workers: 2,
-            max_workers: 2,
-            autoscale: None,
-        });
+        let rt = small(2, 8);
         let (started_tx, started_rx) = mpsc::channel();
         let mut releases = Vec::new();
         let mut blockers = Vec::new();
@@ -1399,42 +810,6 @@ mod tests {
         for b in blockers {
             assert_eq!(b.join(), Ok(()));
         }
-    }
-
-    #[test]
-    fn shutdown_joins_retired_workers_too() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            workers: 3,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 3,
-            ..RuntimeConfig::default()
-        });
-        assert_eq!(rt.resize(1), 1);
-        assert_eq!(rt.spawn(|| 1).join(), Ok(1));
-        rt.shutdown();
-        // Resizing after shutdown is a harmless no-op.
-        assert_eq!(rt.resize(3), rt.active_workers());
-    }
-
-    #[test]
-    fn shutdown_stops_the_autoscaler_first() {
-        let mut rt = Runtime::with_config(RuntimeConfig {
-            workers: 1,
-            queue_capacity: 8,
-            min_workers: 1,
-            max_workers: 2,
-            autoscale: Some(AutoscaleConfig {
-                interval: Duration::from_millis(1),
-                cooldown: Duration::from_millis(1),
-            }),
-        });
-        assert!(rt.autoscaler_running());
-        assert_eq!(rt.spawn(|| 42).join(), Ok(42));
-        rt.shutdown();
-        assert!(!rt.autoscaler_running());
-        // Idempotent with the scaler involved, too.
-        rt.shutdown();
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Intra-run sharding policy and elastic-resize events.
+//! Intra-run sharding policy.
 //!
 //! The paper's per-slot decomposition (problems (11)/(12)) makes each
 //! slot window an independently schedulable unit once the RNG streams
 //! are derived at a fixed granularity. [`ShardPolicy`] decides how a
-//! multi-GOP run is cut into windows; [`ResizeEvent`] describes one
-//! elastic grow/shrink step of the pool between batches.
+//! multi-GOP run is cut into windows.
 
 /// How a multi-GOP simulation run is split into independently
 /// schedulable slot-window shards.
@@ -51,59 +50,6 @@ impl ShardPolicy {
     }
 }
 
-/// What initiated an elastic resize step.
-///
-/// The autoscaler heuristic is the same for both; the trigger records
-/// **provenance** so telemetry can distinguish an operator-driven
-/// [`crate::Runtime::autoscale`] call from the always-on background
-/// loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResizeTrigger {
-    /// An explicit caller-invoked step ([`crate::Runtime::autoscale`]
-    /// or [`crate::Runtime::resize`]). Never throttled by the
-    /// autoscaler cooldown.
-    Manual,
-    /// A step taken by the background autoscaler thread
-    /// ([`crate::Runtime::start_autoscaler`]); subject to the
-    /// configured cooldown/hysteresis.
-    Loop,
-}
-
-impl ResizeTrigger {
-    /// Lower-case name for telemetry lines and tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResizeTrigger::Manual => "manual",
-            ResizeTrigger::Loop => "loop",
-        }
-    }
-}
-
-/// One elastic resize step taken by [`crate::Runtime::autoscale`], the
-/// background autoscaler loop, or an explicit
-/// [`crate::Runtime::resize`]: the pool moved from `from` to `to`
-/// active workers based on the recorded signals.
-///
-/// Deliberately **not** `PartialEq`: `utilization` is an `f64`
-/// measurement, and float-equality on measured values invites brittle
-/// comparisons. Tests compare events field-wise.
-#[derive(Debug, Clone, Copy)]
-pub struct ResizeEvent {
-    /// Active workers before the resize.
-    pub from: usize,
-    /// Active workers after the resize (clamped to the configured
-    /// `[min_workers, max_workers]` bounds).
-    pub to: usize,
-    /// Queue depth observed when the decision was made.
-    pub queue_depth: u64,
-    /// Mean per-worker utilization over the window since the previous
-    /// autoscale observation (0..=1, best effort).
-    pub utilization: f64,
-    /// Whether the step was operator-driven or taken by the background
-    /// autoscaler loop.
-    pub trigger: ResizeTrigger,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,13 +79,6 @@ mod tests {
         assert_eq!(ShardPolicy::Auto.windows(1, 8), 1);
         // Degenerate worker counts are treated as 1.
         assert!(ShardPolicy::Auto.window_gops(10, 0) >= 1);
-    }
-
-    #[test]
-    fn trigger_names_are_stable() {
-        assert_eq!(ResizeTrigger::Manual.name(), "manual");
-        assert_eq!(ResizeTrigger::Loop.name(), "loop");
-        assert_ne!(ResizeTrigger::Manual, ResizeTrigger::Loop);
     }
 
     #[test]

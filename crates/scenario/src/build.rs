@@ -146,7 +146,6 @@ mod tests {
             },
             mobility: None,
             churn: None,
-            faults: None,
         }
     }
 

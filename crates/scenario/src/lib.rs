@@ -2,9 +2,9 @@
 //!
 //! A **pack** is one JSON file describing a complete workload:
 //! topology, channel/sensing statistics, R-D traffic mix, allocation
-//! schemes, seeds, and optionally a mobility/handover model, a session
-//! churn process (Poisson / diurnal / flash-crowd arrivals, correlated
-//! primary-user bursts), and a fault plan. The same file drives the
+//! schemes, seeds, and optionally a mobility/handover model and a
+//! session churn process (Poisson / diurnal / flash-crowd arrivals,
+//! correlated primary-user bursts). The same file drives the
 //! batch simulator (`fcr-experiments scenario`), the always-on service
 //! (`fcr-serve` churn replay), and the conformance suites — so "the
 //! figure-5 experiment" is a reviewable artifact, not a code path.
@@ -50,7 +50,7 @@ pub use churn::{ChurnDriver, ChurnEvent, ChurnEventKind, ChurnReport, ChurnSched
 pub use error::PackError;
 pub use mobility::{Handover, MobilityModel, Walker};
 pub use pack::{
-    ArrivalSpec, ChannelSpec, ChurnSpec, FaultsSpec, GeoFbs, MobilitySpec, Pack, PuBurstSpec,
-    TopologySpec, TrafficSpec, PACK_SCHEMA_VERSION,
+    ArrivalSpec, ChannelSpec, ChurnSpec, GeoFbs, MobilitySpec, Pack, PuBurstSpec, TopologySpec,
+    TrafficSpec, PACK_SCHEMA_VERSION,
 };
 pub use trace::render_trace;

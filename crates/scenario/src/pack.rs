@@ -2,7 +2,7 @@
 //!
 //! A pack is one JSON document describing everything a workload needs:
 //! topology, channel/sensing statistics, traffic mix, schemes, seeds,
-//! and optionally a mobility model, a churn process, and a fault plan.
+//! and optionally a mobility model and a churn process.
 //! Parsing uses the workspace's no-serde recursive-descent reader
 //! ([`fcr_telemetry::json::Json`]); every parse or validation failure
 //! is a [`PackError`] naming the dotted path of the offending field.
@@ -271,26 +271,6 @@ pub struct ChurnSpec {
     pub pu_bursts: Option<PuBurstSpec>,
 }
 
-/// A seeded fault plan (the `fcr-runtime` chaos schedule) to run the
-/// pack's workload under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultsSpec {
-    /// User submissions the plan covers.
-    pub jobs: u64,
-    /// Chaos-panic jobs to schedule.
-    pub panics: u64,
-    /// Execution delays to schedule.
-    pub delays: u64,
-    /// Exclusive cap for each random delay, in milliseconds.
-    pub max_delay_ms: u64,
-    /// Forced resizes to schedule.
-    pub resizes: u64,
-    /// Lower bound of the resize band.
-    pub worker_min: u64,
-    /// Upper bound of the resize band.
-    pub worker_max: u64,
-}
-
 /// One parsed scenario pack. See the module docs for the format and
 /// `docs/scenario_format.md` for every field.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,8 +295,6 @@ pub struct Pack {
     pub mobility: Option<MobilitySpec>,
     /// Optional churn process.
     pub churn: Option<ChurnSpec>,
-    /// Optional fault plan.
-    pub faults: Option<FaultsSpec>,
 }
 
 // ---------------------------------------------------------------------
@@ -513,6 +491,13 @@ impl Pack {
     /// [`Pack::from_json`]; exposed for error-path tests).
     pub fn from_value(doc: &Json) -> Result<Pack, PackError> {
         let fields = as_obj(doc, "")?;
+        if opt(fields, "faults").is_some() {
+            return Err(PackError::at(
+                "faults",
+                "the faults section was removed: no pack runs under a fault plan; \
+                 delete the section (fault injection lives in fcr-testkit)",
+            ));
+        }
         reject_unknown(
             fields,
             &[
@@ -527,7 +512,6 @@ impl Pack {
                 "traffic",
                 "mobility",
                 "churn",
-                "faults",
             ],
             "",
         )?;
@@ -557,7 +541,6 @@ impl Pack {
         let traffic = parse_traffic(req(fields, "traffic", "")?)?;
         let mobility = opt(fields, "mobility").map(parse_mobility).transpose()?;
         let churn = opt(fields, "churn").map(parse_churn).transpose()?;
-        let faults = opt(fields, "faults").map(parse_faults).transpose()?;
         Ok(Pack {
             name,
             description,
@@ -569,7 +552,6 @@ impl Pack {
             traffic,
             mobility,
             churn,
-            faults,
         })
     }
 }
@@ -877,34 +859,6 @@ fn parse_churn(v: &Json) -> Result<ChurnSpec, PackError> {
     })
 }
 
-fn parse_faults(v: &Json) -> Result<FaultsSpec, PackError> {
-    let p = "faults";
-    let fields = as_obj(v, p)?;
-    reject_unknown(
-        fields,
-        &[
-            "jobs",
-            "panics",
-            "delays",
-            "max_delay_ms",
-            "resizes",
-            "worker_min",
-            "worker_max",
-        ],
-        p,
-    )?;
-    let u = |key: &str| as_u64(req(fields, key, p)?, &join(p, key));
-    Ok(FaultsSpec {
-        jobs: u("jobs")?,
-        panics: u("panics")?,
-        delays: u("delays")?,
-        max_delay_ms: u("max_delay_ms")?,
-        resizes: u("resizes")?,
-        worker_min: u("worker_min")?,
-        worker_max: u("worker_max")?,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Validation.
 // ---------------------------------------------------------------------
@@ -1124,17 +1078,6 @@ impl Pack {
                 }
             }
         }
-        if let Some(f) = &self.faults {
-            if f.worker_min == 0 || f.worker_max < f.worker_min {
-                return Err(PackError::at(
-                    "faults.worker_min",
-                    "need 1 <= worker_min <= worker_max",
-                ));
-            }
-            if f.jobs == 0 {
-                return Err(PackError::at("faults.jobs", "must be at least 1"));
-            }
-        }
         Ok(())
     }
 
@@ -1236,20 +1179,13 @@ impl Pack {
         self.write_channel(&mut w);
         self.write_traffic(&mut w);
         if let Some(m) = &self.mobility {
-            w.block(
-                "\"mobility\": ",
-                '{',
-                '}',
-                self.churn.is_some() || self.faults.is_some(),
-                |w| {
-                    w.line(&format!("\"step_m\": {},", num(m.step_m)));
-                    w.line(&format!("\"hysteresis_m\": {}", num(m.hysteresis_m)));
-                },
-            );
+            w.block("\"mobility\": ", '{', '}', self.churn.is_some(), |w| {
+                w.line(&format!("\"step_m\": {},", num(m.step_m)));
+                w.line(&format!("\"hysteresis_m\": {}", num(m.hysteresis_m)));
+            });
         }
         if let Some(c) = &self.churn {
-            let comma = self.faults.is_some();
-            w.block("\"churn\": ", '{', '}', comma, |w| {
+            w.block("\"churn\": ", '{', '}', false, |w| {
                 w.line(&format!("\"slots\": {},", c.slots));
                 w.block("\"arrivals\": ", '{', '}', true, |w| match c.arrivals {
                     ArrivalSpec::Poisson { rate_per_slot } => {
@@ -1300,17 +1236,6 @@ impl Pack {
                         ));
                     });
                 }
-            });
-        }
-        if let Some(f) = &self.faults {
-            w.block("\"faults\": ", '{', '}', false, |w| {
-                w.line(&format!("\"jobs\": {},", f.jobs));
-                w.line(&format!("\"panics\": {},", f.panics));
-                w.line(&format!("\"delays\": {},", f.delays));
-                w.line(&format!("\"max_delay_ms\": {},", f.max_delay_ms));
-                w.line(&format!("\"resizes\": {},", f.resizes));
-                w.line(&format!("\"worker_min\": {},", f.worker_min));
-                w.line(&format!("\"worker_max\": {}", f.worker_max));
             });
         }
         w.indent -= 1;
@@ -1437,7 +1362,7 @@ impl Pack {
     }
 
     fn write_traffic(&self, w: &mut W) {
-        let comma = self.mobility.is_some() || self.churn.is_some() || self.faults.is_some();
+        let comma = self.mobility.is_some() || self.churn.is_some();
         let t = &self.traffic;
         w.block("\"traffic\": ", '{', '}', comma, |w| {
             let seqs: Vec<String> = t
@@ -1588,15 +1513,6 @@ impl Pack {
                 }),
             }
         });
-        let faults = (rng.random::<f64>() < 0.3).then(|| FaultsSpec {
-            jobs: rng.random_range(16..=64u64),
-            panics: rng.random_range(0..=3u64),
-            delays: rng.random_range(0..=4u64),
-            max_delay_ms: rng.random_range(1..=5u64),
-            resizes: rng.random_range(0..=2u64),
-            worker_min: 1,
-            worker_max: rng.random_range(2..=4u64),
-        });
         let pack = Pack {
             name: format!("generated_{seed}"),
             description: "randomized pack from Pack::generate (replay with the same seed)"
@@ -1613,7 +1529,6 @@ impl Pack {
             },
             mobility,
             churn,
-            faults,
         };
         debug_assert!(pack.validate().is_ok(), "generated packs are always valid");
         pack
@@ -1646,7 +1561,6 @@ mod tests {
             },
             mobility: None,
             churn: None,
-            faults: None,
         }
     }
 
@@ -1701,15 +1615,6 @@ mod tests {
                 utilization_boost: 0.2,
             }),
         });
-        pack.faults = Some(FaultsSpec {
-            jobs: 32,
-            panics: 2,
-            delays: 3,
-            max_delay_ms: 4,
-            resizes: 1,
-            worker_min: 1,
-            worker_max: 4,
-        });
         let text = pack.to_json();
         let back = Pack::from_json(&text).expect("parses");
         assert_eq!(back, pack);
@@ -1723,6 +1628,17 @@ mod tests {
         let err = Pack::from_json(&text).unwrap_err();
         assert_eq!(err.path, "channel.p99");
         assert!(err.message.contains("unknown field"), "{err}");
+    }
+
+    #[test]
+    fn a_faults_section_is_a_pointed_error() {
+        let text = minimal().to_json().replace(
+            "\"channel\": {},",
+            "\"channel\": {},\n  \"faults\": {\"jobs\": 32, \"resizes\": 1},",
+        );
+        let err = Pack::from_json(&text).unwrap_err();
+        assert_eq!(err.path, "faults");
+        assert!(err.message.contains("was removed"), "{err}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   shed`, asserted on every step.
 //! - **Live metrics** ([`Service::metrics_text`],
 //!   [`MetricsServer`]): a `serve` JSONL line plus the full telemetry
-//!   export (phase timings, solver convergence, shard/span/resize
-//!   records, per-worker utilization), served over a std-only TCP
+//!   export (phase timings, solver convergence, shard/span records,
+//!   per-worker utilization), served over a std-only TCP
 //!   endpoint and bounded in memory via the telemetry record caps and
 //!   snapshot-and-reset counters.
 //!
@@ -69,18 +69,13 @@ pub use service::{
 };
 pub use snapshot::ServiceSnapshot;
 
-use fcr_runtime::{AutoscaleConfig, Runtime, RuntimeConfig};
+use fcr_runtime::Runtime;
 use std::sync::{Arc, OnceLock};
 
-/// The process-wide serve pool: sized by available parallelism with
-/// the always-on background autoscaler, shared by every
-/// [`Service::on_shared_pool`] in the process. Built on first use.
+/// The process-wide serve pool: sized by available parallelism and
+/// shared by every [`Service::on_shared_pool`] in the process. Built on
+/// first use.
 pub fn shared_runtime() -> Arc<Runtime> {
     static POOL: OnceLock<Arc<Runtime>> = OnceLock::new();
-    Arc::clone(POOL.get_or_init(|| {
-        Arc::new(Runtime::with_config(RuntimeConfig {
-            autoscale: Some(AutoscaleConfig::default()),
-            ..RuntimeConfig::default()
-        }))
-    }))
+    Arc::clone(POOL.get_or_init(|| Arc::new(Runtime::new())))
 }

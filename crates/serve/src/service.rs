@@ -632,11 +632,6 @@ impl Service {
     /// accounting identity before returning.
     pub fn step(&self) -> StepReport {
         let started = Instant::now();
-        // Flush buffered autoscaler decisions into telemetry so the
-        // metrics surface shows the pool's sizing history live.
-        for event in self.runtime.drain_resize_events() {
-            fcr_telemetry::record_resize(event);
-        }
         let mut st = self.lock();
         st.slot += 1;
         st.counts.steps += 1;
@@ -902,7 +897,7 @@ impl Service {
 
     /// The live metrics surface: one `serve` JSONL line (the service
     /// snapshot) followed by the full telemetry export — phase
-    /// timings, solver convergence, shard/span/resize records,
+    /// timings, solver convergence, shard/span records,
     /// per-worker utilization, and the pool summary. Every line is a
     /// self-contained JSON object; the whole body is what the
     /// `/metrics` endpoint serves.

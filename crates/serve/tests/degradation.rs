@@ -29,9 +29,7 @@ fn starved_pool(release: &Arc<AtomicBool>) -> Arc<Runtime> {
     let runtime = Arc::new(Runtime::with_config(RuntimeConfig {
         workers: 1,
         queue_capacity: 1,
-        min_workers: 1,
-        max_workers: 1,
-        autoscale: None,
+        ..RuntimeConfig::default()
     }));
     let started = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&started);

@@ -31,7 +31,7 @@
 //! domain counters), [`stream`] (one run cut into GOP-aligned slot
 //! windows), and [`session`] (the builder-style
 //! [`session::SimSession`] entry point that runs those windows on the
-//! elastic pool and can tag a whole session with a scheduling
+//! shared pool and can tag a whole session with a scheduling
 //! [`fcr_runtime::Priority`]).
 //!
 //! # Examples

@@ -3,14 +3,11 @@
 //! submits its window jobs to, and the domain counters those windows
 //! feed.
 //!
-//! Sharing **one** elastic worker pool gives the whole process a hard
-//! concurrency cap, replacing the seed's unbounded per-run thread
-//! spawning. The shared pool runs the always-on background autoscaler
-//! ([`fcr_runtime::AutoscaleConfig`]) so it sizes itself to the
-//! workload without callers doing anything; resizes never change
-//! results, only parallelism.
+//! Sharing **one** fixed-size worker pool gives the whole process a
+//! hard concurrency cap, replacing the seed's unbounded per-run thread
+//! spawning.
 
-use fcr_runtime::{AutoscaleConfig, MetricsSnapshot, Runtime, RuntimeConfig};
+use fcr_runtime::{MetricsSnapshot, Runtime};
 use std::sync::OnceLock;
 
 /// Name of the domain counter tracking simulated channel slots.
@@ -23,17 +20,10 @@ pub const SHARDS_COUNTER: &str = "shards_executed";
 
 /// The process-wide runtime, built on first use and shared by every
 /// experiment in the process. Sized by
-/// [`std::thread::available_parallelism`], with the always-on
-/// background autoscaler started (self-managing between `min_workers`
-/// and the parallelism ceiling; a no-op on 1-core hosts).
+/// [`std::thread::available_parallelism`].
 pub fn shared() -> &'static Runtime {
     static POOL: OnceLock<Runtime> = OnceLock::new();
-    POOL.get_or_init(|| {
-        Runtime::with_config(RuntimeConfig {
-            autoscale: Some(AutoscaleConfig::default()),
-            ..RuntimeConfig::default()
-        })
-    })
+    POOL.get_or_init(Runtime::new)
 }
 
 /// A live snapshot of the shared pool's metrics (jobs, queue depth,
@@ -51,10 +41,6 @@ mod tests {
         let a = shared() as *const Runtime;
         let b = shared() as *const Runtime;
         assert_eq!(a, b);
-        assert!(shared().active_workers() >= 1);
-        assert!(
-            shared().autoscaler_running(),
-            "shared pool must be self-managing"
-        );
+        assert!(shared().workers() >= 1);
     }
 }

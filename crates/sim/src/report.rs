@@ -248,17 +248,6 @@ pub fn telemetry_table(snapshot: &TelemetrySnapshot) -> String {
             },
         );
     }
-    for r in &snapshot.resizes {
-        let _ = writeln!(
-            out,
-            "  pool resize {} -> {} [{}] (queue {}, util {:.0}%)",
-            r.from,
-            r.to,
-            r.trigger.name(),
-            r.queue_depth,
-            100.0 * r.utilization,
-        );
-    }
     for (name, value) in &snapshot.counters {
         let _ = writeln!(out, "  {name:<24} {value:>12}");
     }
@@ -418,13 +407,6 @@ mod tests {
             gops: 2,
             wall_ns: 2_000_000,
         });
-        sink.record_resize(fcr_telemetry::ResizeEvent {
-            from: 1,
-            to: 2,
-            queue_depth: 3,
-            utilization: 0.9,
-            trigger: fcr_telemetry::ResizeTrigger::Loop,
-        });
         let out = telemetry_table(&sink.snapshot());
         for needle in [
             "phase",
@@ -438,7 +420,6 @@ mod tests {
             "greedy (Table III): 1 runs",
             "greedy.inner_solves",
             "shards: 1 executed, mean wall 2.00 ms",
-            "pool resize 1 -> 2 [loop] (queue 3, util 90%)",
         ] {
             assert!(out.contains(needle), "{needle} rendered:\n{out}");
         }

@@ -32,12 +32,9 @@
 //! `tests/determinism.rs` pins this for both the fluid and the packet
 //! engine.
 //!
-//! Before each batch the session lets the elastic pool take one
-//! manual autoscale step within its configured bounds (queue-depth and
-//! utilization driven; the shared pool additionally runs an always-on
-//! background autoscaler) and records every resize — manual and
-//! loop-triggered alike — plus one [`fcr_telemetry::ShardRecord`] per
-//! executed window, into the global telemetry sink.
+//! [`ShardPolicy::Auto`] resolves against the pool's fixed worker
+//! count, and every executed window records one
+//! [`fcr_telemetry::ShardRecord`] into the global telemetry sink.
 //!
 //! # Priorities
 //!
@@ -190,7 +187,6 @@ impl SimSession {
     /// every shard policy and worker count.
     pub fn run(&self, scheme: Scheme) -> SessionResult {
         let runtime = self.pool();
-        record_pool_resizes(runtime);
         let window_gops = self.window_gops(runtime);
         // Each stream runs its serial spectrum prologue here (cheap and
         // scheme-independent); every window of the run shares the plan.
@@ -229,7 +225,6 @@ impl SimSession {
     pub fn run_packet(&self, scheme: Scheme) -> PacketSessionResult {
         let seeds = SeedSequence::new(self.master_seed);
         let runtime = self.pool();
-        record_pool_resizes(runtime);
         let total_gops = u64::from(self.config.gops);
         let window_gops = self.window_gops(runtime);
         let windows_per_run = total_gops.div_ceil(window_gops);
@@ -277,7 +272,7 @@ impl SimSession {
     /// GOPs per window for this session's runs on `runtime`.
     fn window_gops(&self, runtime: &Runtime) -> u64 {
         self.shards
-            .window_gops(u64::from(self.config.gops), runtime.active_workers())
+            .window_gops(u64::from(self.config.gops), runtime.workers())
     }
 
     /// Sweeps a parameter: for each `(x, config, scenario)` point,
@@ -320,18 +315,6 @@ impl SimSession {
             }
         }
         series
-    }
-}
-
-/// One manual elastic step before the batch, then a flush of every
-/// buffered loop-triggered resize, all into the telemetry sink — so a
-/// JSONL export shows the full sizing history with provenance.
-fn record_pool_resizes(runtime: &fcr_runtime::Runtime) {
-    if let Some(event) = runtime.autoscale() {
-        fcr_telemetry::record_resize(event);
-    }
-    for event in runtime.drain_resize_events() {
-        fcr_telemetry::record_resize(event);
     }
 }
 
@@ -603,6 +586,27 @@ mod tests {
             runtime.snapshot().counter(SHARDS_COUNTER),
             Some(3 * 2),
             "3 runs × 2 windows"
+        );
+    }
+
+    #[test]
+    fn auto_windows_follow_an_idle_pool_at_its_full_width() {
+        // An idle pool keeps every worker, so `Auto` cuts each 4-GOP
+        // run into 2 × 2 workers = 4 one-GOP windows.
+        let runtime = Arc::new(Runtime::with_config(fcr_runtime::RuntimeConfig {
+            workers: 2,
+            ..fcr_runtime::RuntimeConfig::default()
+        }));
+        let s = quick()
+            .shards(ShardPolicy::Auto)
+            .on_runtime(Arc::clone(&runtime));
+        let _ = s.run(Scheme::Proposed);
+        let snap = runtime.snapshot();
+        assert_eq!(snap.workers, 2);
+        assert_eq!(
+            snap.counter(SHARDS_COUNTER),
+            Some(3 * 4),
+            "3 runs × 4 windows"
         );
     }
 

@@ -13,7 +13,6 @@
 //! | `counter` | named counter | `name`, `value` |
 //! | `shard` | executed intra-run shard | `run`, `window`, `gop_start`, `gops`, `wall_ns` |
 //! | `span` | span event (opt-in) | `id`, `parent` (`null` for roots), `phase`, `wall_ns` |
-//! | `resize` | elastic-pool resize | `from`, `to`, `queue_depth`, `utilization`, `trigger` (`manual`/`loop`) |
 //! | `worker` | pool worker | `index`, `busy_ns`, `lifetime_ns`, `jobs`, `utilization` |
 //! | `pool` | runtime snapshot | `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed` |
 //!
@@ -24,7 +23,7 @@
 
 use crate::record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 use crate::sink::TelemetrySnapshot;
-use fcr_runtime::{MetricsSnapshot, ResizeEvent};
+use fcr_runtime::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// The JSONL line (no trailing newline) for one dual-solve record.
@@ -86,18 +85,6 @@ pub(crate) fn span_line(s: &SpanRecord) -> String {
     out
 }
 
-/// The JSONL line (no trailing newline) for one pool-resize event.
-pub(crate) fn resize_line(r: &ResizeEvent) -> String {
-    format!(
-        "{{\"type\":\"resize\",\"from\":{},\"to\":{},\"queue_depth\":{},\"utilization\":{},\"trigger\":\"{}\"}}",
-        r.from,
-        r.to,
-        r.queue_depth,
-        num(r.utilization),
-        r.trigger.name(),
-    )
-}
-
 /// Renders `snapshot` as JSONL; when `runtime` is given, per-worker
 /// utilization and a pool summary line are appended.
 pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>) -> String {
@@ -151,10 +138,6 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>)
     }
     for s in &snapshot.spans {
         out.push_str(&span_line(s));
-        out.push('\n');
-    }
-    for r in &snapshot.resizes {
-        out.push_str(&resize_line(r));
         out.push('\n');
     }
     for (name, value) in &snapshot.counters {
@@ -230,12 +213,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnaps
             );
         }
     }
-
-    let _ = writeln!(
-        out,
-        "# TYPE fcr_pool_resizes_total counter\nfcr_pool_resizes_total {}",
-        snapshot.resizes.len()
-    );
 
     if let Some(rt) = runtime {
         let _ = writeln!(
@@ -409,13 +386,6 @@ mod tests {
             gops: 5,
             wall_ns: 1_234,
         });
-        sink.record_resize(crate::ResizeEvent {
-            from: 1,
-            to: 2,
-            queue_depth: 7,
-            utilization: 0.5,
-            trigger: crate::ResizeTrigger::Loop,
-        });
         sink.snapshot()
     }
 
@@ -438,9 +408,6 @@ mod tests {
         assert!(out.contains("\"greedy.inner_solves\""));
         assert!(out.contains(
             "{\"type\":\"shard\",\"run\":1,\"window\":2,\"gop_start\":10,\"gops\":5,\"wall_ns\":1234}"
-        ));
-        assert!(out.contains(
-            "{\"type\":\"resize\",\"from\":1,\"to\":2,\"queue_depth\":7,\"utilization\":0.5,\"trigger\":\"loop\"}"
         ));
         // No worker lines without a runtime snapshot.
         assert!(!out.contains("\"type\":\"worker\""));
@@ -611,7 +578,6 @@ mod tests {
             );
         }
         assert!(out.contains("fcr_domain_counter_total{name=\"greedy.inner_solves\"} 9"));
-        assert!(out.contains("fcr_pool_resizes_total 1"));
         assert!(out.contains("fcr_pool_jobs_completed_total 8"));
         assert!(out.contains("fcr_job_wall_us{quantile=\"0.5\"}"));
         assert!(out.contains("fcr_job_wall_us_count 8"));

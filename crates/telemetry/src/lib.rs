@@ -63,7 +63,6 @@ mod span;
 
 pub use bench::{peak_rss_kb, BenchEnvelope, BenchValue, BENCH_SCHEMA_VERSION};
 pub use export::{to_jsonl, to_prometheus};
-pub use fcr_runtime::{ResizeEvent, ResizeTrigger};
 pub use phase::Phase;
 pub use record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 pub use sink::{PhaseSnapshot, TelemetrySink, TelemetrySnapshot, MAX_RECORDS};
@@ -188,14 +187,6 @@ pub fn record_greedy(record: GreedyRecord) {
 pub fn record_shard(record: ShardRecord) {
     if is_enabled() {
         global().record_shard(record);
-    }
-}
-
-/// Records one elastic-pool resize event into the global sink; no-op
-/// when telemetry is disabled.
-pub fn record_resize(event: ResizeEvent) {
-    if is_enabled() {
-        global().record_resize(event);
     }
 }
 

@@ -9,7 +9,7 @@ use crate::export;
 use crate::phase::Phase;
 use crate::record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 use fcr_runtime::histogram::AtomicHistogram;
-use fcr_runtime::{HistogramSnapshot, ResizeEvent};
+use fcr_runtime::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +121,6 @@ pub struct TelemetrySink {
     dropped_shards: AtomicU64,
     spans: Mutex<Vec<SpanRecord>>,
     dropped_spans: AtomicU64,
-    resizes: Mutex<Vec<ResizeEvent>>,
     counters: Mutex<BTreeMap<String, u64>>,
     /// Keep-1-in-N sampling divisor for the per-record channels
     /// (0 and 1 both mean "keep everything").
@@ -146,8 +145,8 @@ impl TelemetrySink {
     /// (solves, greedy, shards, span events). `0` and `1` both keep
     /// everything. Sampling is what makes always-on capture affordable:
     /// skipped records cost one atomic increment and are *not* counted
-    /// as dropped — only cap overflow is. Aggregate phase timings,
-    /// counters, and resize events are never sampled.
+    /// as dropped — only cap overflow is. Aggregate phase timings and
+    /// counters are never sampled.
     pub fn set_sampling(&self, every: u64) {
         self.sample_every.store(every.max(1), Ordering::Relaxed);
     }
@@ -288,14 +287,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Appends one elastic-pool resize event (resizes are rare — a few
-    /// per batch at most — so they are stored uncapped and never
-    /// sampled).
-    pub fn record_resize(&self, event: ResizeEvent) {
-        self.stream_line(&export::resize_line(&event));
-        lock(&self.resizes).push(event);
-    }
-
     /// Adds `n` to the named counter (registered on first use).
     pub fn incr(&self, name: &str, n: u64) {
         let mut counters = lock(&self.counters);
@@ -317,7 +308,6 @@ impl TelemetrySink {
             dropped_shards: self.dropped_shards.load(Ordering::Relaxed),
             spans: lock(&self.spans).clone(),
             dropped_spans: self.dropped_spans.load(Ordering::Relaxed),
-            resizes: lock(&self.resizes).clone(),
             counters: lock(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
@@ -349,7 +339,6 @@ impl TelemetrySink {
             dropped_shards: self.dropped_shards.swap(0, Ordering::Relaxed),
             spans: std::mem::take(&mut *lock(&self.spans)),
             dropped_spans: self.dropped_spans.swap(0, Ordering::Relaxed),
-            resizes: std::mem::take(&mut *lock(&self.resizes)),
             counters: std::mem::take(&mut *lock(&self.counters))
                 .into_iter()
                 .collect(),
@@ -374,7 +363,6 @@ impl TelemetrySink {
         self.dropped_shards.store(0, Ordering::Relaxed);
         lock(&self.spans).clear();
         self.dropped_spans.store(0, Ordering::Relaxed);
-        lock(&self.resizes).clear();
         lock(&self.counters).clear();
         self.solve_seq.store(0, Ordering::Relaxed);
         self.greedy_seq.store(0, Ordering::Relaxed);
@@ -392,10 +380,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// A point-in-time copy of a [`TelemetrySink`].
-///
-/// Not `PartialEq`: [`ResizeEvent`] carries an `f64` utilization
-/// measurement and deliberately opts out of float equality; tests
-/// compare the fields of interest directly.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Per-phase timing statistics, in pipeline order.
@@ -417,8 +401,6 @@ pub struct TelemetrySnapshot {
     pub spans: Vec<SpanRecord>,
     /// Span events dropped past [`MAX_RECORDS`].
     pub dropped_spans: u64,
-    /// Elastic-pool resize events, in decision order.
-    pub resizes: Vec<ResizeEvent>,
     /// Named counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// JSONL lines successfully written to an attached live stream.
@@ -544,7 +526,6 @@ mod tests {
             && s.greedy.is_empty()
             && s.shards.is_empty()
             && s.spans.is_empty()
-            && s.resizes.is_empty()
             && s.counters.is_empty()
             && s.records_dropped() == 0
             && s.phases.iter().all(|(_, p)| p.count == 0)
@@ -554,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_resize_records_accumulate_and_reset() {
+    fn shard_records_accumulate_and_reset() {
         let sink = TelemetrySink::new();
         sink.record_shard(ShardRecord {
             run: 0,
@@ -570,22 +551,9 @@ mod tests {
             gops: 5,
             wall_ns: 3_000,
         });
-        sink.record_resize(ResizeEvent {
-            from: 2,
-            to: 4,
-            queue_depth: 9,
-            utilization: 0.9,
-            trigger: fcr_runtime::ResizeTrigger::Manual,
-        });
         let snap = sink.snapshot();
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.mean_shard_wall_ns(), Some(2_000.0));
-        assert_eq!(snap.resizes.len(), 1);
-        // Field-wise comparison: ResizeEvent has no PartialEq (f64).
-        assert_eq!(snap.resizes[0].from, 2);
-        assert_eq!(snap.resizes[0].to, 4);
-        assert_eq!(snap.resizes[0].queue_depth, 9);
-        assert_eq!(snap.resizes[0].trigger, fcr_runtime::ResizeTrigger::Manual);
         sink.reset();
         assert!(snap_is_empty(&sink.snapshot()));
     }
@@ -688,28 +656,20 @@ mod tests {
             residual: 0.0,
             lambda: vec![0.5],
         });
-        sink.record_resize(ResizeEvent {
-            from: 1,
-            to: 2,
-            queue_depth: 0,
-            utilization: 0.1,
-            trigger: fcr_runtime::ResizeTrigger::Loop,
-        });
         // Every line is already complete and flushed: no torn tails.
         let out = buf.contents();
         assert!(out.ends_with('\n'), "unterminated stream tail: {out:?}");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"shard\""));
         assert!(lines[1].contains("\"type\":\"solve\""));
-        assert!(lines[2].contains("\"type\":\"resize\""));
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert_eq!(sink.snapshot().stream_lines, 3);
+        assert_eq!(sink.snapshot().stream_lines, 2);
         sink.detach_stream();
         sink.record_shard(shard(4));
-        assert_eq!(buf.contents().lines().count(), 3, "detached stream grew");
+        assert_eq!(buf.contents().lines().count(), 2, "detached stream grew");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Each iteration derives a base seed from the iteration counter,
-//! expands the standard chaos corpus (panic / delay / resize / mixed
-//! storms), and drives every case through
+//! expands the standard chaos corpus (panic / delay / mixed storms),
+//! and drives every case through
 //! [`fcr_testkit::serve_storm::verify_serve_under_faults`] — session
 //! churn, exact accounting, panic containment, and bit-identity of
 //! served outputs with the batch path. The packet engine (which has

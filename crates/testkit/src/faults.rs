@@ -1,10 +1,10 @@
 //! Deterministic fault-injection harness.
 //!
 //! A [`FaultCase`] names a seeded [`FaultPlan`] scenario (worker
-//! panics, execution delays, resize storms, or all three). The
-//! verifiers run one simulation twice — once on the process-wide
-//! clean pool, once on a dedicated faulted [`Runtime`] — and prove
-//! the paper's numbers are *fault-invariant*:
+//! panics, execution delays, or both). The verifiers run one
+//! simulation twice — once on the process-wide clean pool, once on a
+//! dedicated faulted [`Runtime`] — and prove the paper's numbers are
+//! *fault-invariant*:
 //!
 //! * **no job loss**: every submitted window job completes;
 //! * **no duplication**: completions equal user submissions exactly;
@@ -40,52 +40,43 @@ impl FaultCase {
         FaultPlan::seeded(self.seed, &self.spec)
     }
 
-    /// A fresh dedicated runtime with this case's plan installed:
-    /// 2 workers, elastic in `1..=4` so resize storms have room.
+    /// A fresh dedicated 2-worker runtime with this case's plan
+    /// installed.
     pub fn runtime(&self) -> Runtime {
         let config = RuntimeConfig {
             workers: 2,
             queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
-            autoscale: None,
+            ..RuntimeConfig::default()
         };
         Runtime::with_faults(config, self.plan())
     }
 }
 
-/// The standard chaos corpus: three single-fault storms plus a mixed
+/// The standard chaos corpus: two single-fault storms plus a mixed
 /// plan, all derived from `base_seed` so a whole suite replays from
 /// one number.
 pub fn standard_cases(base_seed: u64) -> Vec<FaultCase> {
-    let over = |panics, delays, resizes| FaultSpec {
+    let over = |panics, delays| FaultSpec {
         jobs: 12,
         panics,
         delays,
         max_delay: Duration::from_millis(2),
-        resizes,
-        worker_bounds: (1, 4),
     };
     vec![
         FaultCase {
             name: "panic-storm",
             seed: base_seed ^ 0x01,
-            spec: over(4, 0, 0),
+            spec: over(4, 0),
         },
         FaultCase {
             name: "delay-storm",
             seed: base_seed ^ 0x02,
-            spec: over(0, 6, 0),
-        },
-        FaultCase {
-            name: "resize-storm",
-            seed: base_seed ^ 0x03,
-            spec: over(0, 0, 5),
+            spec: over(0, 6),
         },
         FaultCase {
             name: "mixed-chaos",
             seed: base_seed ^ 0x04,
-            spec: over(3, 3, 2),
+            spec: over(3, 3),
         },
     ]
 }
@@ -337,26 +328,25 @@ mod tests {
     fn the_standard_corpus_is_replayable_and_distinct() {
         let a = standard_cases(7);
         let b = standard_cases(7);
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 3);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.seed, y.seed);
             assert_eq!(x.plan().report(), y.plan().report());
         }
         let seeds: std::collections::BTreeSet<u64> = a.iter().map(|c| c.seed).collect();
-        assert_eq!(seeds.len(), 4, "cases must not share seeds");
+        assert_eq!(seeds.len(), 3, "cases must not share seeds");
     }
 
     #[test]
     fn each_storm_actually_schedules_its_fault_kind() {
         let cases = standard_cases(11);
         let pending: Vec<u64> = cases.iter().map(|c| c.plan().report().pending).collect();
-        // Submission faults (panics, resizes) never merge, so their
-        // storms schedule exactly their spec counts; colliding delay
-        // keys accumulate into one firing, so the delay storm may
-        // schedule fewer (but never zero) pending entries.
+        // Panics never merge, so the panic storm schedules exactly its
+        // spec count; colliding delay keys accumulate into one firing,
+        // so a delay storm may schedule fewer (but never zero) pending
+        // entries.
         assert_eq!(pending[0], 4, "panic storm");
         assert!(pending[1] >= 1 && pending[1] <= 6, "delay storm");
-        assert_eq!(pending[2], 5, "resize storm");
-        assert!(pending[3] >= 6 && pending[3] <= 8, "mixed chaos");
+        assert!(pending[2] >= 4 && pending[2] <= 6, "mixed chaos");
     }
 }

@@ -14,7 +14,7 @@
 //!   generated value satisfies its type's own validation, so property
 //!   suites exercise invariants, not constructor errors.
 //! * [`faults`] — seeded [`fcr_runtime::FaultPlan`] scenarios (worker
-//!   panics, execution delays, resize storms) plus the harness that
+//!   panics, execution delays, or both) plus the harness that
 //!   proves the paper's numbers are *fault-invariant*: a faulted pool
 //!   must lose no jobs, duplicate no jobs, and reproduce the
 //!   uninjected PSNRs bit for bit, on both the fluid and the

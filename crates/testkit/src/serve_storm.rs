@@ -3,8 +3,8 @@
 //!
 //! The batch harness ([`crate::faults`]) proves the *engine's* numbers
 //! are fault-invariant. This module proves the same for the always-on
-//! service: under seeded worker panics, execution delays, and resize
-//! storms, a `Service` with live session churn (admissions,
+//! service: under seeded worker panics and execution delays, a
+//! `Service` with live session churn (admissions,
 //! mid-flight retirements, replacement admissions) must
 //!
 //! * keep the accounting identity exact — `admitted == completed +

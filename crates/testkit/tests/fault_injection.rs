@@ -1,6 +1,5 @@
-//! Deterministic fault-injection suites: under seeded worker panics,
-//! execution delays, and resize storms the sharded runtime must lose
-//! nothing, duplicate nothing, and reproduce the clean pool's PSNRs
+//! Deterministic fault-injection suites: under seeded worker panics
+//! and execution delays the sharded runtime must lose nothing, duplicate nothing, and reproduce the clean pool's PSNRs
 //! bit for bit — on both engines.
 //!
 //! Seeds come from `PROPTEST_SEED` when set (CI's randomized pass) so
@@ -13,6 +12,7 @@ use fcr_testkit::faults::{standard_cases, verify_fluid_under_faults, verify_pack
 use fcr_testkit::seeds::case_seed;
 use fcr_testkit::CI_SEED;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// 3 runs × 4 GOPs = 12 window jobs per engine — exactly the span the
 /// standard `FaultSpec` draws fault positions from, so every planned
@@ -52,10 +52,7 @@ fn fluid_results_are_invariant_under_every_standard_storm() {
         );
         names.push(verdict.case_name);
     }
-    assert_eq!(
-        names,
-        vec!["panic-storm", "delay-storm", "resize-storm", "mixed-chaos"]
-    );
+    assert_eq!(names, vec!["panic-storm", "delay-storm", "mixed-chaos"]);
 }
 
 #[test]
@@ -88,8 +85,8 @@ fn heuristic_schemes_share_the_invariance_contract() {
 
 #[test]
 fn hand_built_plans_fire_at_exact_submission_indices() {
-    // A panic before submission 0 and a resize to 1 worker before
-    // submission 2: the session must still complete every window.
+    // Panics before submissions 0 and 5 and a stall before execution
+    // 2: the session must still complete every window.
     let (cfg, scenario, runs) = workload();
     let plan = FaultPlan::new(&[
         FaultEvent {
@@ -98,19 +95,17 @@ fn hand_built_plans_fire_at_exact_submission_indices() {
         },
         FaultEvent {
             at: 2,
-            kind: FaultKind::Resize(1),
+            kind: FaultKind::Delay(Duration::from_millis(1)),
         },
         FaultEvent {
             at: 5,
-            kind: FaultKind::Resize(4),
+            kind: FaultKind::WorkerPanic,
         },
     ]);
     let runtime = Arc::new(Runtime::with_faults(
         RuntimeConfig {
             workers: 2,
             queue_capacity: 64,
-            min_workers: 1,
-            max_workers: 4,
             ..RuntimeConfig::default()
         },
         plan,
@@ -130,8 +125,8 @@ fn hand_built_plans_fire_at_exact_submission_indices() {
         .results();
     assert_eq!(baseline, faulted);
     let report = runtime.fault_report().expect("plan installed");
-    assert_eq!(report.panics_injected, 1);
-    assert_eq!(report.resizes_injected, 2);
+    assert_eq!(report.panics_injected, 2);
+    assert_eq!(report.delays_injected, 1);
     assert_eq!(report.pending, 0);
 }
 

@@ -132,8 +132,6 @@ fn shipped_mobility_churn_conserves_sessions_on_one_worker() {
         },
         Arc::new(Runtime::with_config(RuntimeConfig {
             workers: 1,
-            min_workers: 1,
-            max_workers: 1,
             ..RuntimeConfig::default()
         })),
     );

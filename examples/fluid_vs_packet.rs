@@ -1,7 +1,7 @@
 //! Validate the fluid rate–PSNR abstraction (the paper's eq. (9)
 //! formulation) against NAL-unit-granular delivery: same sensing,
 //! access, fading, and allocation pipeline, two transmission models —
-//! both executed as sharded [`SimSession`]s on the elastic pool.
+//! both executed as sharded [`SimSession`]s on the shared pool.
 //!
 //! ```text
 //! cargo run --release --example fluid_vs_packet

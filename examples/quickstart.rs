@@ -18,7 +18,7 @@ fn main() {
 
     // One FBS, three CR users streaming Bus / Mobile / Harbor (CIF).
     // Each run is sharded into GOP-aligned slot windows on the shared
-    // elastic pool — bit-identical to a serial loop.
+    // pool — bit-identical to a serial loop.
     let scenario = Scenario::single_fbs(&cfg);
     let session = SimSession::new(scenario).config(cfg).runs(5).seed(42);
 

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release --example runtime_throughput -- --jobs 64 --gops 4
 //! cargo run --release --example runtime_throughput -- --shards --jobs 8 --gops 12
-//! cargo run --release --example runtime_throughput -- --mixed --autoscale --jobs 6 --gops 6
+//! cargo run --release --example runtime_throughput -- --mixed --jobs 6 --gops 6
 //! ```
 //!
 //! Three modes:
@@ -19,7 +19,7 @@
 //!   `solver_invocations`).
 //! - **`--shards`** — intra-run sharding benchmark: the same runs are
 //!   executed first serially on one thread, then as a sharded
-//!   [`SimSession`] (GOP-aligned slot windows on the elastic pool).
+//!   [`SimSession`] (GOP-aligned slot windows on the shared pool).
 //!   The PSNR sums must be **bit-identical**; on a multi-core box the
 //!   sharded pass must also be faster. Shard stats land in the runtime
 //!   metrics table and the telemetry JSONL printed at the end.
@@ -28,12 +28,6 @@
 //!   priorities; the PSNR sums must be **bit-identical** across every
 //!   ordering, proving priorities reorder queue service without
 //!   touching a single RNG draw.
-//!
-//! The orthogonal **`--autoscale`** flag restarts the shared pool's
-//! background autoscaler on an aggressive interval so the elastic loop
-//! demonstrably grows/shrinks during the benchmark, and prints the
-//! drained [`ResizeEvent`]s at the end — the numbers still must not
-//! move by a bit.
 
 use fcr::prelude::*;
 use fcr::sim::engine;
@@ -46,7 +40,6 @@ struct Args {
     gops: u32,
     shards: bool,
     mixed: bool,
-    autoscale: bool,
 }
 
 fn parse_args() -> Args {
@@ -55,7 +48,6 @@ fn parse_args() -> Args {
         gops: 4,
         shards: false,
         mixed: false,
-        autoscale: false,
     };
     fn grab<T: std::str::FromStr>(name: &str, value: Option<String>) -> T {
         value
@@ -69,12 +61,7 @@ fn parse_args() -> Args {
             "--gops" => args_out.gops = grab("--gops", args.next()),
             "--shards" => args_out.shards = true,
             "--mixed" => args_out.mixed = true,
-            "--autoscale" => args_out.autoscale = true,
-            other => {
-                panic!(
-                    "unknown flag {other}; use [--shards|--mixed] [--autoscale] --jobs N --gops N"
-                )
-            }
+            other => panic!("unknown flag {other}; use [--shards|--mixed] --jobs N --gops N"),
         }
     }
     assert!(
@@ -96,7 +83,7 @@ fn run_batch_mode(jobs: u64, gops: u32) {
         .seed(2011)
         .shards(ShardPolicy::WholeRun);
 
-    let workers = pool::shared().active_workers();
+    let workers = pool::shared().workers();
     println!(
         "submitting {jobs} simulation runs ({gops} GOPs each, {} slots/run) to {workers} workers...",
         config.total_slots(),
@@ -158,7 +145,7 @@ fn run_shards_mode(runs: u64, gops: u32) {
     let serial_psnr_sum: f64 = serial.iter().map(RunResult::mean_psnr).sum();
 
     // Sharded session: same runs cut into GOP-aligned slot windows on
-    // the elastic pool.
+    // the shared pool.
     let session = SimSession::new(scenario)
         .config(config)
         .runs(runs)
@@ -169,7 +156,7 @@ fn run_shards_mode(runs: u64, gops: u32) {
     let sharded_elapsed = started.elapsed();
     let sharded_psnr_sum: f64 = sharded.iter().map(RunResult::mean_psnr).sum();
 
-    let workers = pool::shared().active_workers();
+    let workers = pool::shared().workers();
     let speedup = serial_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64();
     println!(
         "{runs} runs x {gops} GOPs, policy {:?}, {workers} workers:",
@@ -249,7 +236,7 @@ fn run_mixed_mode(runs: u64, gops: u32) {
     println!(
         "{runs} runs x {gops} GOPs under {} priority orderings on {} workers:",
         orderings.len(),
-        pool::shared().active_workers(),
+        pool::shared().workers(),
     );
     let mut baseline: Option<(Vec<RunResult>, f64)> = None;
     for (label, priority) in orderings {
@@ -279,41 +266,11 @@ fn run_mixed_mode(runs: u64, gops: u32) {
 
 fn main() {
     let args = parse_args();
-    let pool = pool::shared();
-    if args.autoscale {
-        // Restart the always-on loop on an aggressive cadence so it
-        // demonstrably steps during the benchmark.
-        pool.stop_autoscaler();
-        assert!(pool.start_autoscaler(AutoscaleConfig {
-            interval: std::time::Duration::from_millis(2),
-            ..AutoscaleConfig::default()
-        }));
-        println!("autoscaler: background loop restarted at a 2ms interval");
-    }
     if args.mixed {
         run_mixed_mode(args.jobs, args.gops);
     } else if args.shards {
         run_shards_mode(args.jobs, args.gops);
     } else {
         run_batch_mode(args.jobs, args.gops);
-    }
-    if args.autoscale {
-        let events = pool.drain_resize_events();
-        println!();
-        println!(
-            "autoscaler: {} loop resize events ({} workers active at exit)",
-            events.len(),
-            pool.active_workers(),
-        );
-        for event in events.iter().take(6) {
-            println!(
-                "  {} -> {} [{}] (queue {}, util {:.0}%)",
-                event.from,
-                event.to,
-                event.trigger.name(),
-                event.queue_depth,
-                event.utilization * 100.0,
-            );
-        }
     }
 }

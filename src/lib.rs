@@ -18,7 +18,7 @@
 //! | [`video`] | MGS rate–PSNR model, sequences, GOPs, NAL packets, sessions |
 //! | [`net`] | topology, association, interference graphs |
 //! | [`core`] | the allocation algorithms and bounds (the paper's contribution) |
-//! | [`runtime`] | the elastic worker-pool scheduling runtime with live metrics |
+//! | [`runtime`] | the fixed-size worker-pool scheduling runtime with live metrics |
 //! | [`telemetry`] | span tracing, solver convergence capture, JSONL export |
 //! | [`sim`] | the slot-level simulator and sharded simulation sessions |
 //! | [`serve`] | the always-on streaming service: admission control, churn, live metrics |
@@ -27,7 +27,7 @@
 //! # Quick start
 //!
 //! Run the paper's Fig. 3 setup for a couple of GOPs — three runs,
-//! sharded across the elastic worker pool, bit-identical to a serial
+//! sharded across the shared worker pool, bit-identical to a serial
 //! loop:
 //!
 //! ```
@@ -74,8 +74,8 @@ pub mod prelude {
     pub use fcr_net::interference::InterferenceGraph;
     pub use fcr_net::node::{FbsId, UserId};
     pub use fcr_runtime::{
-        AutoscaleConfig, JobError, JobOutcome, MetricsSnapshot, Priority, PriorityClass,
-        ResizeEvent, ResizeTrigger, Runtime, RuntimeConfig, ShardPolicy,
+        JobError, JobOutcome, MetricsSnapshot, Priority, PriorityClass, Runtime, RuntimeConfig,
+        ShardPolicy,
     };
     pub use fcr_scenario::{
         ChurnDriver, ChurnSchedule, MobilityModel, Pack, PackError, PACK_SCHEMA_VERSION,

@@ -260,47 +260,6 @@ fn pooled_sweep_matches_serial_computation() {
 }
 
 #[test]
-fn autoscaler_on_and_off_are_bit_identical_in_both_engines() {
-    // The background autoscaler resizes the shared pool while jobs are
-    // in flight; it must change only *where* shards execute, never a
-    // single bit of either engine's output. Toggle the loop around
-    // otherwise-identical sessions and compare.
-    let cfg = SimConfig {
-        gops: 5,
-        ..SimConfig::default()
-    };
-    let make = || {
-        SimSession::new(Scenario::single_fbs(&cfg))
-            .config(cfg)
-            .runs(3)
-            .seed(8181)
-            .shards(ShardPolicy::Windows(2))
-    };
-    let pool = fcr::sim::pool::shared();
-
-    // OFF baseline (the shared pool starts its loop by default).
-    pool.stop_autoscaler();
-    assert!(!pool.autoscaler_running());
-    let fluid_off = make().run(Scheme::Proposed).results();
-    let packet_off = make().run_packet(Scheme::Proposed).results();
-
-    // ON, with an aggressive interval so the loop actually steps while
-    // the windows execute.
-    assert!(pool.start_autoscaler(AutoscaleConfig {
-        interval: std::time::Duration::from_millis(1),
-        ..AutoscaleConfig::default()
-    }));
-    let fluid_on = make().run(Scheme::Proposed).results();
-    let packet_on = make().run_packet(Scheme::Proposed).results();
-
-    assert_eq!(fluid_on, fluid_off, "fluid engine diverged under autoscale");
-    assert_eq!(
-        packet_on, packet_off,
-        "packet engine diverged under autoscale"
-    );
-}
-
-#[test]
 fn priority_orderings_never_change_results_in_either_engine() {
     // Priorities reorder queue service, nothing else: every class (and
     // deadline) must produce bit-identical fluid and packet results,

@@ -1,10 +1,10 @@
-//! Integration tests for the process-wide simulation pool: panic
-//! containment on the *shared* runtime, end-to-end metrics accounting,
-//! and the pool's invisibility to experiment results.
+//! Integration tests for the simulation pool: panic containment on the
+//! *shared* runtime, end-to-end metrics accounting, and the pool's
+//! invisibility to experiment results at every pool size.
 
 use fcr::prelude::*;
 use fcr::sim::pool::{self, SLOTS_COUNTER, SOLVER_COUNTER};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 fn quick_config() -> SimConfig {
     SimConfig {
@@ -118,52 +118,10 @@ fn snapshot_exposes_the_advertised_counter_set() {
 }
 
 #[test]
-fn elastic_resizes_never_drop_or_reorder_queued_jobs() {
-    // A dedicated elastic pool (not the shared one): grow and shrink
-    // while batches of shard-sized jobs are queued, and require every
-    // batch to come back complete and in submission order.
-    let rt = Runtime::with_config(RuntimeConfig {
-        workers: 1,
-        queue_capacity: 4,
-        min_workers: 1,
-        max_workers: 4,
-        ..RuntimeConfig::default()
-    });
-    for (round, target) in [(0u64, 4usize), (1, 2), (2, 3), (3, 1)] {
-        let reached = rt.resize(target);
-        assert!(
-            (rt.min_workers()..=rt.max_workers()).contains(&reached),
-            "resize target {target} landed at {reached}"
-        );
-        assert_eq!(rt.active_workers(), reached);
-        let outcomes = rt.run_batch((0..64u64).map(move |i| {
-            move || {
-                // Busy-ish payload so jobs overlap resizes.
-                let mut acc = round * 1_000 + i;
-                for _ in 0..100 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                (i, acc)
-            }
-        }));
-        assert_eq!(outcomes.len(), 64, "round {round}: no dropped jobs");
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let (idx, _) = outcome.as_ref().expect("no panics");
-            assert_eq!(*idx, i as u64, "round {round}: order preserved");
-        }
-    }
-    let snap = rt.snapshot();
-    assert_eq!(snap.jobs_submitted, 4 * 64);
-    assert_eq!(snap.jobs_completed, 4 * 64);
-    assert_eq!(snap.jobs_failed, 0);
-}
-
-#[test]
-fn sharded_sessions_survive_pool_resizes_bit_identically() {
-    // Resizing the *shared* pool between sharded sessions must not
-    // change a single bit of the results (the public acceptance angle
-    // of the elastic-pool property above).
-    let _gate = exclusive();
+fn sharded_sessions_are_bit_identical_on_every_pool_size() {
+    // Dedicated pools of one to three workers: the width moves only
+    // *where* windows execute, and `Auto` cuts runs by it, but never a
+    // single bit of the results.
     let cfg = SimConfig {
         gops: 4,
         ..SimConfig::default()
@@ -171,16 +129,24 @@ fn sharded_sessions_survive_pool_resizes_bit_identically() {
     let session = SimSession::new(Scenario::single_fbs(&cfg))
         .config(cfg)
         .runs(2)
-        .seed(808)
-        .shards(ShardPolicy::Windows(1));
+        .seed(808);
     let baseline = session.run(Scheme::Proposed).results();
-    let pool = pool::shared();
-    for target in [pool.max_workers(), pool.min_workers(), pool.max_workers()] {
-        pool.resize(target);
-        assert_eq!(
-            session.run(Scheme::Proposed).results(),
-            baseline,
-            "results changed after resize to {target}"
-        );
+    for workers in 1..=3 {
+        let runtime = Arc::new(Runtime::with_config(RuntimeConfig {
+            workers,
+            ..RuntimeConfig::default()
+        }));
+        for policy in [ShardPolicy::Auto, ShardPolicy::Windows(1)] {
+            assert_eq!(
+                session
+                    .clone()
+                    .shards(policy)
+                    .on_runtime(Arc::clone(&runtime))
+                    .run(Scheme::Proposed)
+                    .results(),
+                baseline,
+                "results changed on {workers} workers under {policy:?}"
+            );
+        }
     }
 }
