@@ -83,7 +83,20 @@ pub(crate) fn quotient(w: f64, rate: f64) -> f64 {
 /// restored (it does not change the closed-form share, only the mode
 /// comparison, which it makes throughput-aware).
 pub fn branch_value(success: f64, lambda: f64, w: f64, rate: f64, rho: f64) -> f64 {
-    success * (w + rho * rate).ln() + (1.0 - success) * w.ln() - lambda * rho
+    branch_value_ln(success, lambda, w, w.ln(), rate, rho)
+}
+
+/// [`branch_value`] with `ln w` given: the caller's `ln_w` must be
+/// `w.ln()`, computed once per user instead of once per evaluation.
+pub(crate) fn branch_value_ln(
+    success: f64,
+    lambda: f64,
+    w: f64,
+    ln_w: f64,
+    rate: f64,
+    rho: f64,
+) -> f64 {
+    success * (w + rho * rate).ln() + (1.0 - success) * ln_w - lambda * rho
 }
 
 /// Solves the subproblem (14) for one user at prices
@@ -100,14 +113,16 @@ pub fn solve_user(
     let rho_mbs = best_share(user.success_mbs(), lambda_mbs, user.w(), user.r_mbs());
     let rho_fbs = best_share(user.success_fbs(), lambda_fbs, user.w(), fbs_rate);
 
-    let value_mbs = branch_value(
+    let (w, ln_w) = (user.w(), user.ln_w());
+    let value_mbs = branch_value_ln(
         user.success_mbs(),
         lambda_mbs,
-        user.w(),
+        w,
+        ln_w,
         user.r_mbs(),
         rho_mbs,
     );
-    let value_fbs = branch_value(user.success_fbs(), lambda_fbs, user.w(), fbs_rate, rho_fbs);
+    let value_fbs = branch_value_ln(user.success_fbs(), lambda_fbs, w, ln_w, fbs_rate, rho_fbs);
 
     // Step 4: strict comparison — ties go to the FBS branch (the
     // "otherwise" arm of Theorem 1).

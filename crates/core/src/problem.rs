@@ -16,6 +16,9 @@ use fcr_net::node::FbsId;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserState {
     w: f64,
+    /// `ln w`, computed once: every objective term and Lagrangian
+    /// branch value reads it.
+    ln_w: f64,
     fbs: FbsId,
     r_mbs: f64,
     r_fbs: f64,
@@ -48,8 +51,10 @@ impl UserState {
         success_mbs: f64,
         success_fbs: f64,
     ) -> Result<Self, CoreError> {
+        let w = check_positive("w", w)?;
         Ok(Self {
-            w: check_positive("w", w)?,
+            w,
+            ln_w: w.ln(),
             fbs,
             r_mbs: check_nonnegative("r_mbs", r_mbs)?,
             r_fbs: check_nonnegative("r_fbs", r_fbs)?,
@@ -61,6 +66,11 @@ impl UserState {
     /// Running quality `W^{t−1}_j` (dB).
     pub fn w(&self) -> f64 {
         self.w
+    }
+
+    /// `ln W^{t−1}_j`, the bits `self.w().ln()` returns.
+    pub(crate) fn ln_w(&self) -> f64 {
+        self.ln_w
     }
 
     /// Associated FBS.
@@ -261,11 +271,11 @@ impl SlotProblem {
         let u = &self.users[j];
         match a.mode {
             Mode::Mbs => {
-                u.success_mbs * (u.w + a.rho_mbs * u.r_mbs).ln() + (1.0 - u.success_mbs) * u.w.ln()
+                u.success_mbs * (u.w + a.rho_mbs * u.r_mbs).ln() + (1.0 - u.success_mbs) * u.ln_w
             }
             Mode::Fbs => {
                 u.success_fbs * (u.w + a.rho_fbs * self.fbs_rate(j)).ln()
-                    + (1.0 - u.success_fbs) * u.w.ln()
+                    + (1.0 - u.success_fbs) * u.ln_w
             }
         }
     }

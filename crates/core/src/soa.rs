@@ -33,6 +33,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct SoaProblem {
     // Per-user fields, indexed by user id.
     w: Vec<f64>,
+    ln_w: Vec<f64>,
     r_mbs: Vec<f64>,
     fbs_rate: Vec<f64>,
     s_mbs: Vec<f64>,
@@ -54,6 +55,7 @@ impl SoaProblem {
         let n_fbss = problem.num_fbss();
         let mut soa = Self {
             w: Vec::with_capacity(n_users),
+            ln_w: Vec::with_capacity(n_users),
             r_mbs: Vec::with_capacity(n_users),
             fbs_rate: Vec::with_capacity(n_users),
             s_mbs: Vec::with_capacity(n_users),
@@ -65,6 +67,7 @@ impl SoaProblem {
         };
         for (j, u) in problem.users().iter().enumerate() {
             soa.w.push(u.w());
+            soa.ln_w.push(u.ln_w());
             soa.r_mbs.push(u.r_mbs());
             soa.fbs_rate.push(problem.fbs_rate(j));
             soa.s_mbs.push(u.success_mbs());
@@ -104,6 +107,11 @@ impl SoaProblem {
         self.w[j]
     }
 
+    /// `ln W^{t−1}_j`, computed once per user.
+    pub(crate) fn ln_w(&self, j: usize) -> f64 {
+        self.ln_w[j]
+    }
+
     /// MBS rate `R_{0,j}` of user `j`.
     pub fn r_mbs(&self, j: usize) -> f64 {
         self.r_mbs[j]
@@ -140,15 +148,34 @@ impl SoaProblem {
     }
 }
 
+/// One budget's fill as the polish keeps it: the water level, and what
+/// its zero-share rule reads to prove that a move leaves the fill as it
+/// is (DESIGN §15).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Level {
+    /// The water level `λ_b`: the bisection's final bracket ceiling, or
+    /// 0 for a budget filled at `λ = 0`.
+    pub(crate) lambda: f64,
+    /// The bisection's final bracket floor: 0 when no step raised it
+    /// or no bisection ran.
+    pub(crate) floor: f64,
+    /// The members that can benefit (`s > 0` and `c > 0`).
+    pub(crate) effective: usize,
+    /// The largest `s·c/w` over the effective members, and at least
+    /// `f64::MIN_POSITIVE`: the bisection's ceiling before its headroom.
+    pub(crate) largest: f64,
+}
+
 /// Reusable buffers for one budget-constraint fill: the gathered
 /// `(user, success, w, rate)` columns, each member's `w / rate`
 /// quotient, the effectiveness mask, and the share output. One scratch
 /// serves a whole solve; nothing inside the bisection loop allocates.
 ///
 /// The scratch also tallies the work done through it (budget fills,
-/// bisection steps, replayed fills, and the polish candidates refilled
-/// and ruled out); the solve that uses it flushes the tallies to
-/// `fcr_telemetry` once, when it returns.
+/// bisection steps, replayed fills, the budgets a polish refill keeps,
+/// and the polish candidates refilled and ruled out); the solve that
+/// uses it flushes the tallies to `fcr_telemetry` once, when it
+/// returns.
 ///
 /// A scratch from [`FillScratch::new`] fills every budget it is asked
 /// to. The greedy allocator passes one scratch to every solve of a run,
@@ -178,6 +205,9 @@ pub struct FillScratch {
     pub(crate) bisection_steps: u64,
     /// Fills replayed from `cache` since the last flush.
     pub(crate) fill_memo_hits: u64,
+    /// Budgets a polish refill proved unchanged and did not fill, since
+    /// the last flush.
+    pub(crate) budgets_kept: u64,
     /// Polish candidates refilled through this scratch since the last
     /// flush.
     pub(crate) polish_refills: u64,
@@ -259,55 +289,58 @@ impl FillScratch {
 
     /// Runs `fill` over the members in `idx` of budget `budget` (0 for
     /// the MBS), whose rates scale with `g` (`None` for the MBS), and
-    /// returns its λ, leaving its shares in `shares`. The members'
+    /// returns its level, leaving its shares in `shares`. The members'
     /// columns come from `member`. With a cache, a fill already made
-    /// replays its λ and shares instead, and a new one is stored.
+    /// replays its level and shares instead, and a new one is stored.
     pub(crate) fn fill_once(
         &mut self,
         budget: usize,
         g: Option<f64>,
         member: impl Fn(usize) -> (f64, f64, f64),
-        fill: impl FnOnce(&mut Self) -> f64,
-    ) -> f64 {
+        fill: impl FnOnce(&mut Self) -> Level,
+    ) -> Level {
         if let Some(cache) = &mut self.cache {
             cache.key.clear();
             cache.key.push(budget as u64);
             cache.key.push(g.map_or(0, f64::to_bits));
             cache.key.extend(self.idx.iter().map(|&j| j as u64));
-            if let Some(&(lambda, start)) = cache.fills.get(cache.key.as_slice()) {
+            if let Some(&(level, start)) = cache.fills.get(cache.key.as_slice()) {
                 self.shares.clear();
                 self.shares
                     .extend_from_slice(&cache.shares[start..start + self.idx.len()]);
                 self.fill_memo_hits += 1;
-                return lambda;
+                return level;
             }
         }
         self.gather_columns(member);
-        let lambda = fill(self);
+        let level = fill(self);
         if let Some(cache) = &mut self.cache {
             let start = cache.shares.len();
             cache.shares.extend_from_slice(&self.shares);
             cache
                 .fills
-                .insert(cache.key.as_slice().into(), (lambda, start));
+                .insert(cache.key.as_slice().into(), (level, start));
         }
-        lambda
+        level
     }
 
     /// Adds the work tallied since the last flush to the
     /// `waterfill.budget_fills`, `waterfill.bisection_steps`,
-    /// `waterfill.fill_memo_hits`, `waterfill.polish_refills` and
-    /// `waterfill.polish_pruned` counters and zeroes the tallies. With
-    /// telemetry off this is one relaxed load per counter.
+    /// `waterfill.fill_memo_hits`, `waterfill.budgets_kept`,
+    /// `waterfill.polish_refills` and `waterfill.polish_pruned` counters
+    /// and zeroes the tallies. With telemetry off this is one relaxed
+    /// load per counter.
     pub(crate) fn flush_counters(&mut self) {
         fcr_telemetry::incr("waterfill.budget_fills", self.budget_fills);
         fcr_telemetry::incr("waterfill.bisection_steps", self.bisection_steps);
         fcr_telemetry::incr("waterfill.fill_memo_hits", self.fill_memo_hits);
+        fcr_telemetry::incr("waterfill.budgets_kept", self.budgets_kept);
         fcr_telemetry::incr("waterfill.polish_refills", self.polish_refills);
         fcr_telemetry::incr("waterfill.polish_pruned", self.polish_pruned);
         self.budget_fills = 0;
         self.bisection_steps = 0;
         self.fill_memo_hits = 0;
+        self.budgets_kept = 0;
         self.polish_refills = 0;
         self.polish_pruned = 0;
     }
@@ -327,14 +360,14 @@ impl FillScratch {
 ///
 /// Within a run the users and the solver are fixed. The MBS budget's
 /// rates are then `R_{0,j}` and FBS `i`'s are `G_i·R_{i,j}`, so a fill
-/// (its λ and its shares) is a pure function of the budget, of `G_i`
+/// (its level and its shares) is a pure function of the budget, of `G_i`
 /// for an FBS budget, and of the members it gathers, in order. A fill
 /// is keyed on exactly those.
 #[derive(Debug, Default, Clone)]
 struct FillCache {
-    /// `[budget, G_i bits (0 for the MBS), member ids…]` → the fill's λ
-    /// and where its shares start in `shares`.
-    fills: HashMap<Box<[u64]>, (f64, usize), BuildHasherDefault<WordHasher>>,
+    /// `[budget, G_i bits (0 for the MBS), member ids…]` → the fill's
+    /// level and where its shares start in `shares`.
+    fills: HashMap<Box<[u64]>, (Level, usize), BuildHasherDefault<WordHasher>>,
     /// The shares of every fill, back to back.
     shares: Vec<f64>,
     /// The key of the fill being looked up, built in place.

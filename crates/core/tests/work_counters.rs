@@ -12,6 +12,7 @@ use fcr_core::problem::{SlotProblem, UserState};
 use fcr_core::waterfill::WaterfillingSolver;
 use fcr_net::interference::InterferenceGraph;
 use fcr_net::node::FbsId;
+use fcr_sim::massive::{generate_problem, MassiveConfig, MassiveDriver};
 use fcr_telemetry::TelemetrySnapshot;
 use std::sync::{Mutex, PoisonError};
 
@@ -34,7 +35,7 @@ fn fig5(weights: Vec<f64>) -> InterferingProblem {
     .unwrap()
 }
 
-const COUNTERS: [&str; 9] = [
+const COUNTERS: [&str; 10] = [
     "greedy.inner_solves",
     "greedy.q_memo_hits",
     "waterfill.solves",
@@ -42,6 +43,7 @@ const COUNTERS: [&str; 9] = [
     "waterfill.budget_fills",
     "waterfill.bisection_steps",
     "waterfill.fill_memo_hits",
+    "waterfill.budgets_kept",
     "waterfill.polish_refills",
     "waterfill.polish_pruned",
 ];
@@ -59,7 +61,7 @@ fn counted(work: impl FnOnce()) -> TelemetrySnapshot {
 }
 
 /// The solver counters `work` adds, in the order of [`COUNTERS`].
-fn counts(work: impl FnOnce()) -> [u64; 9] {
+fn counts(work: impl FnOnce()) -> [u64; 10] {
     let snapshot = counted(work);
     COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0))
 }
@@ -79,9 +81,11 @@ fn fig5_greedy_work_counts_are_exact() {
     // budget fill is counted, but only a fill the run has not made
     // before bisects; the others are replayed. The polishes refill only
     // the candidates their fills' prices cannot rule out: 155 of 1 005
-    // and 147 of 942.
-    assert_eq!(distinct, [53, 0, 54, 183, 1118, 2310, 1007, 155, 850]);
-    assert_eq!(repeated, [49, 4, 50, 171, 1049, 2151, 946, 147, 795]);
+    // and 147 of 942. Nine of those refills leave an FBS budget with
+    // `G = 0`, where the mover cannot benefit, and keep it; each of the
+    // nine would have been a replay.
+    assert_eq!(distinct, [53, 0, 54, 183, 1109, 2310, 998, 9, 155, 850]);
+    assert_eq!(repeated, [49, 4, 50, 171, 1040, 2151, 937, 9, 147, 795]);
     for [inner_solves, memo_hits, solves, ..] in [distinct, repeated] {
         assert_eq!(inner_solves + memo_hits, 53, "each Q is solved or recalled");
         assert_eq!(
@@ -98,7 +102,7 @@ fn incremental_greedy_work_counts_are_exact() {
     let got = counts(|| {
         GreedyAllocator::new().incremental(true).allocate(&problem);
     });
-    assert_eq!(got, [28, 0, 29, 101, 510, 1828, 432, 42, 405]);
+    assert_eq!(got, [28, 0, 29, 101, 502, 1828, 424, 8, 42, 405]);
 }
 
 /// A standalone solve fills every budget it needs: nothing outside a
@@ -114,7 +118,37 @@ fn a_standalone_solve_replays_no_fill() {
     let got = counts(|| {
         WaterfillingSolver::new().solve(&problem);
     });
-    assert_eq!(got, [0, 0, 1, 2, 32, 967, 0, 10, 26]);
+    assert_eq!(got, [0, 0, 1, 2, 32, 967, 0, 0, 10, 26]);
+}
+
+/// The cold dual of a generated 64-FBS massive slot (128 users) at its
+/// greedy's channel assignment: the subgradient iterations, then the
+/// primal recovery's fill and polish. Most of the polish's refills move
+/// a user that holds share 0 before and after, and keep both budgets.
+#[test]
+fn a_massive_dual_recovery_keeps_the_budgets_of_its_zero_share_moves() {
+    let config = MassiveConfig {
+        num_fbss: 64,
+        ..MassiveConfig::default()
+    };
+    // The slot is set up on the sink's turn too, so that its greedy
+    // runs count into nobody's snapshot.
+    let mut slot = None;
+    counted(|| {
+        let problem = generate_problem(&config, 20110620);
+        let outcome = MassiveDriver::new(config).solve_slot_serial(&problem);
+        slot = Some(problem.problem_for(&outcome.assignment));
+    });
+    let slot = slot.expect("the slot is set up");
+    let dual = DualSolver::new(config.dual_for(config.num_fbss));
+    let snapshot = counted(|| {
+        dual.solve(&slot);
+    });
+    let iterations = snapshot.counter("dual.iterations").unwrap_or(0);
+    let recovery = COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0));
+    assert_eq!(iterations, 5000, "the cold solve runs to the cap");
+    // 5 627 fills and 147 608 bisection steps before the rule.
+    assert_eq!(recovery, [0, 0, 0, 0, 2346, 66288, 0, 3281, 1914, 838]);
 }
 
 /// One Table I solve: the subgradient iterations it ran, as the solve
@@ -143,5 +177,5 @@ fn a_table1_solve_counts_its_dual_iterations() {
     assert_eq!(iterations, 667);
     assert_eq!(snapshot.counter("dual.iterations"), Some(667));
     let recovery = COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0));
-    assert_eq!(recovery, [0, 0, 0, 0, 2, 54, 0, 0, 5]);
+    assert_eq!(recovery, [0, 0, 0, 0, 2, 54, 0, 0, 0, 5]);
 }
