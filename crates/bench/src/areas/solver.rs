@@ -11,7 +11,8 @@
 //! quantities) come from the `SolveRecord` telemetry channel, which the
 //! dual solver feeds whenever telemetry is enabled: `kernel_reps`
 //! untimed Table-I solves, the massive-N slots' solves and the
-//! pipelines'.
+//! pipelines'. The greedy kernel's exact work counts come from the
+//! counters of one untimed allocation of the same fixture.
 
 use crate::{fig5_problem, single_fbs_problem};
 use fcr_core::dual::{DualConfig, DualSolver};
@@ -114,6 +115,22 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
     // fixed number of them, whatever the host's speed.
     fcr_telemetry::enable();
     let _ = fcr_telemetry::drain();
+    // The greedy kernel's exact work: the `Q` solves of one untimed
+    // allocation and the candidates its bounds skip. Counts, unlike the
+    // rates, do not depend on the host's speed.
+    let greedy_counter = |name: &str| {
+        fcr_telemetry::global()
+            .snapshot()
+            .counter(name)
+            .unwrap_or(0)
+    };
+    let (solves_before, pruned_before) = (
+        greedy_counter("greedy.inner_solves"),
+        greedy_counter("greedy.bound_pruned"),
+    );
+    std::hint::black_box(greedy.allocate(std::hint::black_box(&interfering)));
+    let greedy_q_solves = greedy_counter("greedy.inner_solves") - solves_before;
+    let greedy_bound_pruned = greedy_counter("greedy.bound_pruned") - pruned_before;
     for _ in 0..params.kernel_reps {
         std::hint::black_box(dual.solve(std::hint::black_box(&problem)));
     }
@@ -212,6 +229,8 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
         .metric("waterfill_solves_per_sec", waterfill_rate)
         .metric("dual_solves_per_sec", dual_rate)
         .metric("greedy_allocs_per_sec", greedy_rate)
+        .metric("greedy_q_solves", greedy_q_solves)
+        .metric("greedy_bound_pruned", greedy_bound_pruned)
         .metric("pipeline_seconds", pipeline_secs)
         .metric("pipeline_slots", pipeline_slots)
         .metric(
@@ -285,6 +304,14 @@ mod tests {
         assert!(env.metric_value("waterfill_solves_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("dual_solves_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("greedy_allocs_per_sec").unwrap() > 0.0);
+        // One fig-5 allocation's exact work: every Q(c) trial of its run
+        // is solved, recalled from the step's memo or skipped.
+        let solves = env.metric_value("greedy_q_solves").unwrap();
+        let pruned = env.metric_value("greedy_bound_pruned").unwrap();
+        assert!(
+            solves > 0.0 && pruned > 0.0,
+            "{solves} solves, {pruned} pruned"
+        );
         assert!(env.metric_value("pipeline_slots").unwrap() > 0.0);
         // The Table-I dual ran kernel_reps untimed times with telemetry
         // enabled, so the SolveRecord channel saw at least that many

@@ -128,6 +128,24 @@ fn smoke_run_satisfies_schema_invariants_and_budget_gate() {
         "FAIL serve/windows_retried: measured 7 > budget max 0"
     );
 
+    // --- Doubling the greedy's exact work fails its count gate. ---
+    let mut doubled = envelopes.to_vec();
+    let solves = metric(&doubled[0], "greedy_q_solves");
+    for (name, value) in &mut doubled[0].metrics {
+        if name == "greedy_q_solves" {
+            *value = BenchValue::U64(2 * solves as u64);
+        }
+    }
+    let violations = check(&budgets, &doubled);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(
+        violations[0].to_string(),
+        format!(
+            "FAIL solver/greedy_q_solves: measured {} > budget max {solves}",
+            2 * solves as u64
+        )
+    );
+
     // --- A NaN metric must breach, not sail through both bounds. ---
     let mut poisoned = envelopes.to_vec();
     for (name, value) in &mut poisoned[0].metrics {

@@ -12,21 +12,35 @@
 //! Worst-case complexity is `O(N²M²)` inner solves, as stated in
 //! Section IV-C.2.
 //!
-//! Those solves repeat each other's work, and a run skips the repeats
-//! at two levels, both bit-identical to solving everything:
+//! Those solves repeat each other's work, and a run skips it at three
+//! levels, each bit-identical to solving everything:
+//! - Within one step of the cold path, each candidate is first bounded
+//!   by weak duality (eqs. (13)–(14)): at any prices `λ ≥ 0` the
+//!   Lagrangian `L(λ)` of the candidate's slot problem is at least the
+//!   objective of every feasible allocation, so at least its `Q`. The
+//!   candidates are solved in decreasing bound order, and the step
+//!   stops at the first whose bound, plus a derived rounding margin,
+//!   cannot reach the best `Δ` solved so far: none of the rest could
+//!   win or tie (DESIGN §15).
 //! - Within one step of the cold path, each distinct `G` vector is
 //!   solved once (`Q` depends on a trial only through `G`).
-//! - Every `Q` solve of a run, on either path, and the final solve at
-//!   the committed assignment share one fill cache, created and dropped
-//!   by [`GreedyAllocator::allocate`]. A budget fill depends only on
-//!   the budget, its FBS's `G_i` and the members it gathers, so a fill
-//!   one solve made is replayed by any later solve that needs it.
+//! - Every `Q` solve of a run, on either path, shares one fill cache,
+//!   created and dropped by [`GreedyAllocator::allocate`]. A budget
+//!   fill depends only on the budget, its FBS's `G_i` and the members
+//!   it gathers, so a fill one solve made is replayed by any later
+//!   solve that needs it.
+//!
+//! The final assignment's `G` is the last committed candidate's (or
+//! `∅`'s), and the run's solves are deterministic through its fill
+//! cache, so the outcome takes that solve's `Q` and allocation instead
+//! of solving again.
 
 use crate::allocation::{Allocation, Mode};
 use crate::bounds;
 use crate::interfering::{ChannelAssignment, InterferingProblem};
+use crate::lagrangian::{best_share, branch_value_ln};
 use crate::soa::FillScratch;
-use crate::waterfill::WaterfillingSolver;
+use crate::waterfill::{gamma, magnitude, WaterfillingSolver, UNIT_ROUNDOFF};
 use fcr_net::node::FbsId;
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -171,42 +185,58 @@ impl GreedyAllocator {
         let n = problem.num_fbss();
         let m = problem.num_channels();
         let mut assignment = ChannelAssignment::empty(n, m);
-        let q_empty = problem
-            .q_at(problem.g_for(&assignment), &self.solver, scratch)
-            .0;
+        // The solve of the last committed assignment, `∅`'s until a
+        // commit.
+        let mut committed = problem.q_at(problem.g_for(&assignment), &self.solver, scratch);
+        let q_empty = committed.0;
         let mut q_current = q_empty;
         let mut steps = Vec::new();
         // Candidate set C = N × A(t).
         let mut candidates: Vec<(FbsId, usize)> = (0..n)
             .flat_map(|i| (0..m).map(move |ch| (FbsId(i), ch)))
             .collect();
+        let mut dual = Dual::new(problem);
 
-        let mut memo_hits = 0u64;
+        let (mut memo_hits, mut pruned) = (0u64, 0u64);
         while !candidates.is_empty() {
-            // Step 3: the pair with the largest Q increase. Q depends on
-            // the trial only through its G vector, and channels with
-            // bit-equal posteriors give candidates bit-equal G vectors:
-            // each distinct G of the step is solved once.
-            let mut memo: HashMap<Vec<u64>, f64> = HashMap::new();
-            let mut best: Option<(usize, f64)> = None;
-            for (idx, (fbs, ch)) in candidates.iter().enumerate() {
-                let mut trial = assignment.clone();
-                trial.assign(*fbs, *ch);
-                let g = problem.g_for(&trial);
-                let key: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
-                let q = match memo.entry(key) {
-                    Entry::Occupied(hit) => {
-                        memo_hits += 1;
-                        *hit.get()
-                    }
-                    Entry::Vacant(miss) => *miss.insert(problem.q_at(g, &self.solver, scratch).0),
-                };
-                let delta = q - q_current;
-                if best.is_none_or(|(_, d)| delta > d) {
-                    best = Some((idx, delta));
-                }
-            }
-            let (best_idx, delta) = best.expect("candidates nonempty");
+            // Step 3: the pair with the largest Q increase. A trial
+            // changes only its FBS's G_i, so the trial's G vector is the
+            // current one with that entry replaced.
+            let g = problem.g_for(&assignment);
+            let grants: Vec<f64> = candidates
+                .iter()
+                .map(|&(fbs, ch)| problem.g_granting(&assignment, fbs, Some(ch)))
+                .collect();
+            let trial_g = |idx: usize| {
+                let (FbsId(i), _) = candidates[idx];
+                let mut trial = g.clone();
+                trial[i] = grants[idx];
+                trial
+            };
+            let bounds = dual.bounds(&g, &candidates, &grants);
+            // Q depends on the trial only through its G vector, and
+            // channels with bit-equal posteriors give candidates
+            // bit-equal G vectors: each distinct G of the step is solved
+            // once.
+            let mut memo: HashMap<Vec<u64>, (f64, Allocation)> = HashMap::new();
+            let (best_idx, delta, skipped) =
+                best_candidate(&bounds.values, bounds.margin, q_current, |idx| {
+                    let trial = trial_g(idx);
+                    let q = match memo.entry(bits(&trial)) {
+                        Entry::Occupied(hit) => {
+                            memo_hits += 1;
+                            hit.get().0
+                        }
+                        Entry::Vacant(miss) => {
+                            miss.insert(problem.q_at(trial, &self.solver, scratch)).0
+                        }
+                    };
+                    q - q_current
+                });
+            pruned += skipped;
+            committed = memo
+                .remove(&bits(&trial_g(best_idx)))
+                .expect("the chosen candidate was solved");
             let (fbs, channel) = candidates[best_idx];
 
             // Step 4: commit.
@@ -227,7 +257,8 @@ impl GreedyAllocator {
         }
 
         fcr_telemetry::incr("greedy.q_memo_hits", memo_hits);
-        self.finish(problem, assignment, steps, q_empty, scratch)
+        fcr_telemetry::incr("greedy.bound_pruned", pruned);
+        self.finish(problem, assignment, steps, q_empty, committed)
     }
 
     /// The incremental (lazy) variant: per-candidate `Δ` evaluations
@@ -287,16 +318,19 @@ impl GreedyAllocator {
         let mut assignment = ChannelAssignment::empty(n, m);
         let mut q_current = q_empty;
         let mut signature = signature_of(&empty_alloc);
+        // The solve of the last committed assignment, `∅`'s until a
+        // commit.
+        let mut committed = (q_empty, empty_alloc);
         let mut steps = Vec::new();
         let mut cache_hits = 0u64;
         let mut invalidations = 0u64;
 
         while !candidates.is_empty() {
             // Lazy selection: re-evaluate the stale top until a fresh
-            // candidate holds the maximum. `(index, q, signature)` of
+            // candidate holds the maximum. `(index, q, allocation)` of
             // the last evaluation is kept so committing it costs no
             // extra solve.
-            let mut last_eval: Option<(usize, f64, (Vec<Mode>, f64))> = None;
+            let mut last_eval: Option<(usize, f64, Allocation)> = None;
             let top = loop {
                 let mut top = 0;
                 for k in 1..candidates.len() {
@@ -312,7 +346,7 @@ impl GreedyAllocator {
                 let (q, alloc) = q_solution(&trial, scratch);
                 candidates[top].delta = q - q_current;
                 candidates[top].fresh = true;
-                last_eval = Some((top, q, signature_of(&alloc)));
+                last_eval = Some((top, q, alloc));
             };
             let (fbs, channel) = (candidates[top].fbs, candidates[top].channel);
 
@@ -321,14 +355,14 @@ impl GreedyAllocator {
             // it is the one just evaluated, otherwise (a surviving
             // cache entry won) with one fresh solve.
             assignment.assign(fbs, channel);
-            let (q_new, sig_new) = match last_eval {
-                Some((idx, q, sig)) if idx == top => (q, sig),
+            committed = match last_eval {
+                Some((idx, q, alloc)) if idx == top => (q, alloc),
                 _ => {
                     cache_hits += 1;
-                    let (q, alloc) = q_solution(&assignment, scratch);
-                    (q, signature_of(&alloc))
+                    q_solution(&assignment, scratch)
                 }
             };
+            let (q_new, sig_new) = (committed.0, signature_of(&committed.1));
             let delta = q_new - q_current;
             q_current = q_new;
             steps.push(GreedyStep {
@@ -359,21 +393,21 @@ impl GreedyAllocator {
 
         fcr_telemetry::incr("greedy.cache_hits", cache_hits);
         fcr_telemetry::incr("greedy.cache_invalidations", invalidations);
-        self.finish(problem, assignment, steps, q_empty, scratch)
+        self.finish(problem, assignment, steps, q_empty, committed)
     }
 
+    /// The outcome at `assignment`, whose solve `(Q, allocation)` is
+    /// `solved`.
     fn finish(
         &self,
         problem: &InterferingProblem,
         assignment: ChannelAssignment,
         steps: Vec<GreedyStep>,
         q_empty: f64,
-        scratch: &mut FillScratch,
+        solved: (f64, Allocation),
     ) -> GreedyOutcome {
         debug_assert!(assignment.is_conflict_free(problem.graph()));
-        let final_problem = problem.problem_for(&assignment);
-        let allocation = self.solver.solve_in(&final_problem, scratch);
-        let q_value = final_problem.objective(&allocation);
+        let (q_value, allocation) = solved;
         // Eq.-(23) bookkeeping: the per-step gap terms D(l)·Δ_l make
         // the per-run optimality bound observable. No-op when
         // telemetry is disabled.
@@ -398,6 +432,309 @@ impl GreedyAllocator {
             allocation,
         }
     }
+}
+
+/// The bit patterns of `g`: the key of the per-step `Q` memo.
+fn bits(g: &[f64]) -> Vec<u64> {
+    g.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Step 3 of Table III over candidates whose weak-duality bounds are
+/// `bounds`: returns the index of the candidate with the largest
+/// `Δ = delta_of(index)`, the lowest index on ties (what a scan in
+/// index order with a strict `>` picks), its `Δ`, and how many
+/// candidates were skipped.
+///
+/// Candidates are solved in decreasing bound order (a NaN bound first,
+/// equal bounds by index), and the rest are skipped at the first whose
+/// `fl((bound + margin) − q_current)` is strictly below the best `Δ`
+/// so far. Given `Q ≤ fl(bound + margin)`, rounded subtraction is
+/// monotone, so that candidate's `Δ` and every later one's is strictly
+/// below the best: none of them could win or tie. The comparison is
+/// made on `Δ`, not on `Q`, because `fl(q − q_current)` can round two
+/// different `Q`s to equal `Δ`s. A NaN bound admits its candidate.
+///
+/// A `Q`, and so its `Δ`, is NaN or infinite only when a rate times
+/// `G` overflows; the margin is then infinite and nothing is skipped.
+/// As in the scan, a NaN `Δ` never becomes the best, except candidate
+/// 0's, which the scan keeps whatever follows.
+fn best_candidate(
+    bounds: &[f64],
+    margin: f64,
+    q_current: f64,
+    mut delta_of: impl FnMut(usize) -> f64,
+) -> (usize, f64, u64) {
+    let key = |idx: usize| {
+        let bound = bounds[idx];
+        if bound.is_nan() {
+            f64::INFINITY
+        } else {
+            bound
+        }
+    };
+    let mut order: Vec<usize> = (0..bounds.len()).collect();
+    order.sort_by(|&a, &b| {
+        key(b)
+            .partial_cmp(&key(a))
+            .expect("NaN bounds sort as +∞")
+            .then(a.cmp(&b))
+    });
+    let mut best: Option<(usize, f64)> = None;
+    for (visited, &idx) in order.iter().enumerate() {
+        if let Some((best_idx, best_delta)) = best {
+            if (bounds[idx] + margin) - q_current < best_delta {
+                return (best_idx, best_delta, (order.len() - visited) as u64);
+            }
+        }
+        let delta = delta_of(idx);
+        if delta.is_nan() {
+            if idx == 0 {
+                return (0, delta, (order.len() - visited - 1) as u64);
+            }
+            continue;
+        }
+        if best.is_none_or(|(b, d)| delta > d || delta == d && idx < b) {
+            best = Some((idx, delta));
+        }
+    }
+    let (best_idx, best_delta) = best.expect("candidate 0 was solved");
+    (best_idx, best_delta, 0)
+}
+
+/// Bisection steps of each FBS price search in [`Dual::part`]. The
+/// prices decide only how much a step prunes, never a result.
+const FBS_PRICE_STEPS: usize = 8;
+
+/// Cap on the bisection steps of the run's MBS price search
+/// ([`mbs_price`]); it stops earlier at its first idle step.
+const MBS_PRICE_STEPS: usize = 30;
+
+/// The Lagrangian of a cold run's `Q(c)` problems (eqs. (13)–(14)) at
+/// prices that bound every candidate of a step (DESIGN §15).
+///
+/// At prices `λ = [λ_0, λ_1, …, λ_N] ≥ 0` and channel counts `G`, the
+/// Lagrangian is `L = λ_0 + Σ_k T_k(λ_k)`, FBS `k`'s part being
+/// `T_k = λ_k + Σ_{j∈U_k} max(V0_j(λ_0), V1_j(λ_k, G_k))`, where `V0_j`
+/// and `V1_j` are user `j`'s best Lagrangian values on its MBS and FBS
+/// branches. By weak duality `L` is at least the objective of every
+/// feasible allocation, so at least `Q(G)` whatever the solver. A
+/// candidate `(i, m)` changes only `G_i`, so its bound keeps the step's
+/// other parts and re-minimises only `T_i`.
+struct Dual<'a> {
+    problem: &'a InterferingProblem,
+    /// Per FBS, its users in ascending order.
+    users_of: Vec<Vec<usize>>,
+    /// `λ_0`, found once at the empty assignment and then carried.
+    lambda_mbs: f64,
+    /// Per user, `V0_j(λ_0)`.
+    mbs_values: Vec<f64>,
+    /// [`Self::part`] per (FBS, channel-count bits).
+    parts: HashMap<(usize, u64), (f64, f64)>,
+}
+
+/// One step's candidate bounds, and the margin that covers their
+/// rounding and that of `Q`'s objective fold.
+struct StepBounds {
+    values: Vec<f64>,
+    margin: f64,
+}
+
+impl<'a> Dual<'a> {
+    fn new(problem: &'a InterferingProblem) -> Self {
+        let users = problem.users();
+        let mut users_of = vec![Vec::new(); problem.num_fbss()];
+        for (j, u) in users.iter().enumerate() {
+            users_of[u.fbs().0].push(j);
+        }
+        let lambda_mbs = mbs_price(problem);
+        let mbs_values = users
+            .iter()
+            .map(|u| {
+                let (s, w, r) = (u.success_mbs(), u.w(), u.r_mbs());
+                let rho = best_share(s, lambda_mbs, w, r);
+                branch_value_ln(s, lambda_mbs, w, u.ln_w(), r, rho)
+            })
+            .collect();
+        Self {
+            problem,
+            users_of,
+            lambda_mbs,
+            mbs_values,
+            parts: HashMap::new(),
+        }
+    }
+
+    /// FBS `i`'s part `T_i` at channel count `g`, minimised over its
+    /// price: the least value found and the price it was found at.
+    /// Every value found bounds the part's minimum from above, so the
+    /// search's precision decides only the bound's slack. It bisects on
+    /// the subgradient `1 − Σ_{FBS-winning} ρ_j` and also tries `λ = 0`
+    /// when no step raised the bracket's floor. A NaN value is never
+    /// the least, and a part whose every value is NaN is `+∞`.
+    fn part(&self, i: usize, g: f64) -> (f64, f64) {
+        let users = self.problem.users();
+        let members = &self.users_of[i];
+        let at = |lambda: f64| {
+            let (mut value, mut load) = (lambda, 0.0);
+            for &j in members {
+                let u = &users[j];
+                let (s, w, c) = (u.success_fbs(), u.w(), g * u.r_fbs());
+                let rho = best_share(s, lambda, w, c);
+                let fbs = branch_value_ln(s, lambda, w, u.ln_w(), c, rho);
+                let mbs = self.mbs_values[j];
+                if fbs > mbs {
+                    load += rho;
+                }
+                // The larger branch, NaN if either is.
+                value += if fbs.is_nan() || mbs.is_nan() {
+                    f64::NAN
+                } else {
+                    fbs.max(mbs)
+                };
+            }
+            (value, load)
+        };
+        // Past the largest `s·c/w` every share is 0.
+        let ceiling = members
+            .iter()
+            .map(|&j| {
+                let u = &users[j];
+                let (s, c) = (u.success_fbs(), g * u.r_fbs());
+                if s > 0.0 && c > 0.0 {
+                    s * c / u.w()
+                } else {
+                    0.0
+                }
+            })
+            .fold(0.0, f64::max);
+        let (mut best, mut price) = (f64::INFINITY, 0.0);
+        let (mut lo, mut hi) = (0.0, ceiling);
+        if ceiling > 0.0 {
+            for _ in 0..FBS_PRICE_STEPS {
+                let mid = 0.5 * (lo + hi);
+                let (value, load) = at(mid);
+                if value < best {
+                    (best, price) = (value, mid);
+                }
+                if load > 1.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        if lo == 0.0 {
+            let (value, _) = at(0.0);
+            if value < best {
+                (best, price) = (value, 0.0);
+            }
+        }
+        (best, price)
+    }
+
+    /// [`Self::part`], memoised for the run: a part depends only on its
+    /// FBS and channel count once the users and `λ_0` are fixed, and a
+    /// commit moves one FBS's count, so most of a step's parts are the
+    /// previous step's.
+    fn part_at(&mut self, i: usize, g: f64) -> (f64, f64) {
+        if let Some(&part) = self.parts.get(&(i, g.to_bits())) {
+            return part;
+        }
+        let part = self.part(i, g);
+        self.parts.insert((i, g.to_bits()), part);
+        part
+    }
+
+    /// The bounds of a step at channel counts `g` on `candidates`, whose
+    /// FBSs' channel counts are `grants`: each is
+    /// `λ_0 + Σ_{k≠i} T_k + min T_i(grant)`, the other parts minimised
+    /// at `g`.
+    ///
+    /// The margin is `(3γ_{n+N+1} + 16u)·(Σ_j m_j + n + Λ + n·λ*)`, with
+    /// `m_j` each user's magnitude at the step's largest channel count,
+    /// `Λ` the sum of the prices in use (`λ_0`, each `λ_k` and the
+    /// largest candidate `λ_i`) and `λ*` the largest; DESIGN §15
+    /// derives it term by term.
+    fn bounds(&mut self, g: &[f64], candidates: &[(FbsId, usize)], grants: &[f64]) -> StepBounds {
+        let parts: Vec<(f64, f64)> = g
+            .iter()
+            .enumerate()
+            .map(|(k, &g_k)| self.part_at(k, g_k))
+            .collect();
+        // `λ_0 + Σ_{k<i} T_k` and `Σ_{k>i} T_k`.
+        let mut before = Vec::with_capacity(parts.len());
+        let mut sum = self.lambda_mbs;
+        for &(value, _) in &parts {
+            before.push(sum);
+            sum += value;
+        }
+        let mut after = vec![0.0; parts.len() + 1];
+        for k in (0..parts.len()).rev() {
+            after[k] = parts[k].0 + after[k + 1];
+        }
+        let mut g_max = g.iter().fold(0.0, |a: f64, &b| a.max(b));
+        let mut lambda_fbs = 0.0f64;
+        let values = candidates
+            .iter()
+            .zip(grants)
+            .map(|(&(FbsId(i), _), &grant)| {
+                let (value, lambda) = self.part_at(i, grant);
+                g_max = g_max.max(grant);
+                lambda_fbs = lambda_fbs.max(lambda);
+                (before[i] + after[i + 1]) + value
+            })
+            .collect();
+
+        let users = self.problem.users();
+        let magnitudes: f64 = users
+            .iter()
+            .map(|u| magnitude(u.w(), u.ln_w(), u.r_mbs().max(g_max * u.r_fbs())))
+            .sum();
+        let step_prices = parts.iter().map(|&(_, lambda)| lambda);
+        let prices = self.lambda_mbs + step_prices.clone().sum::<f64>() + lambda_fbs;
+        let lambda_max = step_prices.fold(self.lambda_mbs.max(lambda_fbs), f64::max);
+        let n = users.len() as f64;
+        let margin = (3.0 * gamma(users.len() + g.len() + 1) + 16.0 * UNIT_ROUNDOFF)
+            * (magnitudes + n + prices + n * lambda_max);
+        StepBounds { values, margin }
+    }
+}
+
+/// `λ_0` for a run: the minimiser of the partially minimised dual at
+/// the empty assignment, by bisection on its subgradient
+/// `1 − Σ_{MBS-winning} ρ_0`. With no channel granted, every user with
+/// a positive MBS share wins on the MBS branch. Ties go up, to the top
+/// of a flat stretch: a lone beneficiary's full share prices there at
+/// its marginal value `s·c/(w + c)`, not at 0, so its own MBS value is
+/// not a full slot's free of charge. A price from the fill's levels
+/// would be 0 there, or at a slack budget.
+fn mbs_price(problem: &InterferingProblem) -> f64 {
+    let users = problem.users();
+    let ceiling = users
+        .iter()
+        .map(|u| {
+            let (s, r) = (u.success_mbs(), u.r_mbs());
+            if s > 0.0 && r > 0.0 {
+                s * r / u.w()
+            } else {
+                0.0
+            }
+        })
+        .fold(0.0, f64::max);
+    let (mut lo, mut hi) = (0.0, ceiling);
+    for _ in 0..MBS_PRICE_STEPS {
+        let mid = 0.5 * (lo + hi);
+        let load: f64 = users
+            .iter()
+            .map(|u| best_share(u.success_mbs(), mid, u.w(), u.r_mbs()))
+            .sum();
+        let bound = if load >= 1.0 { &mut lo } else { &mut hi };
+        if *bound == mid {
+            break;
+        }
+        *bound = mid;
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -642,7 +979,8 @@ mod tests {
             let neighbors = problem.graph().neighbors(fbs);
             candidates.retain(|(f, ch)| !(*ch == channel && (*f == fbs || neighbors.contains(f))));
         }
-        allocator.finish(problem, assignment, steps, q_empty, &mut FillScratch::new())
+        let solved = problem.q_solution(&assignment, &allocator.solver);
+        allocator.finish(problem, assignment, steps, q_empty, solved)
     }
 
     /// The incremental greedy before the fill cache: every `Q` solved
@@ -729,7 +1067,8 @@ mod tests {
             }
             signature = sig_new;
         }
-        allocator.finish(problem, assignment, steps, q_empty, &mut FillScratch::new())
+        let solved = problem.q_solution(&assignment, &allocator.solver);
+        allocator.finish(problem, assignment, steps, q_empty, solved)
     }
 
     fn assert_same_outcome(got: &GreedyOutcome, want: &GreedyOutcome) {
@@ -787,6 +1126,11 @@ mod tests {
     /// with rates and successes sometimes 0, and up to 4 channels whose
     /// posteriors come from [`WEIGHTS`].
     fn arb_problem() -> impl Strategy<Value = InterferingProblem> {
+        arb_problem_with(12)
+    }
+
+    /// As [`arb_problem`], with up to `max_users` users.
+    fn arb_problem_with(max_users: usize) -> impl Strategy<Value = InterferingProblem> {
         (
             proptest::collection::vec(
                 (
@@ -797,7 +1141,7 @@ mod tests {
                     zero_or(0.05..=1.0),
                     zero_or(0.05..=1.0),
                 ),
-                1..=12,
+                1..=max_users,
             ),
             1..=6usize,
             proptest::collection::vec(proptest::bool::ANY, 15),
@@ -826,10 +1170,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The memoised cold greedy, its fills cached, commits the same
-        /// pairs with the same `Δ` bits, and ends at the same `Q` bits and
-        /// allocation bits, as the oracle that solves every candidate
-        /// through a fresh scratch.
+        /// The bounded, memoised cold greedy, its fills cached, commits
+        /// the same pairs with the same `Δ` bits, and ends at the same `Q`
+        /// bits and allocation bits, as the oracle that solves every
+        /// candidate through a fresh scratch.
         #[test]
         fn the_memoised_greedy_is_bit_identical_to_the_oracle(p in arb_problem()) {
             let allocator = GreedyAllocator::new();
@@ -843,6 +1187,221 @@ mod tests {
             let allocator = GreedyAllocator::new().incremental(true);
             assert_same_outcome(&allocator.allocate(&p), &uncached_incremental(&allocator, &p));
         }
+    }
+
+    /// One step of a cold run: the assignment before it, its candidates,
+    /// and their bounds.
+    type BoundedStep = (ChannelAssignment, Vec<(FbsId, usize)>, StepBounds);
+
+    /// Every step of `problem`'s cold run.
+    fn bounded_steps(problem: &InterferingProblem) -> Vec<BoundedStep> {
+        let (n, m) = (problem.num_fbss(), problem.num_channels());
+        let mut dual = Dual::new(problem);
+        let mut assignment = ChannelAssignment::empty(n, m);
+        let mut candidates: Vec<(FbsId, usize)> = (0..n)
+            .flat_map(|i| (0..m).map(move |ch| (FbsId(i), ch)))
+            .collect();
+        let mut steps = Vec::new();
+        for step in GreedyAllocator::new().allocate(problem).steps() {
+            let g = problem.g_for(&assignment);
+            let grants: Vec<f64> = candidates
+                .iter()
+                .map(|&(fbs, ch)| problem.g_granting(&assignment, fbs, Some(ch)))
+                .collect();
+            let bounds = dual.bounds(&g, &candidates, &grants);
+            steps.push((assignment.clone(), candidates.clone(), bounds));
+            assignment.assign(step.fbs, step.channel);
+            let neighbors = problem.graph().neighbors(step.fbs);
+            candidates.retain(|(f, ch)| {
+                !(*ch == step.channel && (*f == step.fbs || neighbors.contains(f)))
+            });
+        }
+        steps
+    }
+
+    /// Checks that at every step of `problem`'s cold run, every
+    /// candidate's bound plus the step's margin is at least the exact
+    /// optimum of its slot problem (a NaN bound admits).
+    fn assert_bounds_cover_the_exact_optimum(problem: &InterferingProblem) {
+        let exact = WaterfillingSolver::exact_up_to(8);
+        for (assignment, candidates, bounds) in bounded_steps(problem) {
+            for (idx, &(fbs, ch)) in candidates.iter().enumerate() {
+                let mut trial = assignment.clone();
+                trial.assign(fbs, ch);
+                let slot = problem.problem_for(&trial);
+                let optimum = slot.objective(&exact.solve(&slot));
+                let reach = bounds.values[idx] + bounds.margin;
+                assert!(
+                    reach >= optimum || reach.is_nan(),
+                    "{fbs} on {ch} at {assignment:?}: bound {} + margin {} < optimum {optimum}",
+                    bounds.values[idx],
+                    bounds.margin
+                );
+            }
+        }
+    }
+
+    /// A user kind of a near-tie instance: `w` (below 1 in some), MBS
+    /// and FBS rates and successes, each sometimes zero, and one kind
+    /// in three that cannot benefit on either branch.
+    fn arb_kind() -> impl Strategy<Value = (f64, f64, f64, f64, f64, u8)> {
+        (
+            0.05..40.0f64,
+            zero_or(0.1..=1.0),
+            zero_or(0.1..=1.0),
+            zero_or(0.05..=1.0),
+            zero_or(0.05..=1.0),
+            0..3u8,
+        )
+    }
+
+    /// Near-tie instances of up to 6 FBSs. FBS `k` and its mirror
+    /// `N − 1 − k` serve copies of the same users (up to 3 each, some
+    /// FBSs none) and the graph is mirror-symmetric, so mirrored
+    /// candidates tie. Users that cannot benefit and FBSs without users
+    /// make the Lagrangian exact, so a `Q` lies within rounding of its
+    /// bound. Channel posteriors repeat and include 0, so candidates of
+    /// one FBS share a `G` and candidates of different FBSs can too.
+    fn arb_near_tie_problem() -> impl Strategy<Value = InterferingProblem> {
+        (
+            proptest::collection::vec(arb_kind(), 1..=4),
+            proptest::collection::vec(proptest::collection::vec(0..4usize, 0..=3), 1..=3),
+            proptest::bool::ANY,
+            proptest::collection::vec(proptest::bool::ANY, 15),
+            proptest::collection::vec(0..3usize, 1..=4),
+        )
+            .prop_map(|(kinds, half, odd, edges, weights)| {
+                let num_fbss = (2 * half.len() - usize::from(odd)).max(1);
+                let mirror = |k: usize| num_fbss - 1 - k;
+                let users: Vec<UserState> = (0..num_fbss)
+                    .flat_map(|k| half[k.min(mirror(k))].iter().map(move |&kind| (k, kind)))
+                    .map(|(k, kind)| {
+                        let (w, r0, r1, s0, s1, inert) = kinds[kind % kinds.len()];
+                        let (s0, s1) = if inert == 0 { (0.0, 0.0) } else { (s0, s1) };
+                        UserState::new(w, FbsId(k), r0, r1, s0, s1).unwrap()
+                    })
+                    .collect();
+                let pairs: Vec<(usize, usize)> = (0..num_fbss)
+                    .flat_map(|i| ((i + 1)..num_fbss).map(move |j| (i, j)))
+                    .collect();
+                let on = |(i, j): (usize, usize)| {
+                    let flag = |a: usize, b: usize| {
+                        let (a, b) = (a.min(b), a.max(b));
+                        edges[pairs.iter().position(|&e| e == (a, b)).unwrap()]
+                    };
+                    flag(i, j) || flag(mirror(i), mirror(j))
+                };
+                let edges: Vec<(FbsId, FbsId)> = pairs
+                    .iter()
+                    .filter(|&&e| on(e))
+                    .map(|&(i, j)| (FbsId(i), FbsId(j)))
+                    .collect();
+                let weights = weights.iter().map(|&k| [0.0, 0.5, 1.0][k]).collect();
+                let users = if users.is_empty() {
+                    vec![user(30.0, 0)]
+                } else {
+                    users
+                };
+                InterferingProblem::new(users, InterferenceGraph::new(num_fbss, &edges), weights)
+                    .unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Weak duality, checked against an oracle that shares no code
+        /// with the bound or the heuristic solve: at every step of a cold
+        /// run, every candidate's bound plus the step's margin is at
+        /// least the optimum `exact_up_to(8)` finds for its slot problem.
+        #[test]
+        fn every_bound_covers_the_exact_optimum(p in arb_problem_with(8)) {
+            assert_bounds_cover_the_exact_optimum(&p);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bounded greedy returns the oracle's bits on instances
+        /// built to sit on the stop rule's edges: mirrored candidates that
+        /// tie in `Q` and in bound, candidates sharing a `G` (repeated
+        /// and zero posteriors), and `Q`s within the margin of their
+        /// bounds.
+        #[test]
+        fn the_bounded_greedy_is_bit_identical_to_the_oracle_on_near_ties(
+            p in arb_near_tie_problem(),
+        ) {
+            let allocator = GreedyAllocator::new();
+            assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
+        }
+    }
+
+    /// The candidates `best_candidate` solves, in order, and its answer.
+    fn pick(bounds: &[f64], margin: f64, deltas: &[f64]) -> (Vec<usize>, (usize, f64, u64)) {
+        let mut solved = Vec::new();
+        let picked = best_candidate(bounds, margin, 0.0, |idx| {
+            solved.push(idx);
+            deltas[idx]
+        });
+        (solved, picked)
+    }
+
+    #[test]
+    fn a_later_solved_candidate_with_a_lower_index_wins_a_tie() {
+        // Candidate 1's bound is the highest and candidate 0's the
+        // lowest, so 0 is solved last; it ties 1 and has the lower index.
+        let (solved, picked) = pick(&[1.0, 3.0, 2.0], 0.0, &[0.5, 0.5, 0.4]);
+        assert_eq!(solved, [1, 2, 0]);
+        assert_eq!(picked, (0, 0.5, 0));
+    }
+
+    #[test]
+    fn equal_bounds_are_solved_in_index_order() {
+        let (solved, picked) = pick(&[2.0, 3.0, 2.0, 3.0], 0.0, &[0.1, 0.2, 0.2, 0.2]);
+        assert_eq!(solved, [1, 3, 0, 2]);
+        assert_eq!(picked, (1, 0.2, 0));
+    }
+
+    #[test]
+    fn a_bound_that_reaches_the_best_delta_exactly_is_solved() {
+        // `fl((1 + 0) − 0) = 1` equals the best Δ: candidate 0 could
+        // tie, so it is solved, and wins on its index.
+        let (solved, picked) = pick(&[1.0, 2.0], 0.0, &[1.0, 1.0]);
+        assert_eq!(solved, [1, 0]);
+        assert_eq!(picked, (0, 1.0, 0));
+    }
+
+    #[test]
+    fn the_candidates_no_bound_lets_win_are_skipped() {
+        let (solved, picked) = pick(&[0.2, 2.0, 0.1], 0.05, &[9.0, 1.0, 9.0]);
+        assert_eq!(solved, [1]);
+        assert_eq!(picked, (1, 1.0, 2));
+    }
+
+    #[test]
+    fn a_nan_delta_wins_only_as_candidate_0() {
+        let (solved, picked) = pick(&[1.0, 3.0, 2.0], f64::INFINITY, &[0.5, f64::NAN, 0.4]);
+        assert_eq!(solved, [1, 2, 0]);
+        assert_eq!(picked, (0, 0.5, 0));
+        let (solved, picked) = pick(&[1.0, 3.0, 2.0], f64::INFINITY, &[f64::NAN, 0.1, 0.4]);
+        assert_eq!(solved, [1, 2, 0]);
+        assert_eq!((picked.0, picked.1.is_nan(), picked.2), (0, true, 0));
+    }
+
+    #[test]
+    fn a_bound_that_is_not_finite_admits_its_candidate() {
+        let (solved, picked) = pick(
+            &[0.1, f64::NAN, 5.0, f64::INFINITY],
+            0.0,
+            &[0.05, 0.3, 1.0, 0.2],
+        );
+        assert_eq!(solved, [1, 3, 2]);
+        assert_eq!(picked, (2, 1.0, 1));
+        // A NaN margin admits every candidate.
+        let (solved, picked) = pick(&[0.1, 5.0], f64::NAN, &[0.05, 1.0]);
+        assert_eq!(solved, [1, 0]);
+        assert_eq!(picked, (1, 1.0, 0));
     }
 
     /// Two runs on problems with the same graph, channels and user
@@ -877,7 +1436,10 @@ mod tests {
     /// overflow once FBS 0 holds a channel (`r_fbs = 1e-310`): every
     /// solve granting FBS 0 a channel fills their budget with λ deep in
     /// the subnormals. Both paths end finite and feasible, and bit-equal
-    /// to their uncached oracles.
+    /// to their uncached oracles. The cold run's bounds stay finite (the
+    /// price search's `s/λ` overflows to a full share, as in the fill)
+    /// and cover each candidate's exact optimum; a bound that is not
+    /// finite is tested on its own above.
     #[test]
     fn a_run_over_overflowing_quotients_is_finite_and_feasible() {
         let users = vec![
@@ -898,5 +1460,28 @@ mod tests {
             assert!(got.q_value().is_finite() && got.upper_bound().is_finite());
             assert_same_outcome(&got, &want);
         }
+        assert_bounds_cover_the_exact_optimum(&p);
+    }
+
+    /// FBS 1's users have a rate that overflows once FBS 1 holds two
+    /// channels (`r_fbs = f64::MAX`), and one of them cannot benefit, so
+    /// its term is `0·ln(w + 0·∞)`: the `Q` of every such trial is NaN,
+    /// and so is its `Δ`. The scan in index order never picks a NaN `Δ`
+    /// over candidate 0's; the bounded step, which solves those trials
+    /// first (their bounds are not finite), must pick the same.
+    #[test]
+    fn a_run_whose_trials_reach_a_nan_q_matches_the_scan() {
+        let users = vec![
+            user(30.2, 0),
+            user(27.6, 0),
+            UserState::new(28.8, FbsId(1), 0.72, f64::MAX, 0.5, 0.9).unwrap(),
+            UserState::new(29.0, FbsId(1), 0.72, f64::MAX, 0.0, 0.0).unwrap(),
+        ];
+        let p = InterferingProblem::new(users, InterferenceGraph::edgeless(2), vec![1.0, 1.0, 0.5])
+            .unwrap();
+        let allocator = GreedyAllocator::new();
+        let got = allocator.allocate(&p);
+        assert!(got.steps().iter().any(|s| s.fbs == FbsId(0)), "{got:?}");
+        assert_same_outcome(&got, &unmemoised_cold(&allocator, &p));
     }
 }

@@ -225,15 +225,26 @@ impl InterferingProblem {
             "channel count mismatch"
         );
         (0..self.num_fbss())
-            .map(|i| {
-                self.channel_weights
-                    .iter()
-                    .enumerate()
-                    .filter(|(m, _)| assignment.is_assigned(FbsId(i), *m))
-                    .map(|(_, w)| *w)
-                    .sum()
-            })
+            .map(|i| self.g_granting(assignment, FbsId(i), None))
             .collect()
+    }
+
+    /// `G^t_i` of FBS `fbs` under `assignment` with `extra` also granted
+    /// to it: the entry [`Self::g_for`] returns for that trial
+    /// assignment, bit for bit, since it sums the same weights in the
+    /// same (channel) order.
+    pub(crate) fn g_granting(
+        &self,
+        assignment: &ChannelAssignment,
+        fbs: FbsId,
+        extra: Option<usize>,
+    ) -> f64 {
+        self.channel_weights
+            .iter()
+            .enumerate()
+            .filter(|(m, _)| extra == Some(*m) || assignment.is_assigned(fbs, *m))
+            .map(|(_, w)| *w)
+            .sum()
     }
 
     /// The time-share problem (17) induced by `assignment`.

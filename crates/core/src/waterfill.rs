@@ -766,13 +766,21 @@ impl IncrementalFill {
 }
 
 /// The unit roundoff `u` of `f64`.
-const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+pub(crate) const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
 /// `γ_k = k·u / (1 − k·u)`: the relative error bound of `k` rounded
 /// operations in sequence, such as a `k + 1`-term sum.
-fn gamma(k: usize) -> f64 {
+pub(crate) fn gamma(k: usize) -> f64 {
     let ku = k as f64 * UNIT_ROUNDOFF;
     ku / (1.0 - ku)
+}
+
+/// A user's magnitude `m = max(|ln w|, |ln(w + widest)|)`, `widest` the
+/// larger of its two rates: the largest `|ln|` its objective term takes
+/// in either mode at any share, which bounds the sum of the term's two
+/// components' magnitudes (`w < 1` included).
+pub(crate) fn magnitude(w: f64, ln_w: f64, widest: f64) -> f64 {
+    ln_w.abs().max((w + widest).ln().abs())
 }
 
 /// A fill's water levels as prices on the polish's candidates.
@@ -822,7 +830,7 @@ impl Prices {
         let (mut magnitude_sum, mut magnitude_max) = (0.0, 0.0f64);
         for j in 0..soa.num_users() {
             let widest = soa.r_mbs(j).max(soa.fbs_rate(j));
-            let magnitude = soa.ln_w(j).abs().max((soa.w(j) + widest).ln().abs());
+            let magnitude = magnitude(soa.w(j), soa.ln_w(j), widest);
             magnitude_sum += magnitude;
             magnitude_max = magnitude_max.max(magnitude);
         }

@@ -6,8 +6,9 @@
 //! vectors. On a fixed seeded set of fig-5-shaped slot problems this
 //! suite counts how often, and by how much, the heuristic falls short
 //! of the exact optimum, and pins both, so that a change to the mode
-//! search cannot move them unseen. The set does not depend on
-//! `PROPTEST_SEED`.
+//! search cannot move them unseen. Differences up to 1e-9 are rounding
+//! and are counted apart from the real misses, so the pin reads as a
+//! search-quality number. The set does not depend on `PROPTEST_SEED`.
 
 use fcr_core::interfering::{ChannelAssignment, InterferingProblem};
 use fcr_core::problem::{SlotProblem, UserState};
@@ -51,11 +52,17 @@ fn fig5_slot(case: u64) -> SlotProblem {
     problem.problem_for(&assignment)
 }
 
+/// Shortfalls up to this are rounding: the heuristic found the exact
+/// search's modes (or modes worth the same) and its objective differs
+/// only in the last bits of a fold.
+const ROUNDING: f64 = 1e-9;
+
 #[test]
 fn the_heuristic_mode_search_misses_the_exact_optimum_as_pinned() {
     let heuristic = WaterfillingSolver::new();
     let exact = WaterfillingSolver::exact_up_to(6);
-    let (mut misses, mut worst) = (0u32, 0.0f64);
+    let mut rounding = 0u32;
+    let mut real: Vec<f64> = Vec::new();
     for case in 0..CASES {
         let p = fig5_slot(case);
         let shortfall = p.objective(&exact.solve(&p)) - p.objective(&heuristic.solve(&p));
@@ -63,13 +70,26 @@ fn the_heuristic_mode_search_misses_the_exact_optimum_as_pinned() {
             shortfall >= 0.0,
             "case {case}: the heuristic beat the exact search"
         );
-        if shortfall > 0.0 {
-            misses += 1;
-            worst = worst.max(shortfall);
+        if shortfall > ROUNDING {
+            real.push(shortfall);
+        } else if shortfall > 0.0 {
+            rounding += 1;
         }
     }
-    // The search misses 3.9% of this set (the paper workload's own
-    // `Q(c)` problems miss far less often: 8 of 18 243 in a probe).
-    assert_eq!(misses, 47, "misses in {CASES} cases");
-    assert_eq!(worst, 0.002_237_354_655_765_244_6, "the largest shortfall");
+    // Of the 47 problems in this set where the objectives differ at
+    // all, 38 differ by rounding and 9 are real misses of the mode
+    // search, 0.8% of the set (the paper workload's own `Q(c)` problems
+    // miss far less often: 8 of 18 243 in a probe, not split this way).
+    let smallest = real.iter().copied().fold(f64::INFINITY, f64::min);
+    let largest = real.iter().copied().fold(0.0, f64::max);
+    assert_eq!(rounding, 38, "rounding-level differences in {CASES} cases");
+    assert_eq!(real.len(), 9, "real misses in {CASES} cases");
+    assert_eq!(
+        smallest, 3.793_688_830_810_993e-5,
+        "the smallest real shortfall"
+    );
+    assert_eq!(
+        largest, 0.002_237_354_655_765_244_6,
+        "the largest real shortfall"
+    );
 }
