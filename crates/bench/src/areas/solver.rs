@@ -12,7 +12,8 @@
 //! dual solver feeds whenever telemetry is enabled: `kernel_reps`
 //! untimed Table-I solves, the massive-N slots' solves and the
 //! pipelines'. The greedy kernel's exact work counts come from the
-//! counters of one untimed allocation of the same fixture.
+//! counters of one untimed allocation of the same fixture, and the
+//! massive workload's from its slot 0's cluster greedies.
 
 use crate::{fig5_problem, single_fbs_problem};
 use fcr_core::dual::{DualConfig, DualSolver};
@@ -139,7 +140,9 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
     // warm-started global dual (DESIGN §15). Slot 0 is the cold
     // anchor; each later slot perturbs the channel state by 0.1% and
     // solves warm, with a cold re-solve of the same slot problem
-    // (timed separately) as the iteration-count reference.
+    // (timed separately) as the iteration-count reference. The `Q`
+    // solves of slot 0's cluster greedies are an exact count too: they
+    // depend only on the instance, not on the pool's width.
     let massive_cfg = MassiveConfig {
         num_fbss: params.massive_fbss,
         ..MassiveConfig::default()
@@ -151,10 +154,15 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
     let mut warm_iterations = 0u64;
     let mut cold_iterations = 0u64;
     let mut massive_clusters = 0u64;
+    let mut massive_greedy_q_solves = 0u64;
+    let solves_before = greedy_counter("greedy.inner_solves");
     for slot in 0..params.massive_slots {
         let t = Instant::now();
         let outcome = driver.solve_slot(runtime, &problem);
         massive_secs += t.elapsed();
+        if slot == 0 {
+            massive_greedy_q_solves = greedy_counter("greedy.inner_solves") - solves_before;
+        }
         massive_clusters = outcome.num_clusters as u64;
         if slot > 0 {
             warm_iterations += outcome.solution.iterations() as u64;
@@ -246,6 +254,7 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
             rate(params.massive_slots, massive_secs.as_secs_f64()),
         )
         .metric("massive_clusters", massive_clusters)
+        .metric("massive_greedy_q_solves", massive_greedy_q_solves)
         .metric("massive_warm_iterations_mean", warm_iterations_mean)
         .metric("massive_cold_iterations_mean", cold_iterations_mean)
         .metric("massive_warm_iteration_ratio", warm_iteration_ratio)
@@ -327,6 +336,7 @@ mod tests {
         // one warm slot — and the warm solve must actually be cheaper.
         assert!(env.metric_value("massive_slots_per_sec").unwrap() > 0.0);
         assert_eq!(env.metric_value("massive_clusters"), Some(4.0));
+        assert!(env.metric_value("massive_greedy_q_solves").unwrap() > 0.0);
         let ratio = env.metric_value("massive_warm_iteration_ratio").unwrap();
         assert!((0.0..1.0).contains(&ratio), "warm must beat cold: {ratio}");
     }

@@ -128,23 +128,46 @@ fn smoke_run_satisfies_schema_invariants_and_budget_gate() {
         "FAIL serve/windows_retried: measured 7 > budget max 0"
     );
 
-    // --- Doubling the greedy's exact work fails its count gate. ---
-    let mut doubled = envelopes.to_vec();
-    let solves = metric(&doubled[0], "greedy_q_solves");
-    for (name, value) in &mut doubled[0].metrics {
-        if name == "greedy_q_solves" {
-            *value = BenchValue::U64(2 * solves as u64);
-        }
-    }
-    let violations = check(&budgets, &doubled);
-    assert_eq!(violations.len(), 1, "{violations:?}");
+    // --- Doubling either greedy's exact work fails its count gate.
+    // The fig-5 count is measured here, so its budget must equal it.
+    // The massive row is doubled from its budget: the smoke slot runs
+    // N = 32, far below the budget's N = 1000, so the full-scale
+    // envelope in the tree must equal that budget instead. ---
+    let massive_max = budgets
+        .budgets
+        .iter()
+        .find(|b| b.area == "solver" && b.metric == "massive_greedy_q_solves")
+        .and_then(|b| b.max)
+        .expect("massive_greedy_q_solves has a max budget");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solver.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let committed = parse_envelope(&text).expect("BENCH_solver.json parses");
     assert_eq!(
-        violations[0].to_string(),
-        format!(
-            "FAIL solver/greedy_q_solves: measured {} > budget max {solves}",
-            2 * solves as u64
-        )
+        metric(&committed, "massive_greedy_q_solves"),
+        massive_max,
+        "BENCH_solver.json's massive count is its budget"
     );
+    for (row, pinned) in [
+        ("greedy_q_solves", metric(&envelopes[0], "greedy_q_solves")),
+        ("massive_greedy_q_solves", massive_max),
+    ] {
+        let mut doubled = envelopes.to_vec();
+        for (name, value) in &mut doubled[0].metrics {
+            if name == row {
+                *value = BenchValue::U64(2 * pinned as u64);
+            }
+        }
+        let violations = check(&budgets, &doubled);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(
+            violations[0].to_string(),
+            format!(
+                "FAIL solver/{row}: measured {} > budget max {pinned}",
+                2 * pinned as u64
+            )
+        );
+    }
 
     // --- A NaN metric must breach, not sail through both bounds. ---
     let mut poisoned = envelopes.to_vec();

@@ -13,6 +13,13 @@
 //! 3. the loop stops when `Σ_i (λ_i(τ+1) − λ_i(τ))² ≤ φ` (step 11) or
 //!    the iteration cap is hit.
 //!
+//! Step 1 evaluates the closed form of [`crate::lagrangian::solve_user`]
+//! bit for bit, but takes once per solve what no iteration changes:
+//! per user and branch the quotient `w/rate` and `ln(w + rate)`, and
+//! the user's FBS rate `G·r_fbs` and price index. An iteration then
+//! takes a logarithm only for an interior share, or a zero share on an
+//! infinite rate (DESIGN §15).
+//!
 //! Strong duality holds (the problem is convex, Lemma 1), so the prices
 //! converge to the optimum and the primal iterates converge with them.
 //! After convergence the final shares are polished with one exact
@@ -23,7 +30,7 @@
 
 use crate::allocation::{Allocation, Mode};
 use crate::lagrangian;
-use crate::problem::SlotProblem;
+use crate::problem::{SlotProblem, UserState};
 use crate::state::SolverState;
 use crate::waterfill::WaterfillingSolver;
 
@@ -230,6 +237,32 @@ impl DualSolver {
 
     fn solve_from(&self, problem: &SlotProblem, initial: &[f64], tau0: usize) -> DualSolution {
         let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::Solver);
+        let records: Vec<Record> = problem
+            .users()
+            .iter()
+            .map(|u| Record::new(u, problem.g(u.fbs())))
+            .collect();
+        self.iterate(problem, initial, tau0, |lambda, modes, loads| {
+            for ((u, record), mode) in problem.users().iter().zip(&records).zip(modes) {
+                let (best, rho, price) = record.respond(u, lambda);
+                *mode = best;
+                loads[price] += rho;
+            }
+        })
+    }
+
+    /// The loop of Tables I/II from prices `initial` at schedule
+    /// position `tau0`, then the primal recovery. Each iteration,
+    /// `respond(λ, modes, loads)` makes steps 3–8: it writes every
+    /// user's mode and adds, in user order, its winning share to the
+    /// load of the price it pays.
+    fn iterate(
+        &self,
+        problem: &SlotProblem,
+        initial: &[f64],
+        tau0: usize,
+        mut respond: impl FnMut(&[f64], &mut [Mode], &mut [f64]),
+    ) -> DualSolution {
         let n_prices = problem.num_fbss() + 1;
         debug_assert_eq!(initial.len(), n_prices);
         let mut lambda = initial.to_vec();
@@ -242,21 +275,14 @@ impl DualSolver {
         let mut converged = false;
         let mut residual = f64::INFINITY;
         let mut modes = vec![Mode::Mbs; problem.num_users()];
+        let mut loads = vec![0.0; n_prices];
 
         for it in 0..self.config.max_iterations {
             let tau = tau0 + it;
             iterations = it + 1;
             // Steps 3–8: every user best-responds locally.
-            let mut loads = vec![0.0; n_prices];
-            for (j, u) in problem.users().iter().enumerate() {
-                let sol =
-                    lagrangian::solve_user(u, problem.g(u.fbs()), lambda[0], lambda[1 + u.fbs().0]);
-                modes[j] = sol.allocation.mode;
-                match sol.allocation.mode {
-                    Mode::Mbs => loads[0] += sol.allocation.rho_mbs,
-                    Mode::Fbs => loads[1 + u.fbs().0] += sol.allocation.rho_fbs,
-                }
-            }
+            loads.fill(0.0);
+            respond(&lambda, &mut modes, &mut loads);
             // Step 9: projected subgradient update at the MBS.
             let s = self.config.step.at(tau);
             let mut delta_sq = 0.0;
@@ -307,11 +333,114 @@ impl DualSolver {
     }
 }
 
+/// One branch's values that stay fixed for a whole solve: the saturated
+/// quotient `w/rate` of its share and its log at a full share.
+#[derive(Debug, Clone, Copy)]
+struct Branch {
+    quotient: f64,
+    ln_full: f64,
+}
+
+impl Branch {
+    fn new(w: f64, rate: f64) -> Self {
+        Self {
+            quotient: lagrangian::quotient(w, rate),
+            ln_full: (w + rate).ln(),
+        }
+    }
+
+    /// `ln(w + rho·rate)`, bit for bit, taking a logarithm only for an
+    /// interior share or for a zero share on an infinite rate. A share
+    /// of exactly 0 (either sign) on a finite rate gives `ln w`, since
+    /// `w + 0·rate == w`; a share of exactly 1 gives the hoisted
+    /// `ln(w + rate)`, since `1·rate == rate`. On an infinite rate `0·∞`
+    /// is NaN, and so is the log.
+    fn log(self, rho: f64, w: f64, ln_w: f64, rate: f64) -> f64 {
+        if rho == 1.0 {
+            self.ln_full
+        } else if rho == 0.0 && rate.is_finite() {
+            ln_w
+        } else {
+            (w + rho * rate).ln()
+        }
+    }
+
+    /// The branch's best share at `lambda` and its Lagrangian value:
+    /// [`lagrangian::best_share`] and [`lagrangian::branch_value`], bit
+    /// for bit.
+    fn respond(self, success: f64, lambda: f64, w: f64, ln_w: f64, rate: f64) -> (f64, f64) {
+        let rho = lagrangian::share_given_quotient(success, lambda, rate, self.quotient);
+        let log = self.log(rho, w, ln_w, rate);
+        (
+            rho,
+            lagrangian::value_given_log(success, lambda, ln_w, log, rho),
+        )
+    }
+}
+
+/// A user's values that stay fixed for a whole solve.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    mbs: Branch,
+    fbs: Branch,
+    /// The FBS-side rate `G·r_fbs`.
+    fbs_rate: f64,
+    /// The index of the user's FBS price in `λ`.
+    price: usize,
+}
+
+impl Record {
+    /// `user`'s record when its FBS holds `g` channels.
+    fn new(user: &UserState, g: f64) -> Self {
+        let fbs_rate = g * user.r_fbs();
+        Self {
+            mbs: Branch::new(user.w(), user.r_mbs()),
+            fbs: Branch::new(user.w(), fbs_rate),
+            fbs_rate,
+            price: 1 + user.fbs().0,
+        }
+    }
+
+    /// `user`'s best response to prices `lambda`:
+    /// [`lagrangian::solve_user`]'s mode and winning share, bit for bit,
+    /// and the index of the price the share loads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the winning share is outside `[0, 1]`, as
+    /// [`crate::allocation::UserAllocation::mbs`] and `fbs` do.
+    fn respond(&self, user: &UserState, lambda: &[f64]) -> (Mode, f64, usize) {
+        let (w, ln_w) = (user.w(), user.ln_w());
+        let (rho_mbs, value_mbs) =
+            self.mbs
+                .respond(user.success_mbs(), lambda[0], w, ln_w, user.r_mbs());
+        let (rho_fbs, value_fbs) = self.fbs.respond(
+            user.success_fbs(),
+            lambda[self.price],
+            w,
+            ln_w,
+            self.fbs_rate,
+        );
+        // Step 4: ties go to the FBS branch, as in `solve_user`.
+        let (mode, rho, price) = if value_mbs > value_fbs {
+            (Mode::Mbs, rho_mbs, 0)
+        } else {
+            (Mode::Fbs, rho_fbs, self.price)
+        };
+        assert!(
+            (0.0..=1.0).contains(&rho),
+            "time share must be in [0,1], got {rho}"
+        );
+        (mode, rho, price)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::UserState;
+    use crate::lagrangian::{best_share, branch_value_ln, value_given_log};
     use fcr_net::node::FbsId;
+    use proptest::prelude::*;
 
     fn paper_problem() -> SlotProblem {
         SlotProblem::single_fbs(
@@ -506,6 +635,208 @@ mod tests {
         let via_state = solver.solve_with_state(&p, &mut state);
         let plain = solver.solve(&p);
         assert_eq!(via_state, plain, "cold path must not change results");
+    }
+
+    /// The loop before its per-solve values were hoisted: every user's
+    /// best response from [`lagrangian::solve_user`], every iteration.
+    /// Kept only as the bit-identity oracle.
+    fn unhoisted(
+        solver: &DualSolver,
+        problem: &SlotProblem,
+        initial: &[f64],
+        tau0: usize,
+    ) -> DualSolution {
+        solver.iterate(problem, initial, tau0, |lambda, modes, loads| {
+            for (j, u) in problem.users().iter().enumerate() {
+                let sol =
+                    lagrangian::solve_user(u, problem.g(u.fbs()), lambda[0], lambda[1 + u.fbs().0]);
+                modes[j] = sol.allocation.mode;
+                match sol.allocation.mode {
+                    Mode::Mbs => loads[0] += sol.allocation.rho_mbs,
+                    Mode::Fbs => loads[1 + u.fbs().0] += sol.allocation.rho_fbs,
+                }
+            }
+        })
+    }
+
+    /// Every field of `solution`, its floats as bits.
+    fn bits(solution: &DualSolution) -> impl PartialEq + std::fmt::Debug {
+        let floats = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let users = solution.allocation().users().iter();
+        (
+            floats(solution.lambda()),
+            (solution.iterations(), solution.final_tau()),
+            (solution.converged(), solution.objective().to_bits()),
+            users
+                .map(|a| (a.mode, a.rho_mbs.to_bits(), a.rho_fbs.to_bits()))
+                .collect::<Vec<_>>(),
+            solution
+                .trace()
+                .iter()
+                .map(|l| floats(l))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// A success probability or rate that is sometimes exactly zero.
+    fn zero_or(range: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        (0..4u8, range).prop_map(|(k, v)| if k == 0 { 0.0 } else { v })
+    }
+
+    /// Up to 8 users on up to 4 FBSs. `w` spans 1e-9 to 1e3, successes
+    /// and rates are sometimes 0, and one FBS rate in four is
+    /// `f64::MAX`, which is `+∞` once multiplied by a channel count of 2
+    /// or 3. Channel counts include 0.
+    fn arb_slot() -> impl Strategy<Value = SlotProblem> {
+        let user = (
+            -9.0..3.0f64,
+            0..4usize,
+            zero_or(0.1..=1.0),
+            (0..4u8, zero_or(0.1..=1.0)),
+            zero_or(0.05..=1.0),
+            zero_or(0.05..=1.0),
+        );
+        (
+            proptest::collection::vec(user, 1..=8),
+            proptest::collection::vec(0..5usize, 1..=4),
+        )
+            .prop_map(|(users, g)| {
+                let g: Vec<f64> = g.iter().map(|&k| [0.0, 0.5, 1.0, 2.0, 3.0][k]).collect();
+                let users = users
+                    .into_iter()
+                    .map(|(e, fbs, r0, (k, r1), s0, s1)| {
+                        let r1 = if k == 0 { f64::MAX } else { r1 };
+                        let fbs = FbsId(fbs % g.len());
+                        UserState::new(10f64.powf(e), fbs, r0, r1, s0, s1).unwrap()
+                    })
+                    .collect();
+                SlotProblem::new(users, g).unwrap()
+            })
+    }
+
+    /// Constant steps large enough to project prices to 0 and a small
+    /// one, and two diminishing schedules.
+    const STEPS: [StepSchedule; 4] = [
+        StepSchedule::Constant(0.5),
+        StepSchedule::Constant(5e-3),
+        StepSchedule::Diminishing {
+            initial: 2e-3,
+            decay: 200.0,
+        },
+        StepSchedule::Diminishing {
+            initial: 1.0,
+            decay: 4.0,
+        },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The hoisted loop returns the per-user oracle's bits on whole
+        /// solutions, cold and warm: prices, iteration counts, schedule
+        /// position, allocation, objective and trace. Runs are short,
+        /// start at prices of 0 and above, and some stop on the
+        /// tolerance (`stops`) while others never do.
+        #[test]
+        fn the_hoisted_loop_is_bit_identical_to_the_per_user_oracle(
+            p in arb_slot(),
+            (step, max_iterations, stops, initial) in (0..4usize, 1..=120usize, 0..2usize, 0..3usize),
+            record_trace in proptest::bool::ANY,
+            (warm, tau) in (proptest::collection::vec(0..4usize, 5), 0..300usize),
+        ) {
+            let config = DualConfig {
+                step: STEPS[step],
+                max_iterations,
+                tolerance: [-1.0, 1e-8][stops],
+                initial_lambda: [0.0, 0.1, 2.0][initial],
+                record_trace,
+            };
+            let solver = DualSolver::new(config);
+            let n_prices = p.num_fbss() + 1;
+            let cold = unhoisted(&solver, &p, &vec![config.initial_lambda; n_prices], 0);
+            prop_assert_eq!(bits(&solver.solve(&p)), bits(&cold));
+
+            let warm: Vec<f64> = warm[..n_prices].iter().map(|&k| [0.0, 1e-3, 0.05, 3.0][k]).collect();
+            let mut state = SolverState::new();
+            state.absorb(&warm, tau);
+            let got = solver.solve_with_state(&p, &mut state);
+            let want = unhoisted(&solver, &p, &warm, tau.min(max_iterations));
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    /// Each branch's (share, value) and the winning share equal
+    /// `solve_user`'s bit for bit: shares of 0 and of 1 (at a small and
+    /// at a zero price), interior shares (one just below 1), idle
+    /// branches (no success, no rate, no channel), and an infinite rate
+    /// at a full, an interior and a zero share, whose value is NaN. The
+    /// log is also `ln(w + ρ·rate)`'s bits at shares of ±0, 1, just
+    /// below 1 and inside.
+    #[test]
+    fn the_record_responds_as_solve_user_does() {
+        let interior = 0.9 / (30.0 / 0.72 + 0.5);
+        let near_one = 0.9 / (30.0 / 0.72 + 1.0 - 1e-12);
+        // (r_fbs, s_fbs, G, λ, the kinds of the MBS and FBS shares:
+        // 0, 1, or 2 for interior)
+        let cases = [
+            (0.72, 0.85, 3.0, [10.0, 10.0], (0, 0)),
+            (0.72, 0.85, 3.0, [1e-3, 1e-3], (1, 1)),
+            (0.72, 0.85, 3.0, [0.0, 0.0], (1, 1)),
+            (0.72, 0.85, 3.0, [interior, 10.0], (2, 0)),
+            (0.72, 0.85, 3.0, [near_one, 10.0], (2, 0)),
+            (0.72, 0.0, 3.0, [10.0, 1e-3], (0, 0)),
+            (0.0, 0.85, 3.0, [10.0, 1e-3], (0, 0)),
+            (0.72, 0.85, 0.0, [10.0, 1e-3], (0, 0)),
+            (f64::MAX, 0.85, 2.0, [10.0, 0.5], (0, 1)),
+            (f64::MAX, 0.85, 2.0, [10.0, 2.0], (0, 2)),
+            (f64::MAX, 0.0, 2.0, [10.0, 0.5], (0, 0)),
+        ];
+        let kind = |rho: f64| {
+            if rho == 0.0 || rho == 1.0 {
+                rho as u8
+            } else {
+                2
+            }
+        };
+        for (r_fbs, s_fbs, g, lambda, kinds) in cases {
+            let user = UserState::new(30.0, FbsId(0), 0.72, r_fbs, 0.9, s_fbs).unwrap();
+            let record = Record::new(&user, g);
+            let sol = lagrangian::solve_user(&user, g, lambda[0], lambda[1]);
+            let (w, ln_w, rate) = (user.w(), user.ln_w(), g * user.r_fbs());
+            let (s0, s1, r0) = (user.success_mbs(), user.success_fbs(), user.r_mbs());
+            let (rho_mbs, value_mbs) = record.mbs.respond(s0, lambda[0], w, ln_w, r0);
+            let (rho_fbs, value_fbs) = record.fbs.respond(s1, lambda[1], w, ln_w, rate);
+            let case = format!("r_fbs {r_fbs}, s_fbs {s_fbs}, G {g}, λ {lambda:?}");
+            assert_eq!((kind(rho_mbs), kind(rho_fbs)), kinds, "{case}");
+            assert_eq!(value_fbs.is_nan(), rate.is_infinite() && rho_fbs == 0.0);
+            let bits = |rho: f64, value: f64| (rho.to_bits(), value.to_bits());
+            let want_mbs = best_share(s0, lambda[0], w, r0);
+            let want_fbs = best_share(s1, lambda[1], w, rate);
+            assert_eq!(
+                bits(rho_mbs, value_mbs),
+                bits(want_mbs, sol.value_mbs),
+                "{case}"
+            );
+            assert_eq!(
+                bits(rho_fbs, value_fbs),
+                bits(want_fbs, sol.value_fbs),
+                "{case}"
+            );
+            let (mode, rho, price) = record.respond(&user, &lambda);
+            assert_eq!(mode, sol.allocation.mode, "{case}");
+            assert_eq!(rho.to_bits(), sol.allocation.rho().to_bits(), "{case}");
+            assert_eq!(price, usize::from(mode == Mode::Fbs), "{case}");
+        }
+        // No price gives a share of −0, but its log is `ln w` too.
+        let (s, lambda, w) = (0.85, 0.04, 30.0f64);
+        for rate in [0.0, 2.16, f64::MAX * 2.0] {
+            for rho in [0.0, -0.0, 1.0, 1.0 - f64::EPSILON, 0.37] {
+                let log = Branch::new(w, rate).log(rho, w, w.ln(), rate);
+                let got = value_given_log(s, lambda, w.ln(), log, rho);
+                let want = branch_value_ln(s, lambda, w, w.ln(), rate, rho);
+                assert_eq!(got.to_bits(), want.to_bits(), "ρ = {rho} on rate {rate}");
+            }
+        }
     }
 
     #[test]

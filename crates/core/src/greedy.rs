@@ -14,28 +14,27 @@
 //!
 //! Those solves repeat each other's work, and a run skips it at three
 //! levels, each bit-identical to solving everything:
-//! - Within one step of the cold path, each candidate is first bounded
-//!   by weak duality (eqs. (13)–(14)): at any prices `λ ≥ 0` the
-//!   Lagrangian `L(λ)` of the candidate's slot problem is at least the
-//!   objective of every feasible allocation, so at least its `Q`. The
-//!   candidates are solved in decreasing bound order, and the step
-//!   stops at the first whose bound, plus a derived rounding margin,
-//!   cannot reach the best `Δ` solved so far: none of the rest could
-//!   win or tie (DESIGN §15).
-//! - Within one step of the cold path, each distinct `G` vector is
-//!   solved once (`Q` depends on a trial only through `G`).
-//! - Every `Q` solve of a run, on either path, shares one fill cache,
-//!   created and dropped by [`GreedyAllocator::allocate`]. A budget
-//!   fill depends only on the budget, its FBS's `G_i` and the members
-//!   it gathers, so a fill one solve made is replayed by any later
-//!   solve that needs it.
+//! - Within one step, each candidate is first bounded by weak duality
+//!   (eqs. (13)–(14)): at any prices `λ ≥ 0` the Lagrangian `L(λ)` of
+//!   the candidate's slot problem is at least the objective of every
+//!   feasible allocation, so at least its `Q`. The candidates are
+//!   solved in decreasing bound order, and the step stops at the first
+//!   whose bound, plus a derived rounding margin, cannot reach the best
+//!   `Δ` solved so far: none of the rest could win or tie (DESIGN §15).
+//! - Within one step, each distinct `G` vector is solved once (`Q`
+//!   depends on a trial only through `G`).
+//! - Every `Q` solve of a run shares one fill cache, created and
+//!   dropped by [`GreedyAllocator::allocate`]. A budget fill depends
+//!   only on the budget, its FBS's `G_i` and the members it gathers,
+//!   so a fill one solve made is replayed by any later solve that
+//!   needs it.
 //!
 //! The final assignment's `G` is the last committed candidate's (or
 //! `∅`'s), and the run's solves are deterministic through its fill
 //! cache, so the outcome takes that solve's `Q` and allocation instead
 //! of solving again.
 
-use crate::allocation::{Allocation, Mode};
+use crate::allocation::Allocation;
 use crate::bounds;
 use crate::interfering::{ChannelAssignment, InterferingProblem};
 use crate::lagrangian::{best_share, branch_value_ln};
@@ -125,7 +124,6 @@ impl GreedyOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GreedyAllocator {
     solver: WaterfillingSolver,
-    incremental: bool,
 }
 
 impl GreedyAllocator {
@@ -136,58 +134,30 @@ impl GreedyAllocator {
 
     /// Creates an allocator with a custom inner solver configuration.
     pub fn with_solver(solver: WaterfillingSolver) -> Self {
-        Self {
-            solver,
-            ..Self::default()
-        }
+        Self { solver }
     }
 
-    /// Enables (or disables) the incremental `Q`-cache path: cached
-    /// per-candidate `Δ` evaluations are reused across commits instead
-    /// of re-solved, invalidated only along the supermodular MBS-budget
-    /// coupling of DESIGN §7 deviation 6 (a commit always invalidates
-    /// its own FBS's candidates; it invalidates everything when the
-    /// solved mode vector — the MBS-coupling signature — moves). Off by
-    /// default: the cold path is the paper-faithful reference whose
-    /// traces are golden, and the incremental path is allowed to
-    /// deviate from it within the deviation-6 slack the testkit bounds
-    /// (see `DESIGN.md` §15 for when the cache is unsound).
-    pub fn incremental(self, on: bool) -> Self {
-        Self {
-            incremental: on,
-            ..self
-        }
-    }
-
-    /// `true` when the incremental `Q`-cache path is enabled.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
+    /// Does nothing, whatever `on` is: every run is the bounded cold
+    /// Table III greedy. Kept for callers of the removed incremental
+    /// greedy, whose stale `Δ`s were not upper bounds under the MBS
+    /// coupling (DESIGN §15).
+    pub fn incremental(self, _on: bool) -> Self {
+        self
     }
 
     /// Runs the greedy algorithm on `problem`.
     pub fn allocate(&self, problem: &InterferingProblem) -> GreedyOutcome {
-        // One fill cache per run, shared by every `Q` solve and by the
-        // final solve, and dropped with the run: the users and the
-        // solver it assumes fixed are fixed only here.
-        let mut scratch = FillScratch::caching();
-        if self.incremental {
-            return self.allocate_incremental(problem, &mut scratch);
-        }
-        self.allocate_cold(problem, &mut scratch)
-    }
-
-    fn allocate_cold(
-        &self,
-        problem: &InterferingProblem,
-        scratch: &mut FillScratch,
-    ) -> GreedyOutcome {
         let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::GreedyAlloc);
+        // One fill cache per run, shared by every `Q` solve and dropped
+        // with the run: the users and the solver it assumes fixed are
+        // fixed only here.
+        let mut scratch = FillScratch::caching();
         let n = problem.num_fbss();
         let m = problem.num_channels();
         let mut assignment = ChannelAssignment::empty(n, m);
         // The solve of the last committed assignment, `∅`'s until a
         // commit.
-        let mut committed = problem.q_at(problem.g_for(&assignment), &self.solver, scratch);
+        let mut committed = problem.q_at(problem.g_for(&assignment), &self.solver, &mut scratch);
         let q_empty = committed.0;
         let mut q_current = q_empty;
         let mut steps = Vec::new();
@@ -228,7 +198,8 @@ impl GreedyAllocator {
                             hit.get().0
                         }
                         Entry::Vacant(miss) => {
-                            miss.insert(problem.q_at(trial, &self.solver, scratch)).0
+                            let solved = problem.q_at(trial, &self.solver, &mut scratch);
+                            miss.insert(solved).0
                         }
                     };
                     q - q_current
@@ -258,141 +229,6 @@ impl GreedyAllocator {
 
         fcr_telemetry::incr("greedy.q_memo_hits", memo_hits);
         fcr_telemetry::incr("greedy.bound_pruned", pruned);
-        self.finish(problem, assignment, steps, q_empty, committed)
-    }
-
-    /// The incremental (lazy) variant: per-candidate `Δ` evaluations
-    /// are cached across commits and re-solved only when invalidated.
-    ///
-    /// A commit invalidates along the supermodular MBS-budget coupling
-    /// (DESIGN §7 deviation 6): its own FBS's candidates always (their
-    /// `G_i` moved), and *every* candidate when the solved mode vector
-    /// or MBS load changed — a user switching between common channel
-    /// and femtocell repartitions the shared MBS budget, which is
-    /// exactly the channel through which one FBS's channel grant moves
-    /// another's marginal value. Candidates whose cached `Δ` survives
-    /// are committed without re-solving (the cache hit the bench
-    /// counts); the candidate *choice* can therefore deviate from the
-    /// cold greedy's within the deviation-6 slack, but every recorded
-    /// step `Δ_l` is exact — the committed state is re-anchored with a
-    /// fresh solve (or the evaluation that chose it), so the gain
-    /// telescopes to `Q(π_L) − Q(∅)` exactly as in the cold path.
-    fn allocate_incremental(
-        &self,
-        problem: &InterferingProblem,
-        scratch: &mut FillScratch,
-    ) -> GreedyOutcome {
-        let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::GreedyAlloc);
-        let n = problem.num_fbss();
-        let m = problem.num_channels();
-        let q_solution = |assignment: &ChannelAssignment, scratch: &mut FillScratch| {
-            problem.q_at(problem.g_for(assignment), &self.solver, scratch)
-        };
-        let (q_empty, empty_alloc) = q_solution(&ChannelAssignment::empty(n, m), scratch);
-
-        struct Candidate {
-            fbs: FbsId,
-            channel: usize,
-            delta: f64,
-            fresh: bool,
-        }
-        // Same candidate order as the cold path, so tie-breaks agree.
-        let mut candidates: Vec<Candidate> = (0..n)
-            .flat_map(|i| {
-                (0..m).map(move |ch| Candidate {
-                    fbs: FbsId(i),
-                    channel: ch,
-                    delta: f64::INFINITY,
-                    fresh: false,
-                })
-            })
-            .collect();
-
-        let signature_of = |alloc: &Allocation| -> (Vec<Mode>, f64) {
-            (
-                alloc.users().iter().map(|u| u.mode).collect(),
-                alloc.mbs_load(),
-            )
-        };
-
-        let mut assignment = ChannelAssignment::empty(n, m);
-        let mut q_current = q_empty;
-        let mut signature = signature_of(&empty_alloc);
-        // The solve of the last committed assignment, `∅`'s until a
-        // commit.
-        let mut committed = (q_empty, empty_alloc);
-        let mut steps = Vec::new();
-        let mut cache_hits = 0u64;
-        let mut invalidations = 0u64;
-
-        while !candidates.is_empty() {
-            // Lazy selection: re-evaluate the stale top until a fresh
-            // candidate holds the maximum. `(index, q, allocation)` of
-            // the last evaluation is kept so committing it costs no
-            // extra solve.
-            let mut last_eval: Option<(usize, f64, Allocation)> = None;
-            let top = loop {
-                let mut top = 0;
-                for k in 1..candidates.len() {
-                    if candidates[k].delta > candidates[top].delta {
-                        top = k;
-                    }
-                }
-                if candidates[top].fresh {
-                    break top;
-                }
-                let mut trial = assignment.clone();
-                trial.assign(candidates[top].fbs, candidates[top].channel);
-                let (q, alloc) = q_solution(&trial, scratch);
-                candidates[top].delta = q - q_current;
-                candidates[top].fresh = true;
-                last_eval = Some((top, q, alloc));
-            };
-            let (fbs, channel) = (candidates[top].fbs, candidates[top].channel);
-
-            // Commit. Re-anchor Q and the signature at the committed
-            // state: from the evaluation that chose the candidate when
-            // it is the one just evaluated, otherwise (a surviving
-            // cache entry won) with one fresh solve.
-            assignment.assign(fbs, channel);
-            committed = match last_eval {
-                Some((idx, q, alloc)) if idx == top => (q, alloc),
-                _ => {
-                    cache_hits += 1;
-                    q_solution(&assignment, scratch)
-                }
-            };
-            let (q_new, sig_new) = (committed.0, signature_of(&committed.1));
-            let delta = q_new - q_current;
-            q_current = q_new;
-            steps.push(GreedyStep {
-                fbs,
-                channel,
-                delta: delta.max(0.0),
-                degree: problem.graph().degree(fbs),
-            });
-
-            // Steps 5–6 of Table III, unchanged.
-            let neighbors = problem.graph().neighbors(fbs);
-            candidates.retain(|c| {
-                !(c.channel == channel && (c.fbs == fbs || neighbors.contains(&c.fbs)))
-            });
-
-            // Deviation-6 invalidation.
-            let moved = sig_new.0 != signature.0 || (sig_new.1 - signature.1).abs() > 1e-9;
-            for c in &mut candidates {
-                if moved || c.fbs == fbs {
-                    if c.fresh {
-                        invalidations += 1;
-                    }
-                    c.fresh = false;
-                }
-            }
-            signature = sig_new;
-        }
-
-        fcr_telemetry::incr("greedy.cache_hits", cache_hits);
-        fcr_telemetry::incr("greedy.cache_invalidations", invalidations);
         self.finish(problem, assignment, steps, q_empty, committed)
     }
 
@@ -879,69 +715,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_path_matches_the_cold_path_on_the_fig5_problem() {
-        let p = fig5_problem();
-        let cold = GreedyAllocator::new().allocate(&p);
-        let warm = GreedyAllocator::new().incremental(true).allocate(&p);
-        assert!(warm.assignment().is_conflict_free(p.graph()));
-        // The cache may reorder near-tie commits, but the achieved
-        // objective must agree to solver tolerance here (and stays
-        // bounded by the deviation-6 slack in the property suite).
-        assert!(
-            (warm.q_value() - cold.q_value()).abs() < 1e-6,
-            "incremental {} vs cold {}",
-            warm.q_value(),
-            cold.q_value()
-        );
-        assert_eq!(warm.steps().len(), warm.assignment().len());
-    }
-
-    #[test]
-    fn incremental_gain_telescopes_exactly() {
-        // Every recorded Δ_l is re-anchored with a fresh solve, so the
-        // telescoped gain matches Q(π_L) − Q(∅) as tightly as cold.
-        let p = fig5_problem();
-        let warm = GreedyAllocator::new().incremental(true).allocate(&p);
-        assert!(
-            (warm.gain() - (warm.q_value() - warm.q_empty())).abs() < 1e-6,
-            "ΣΔ = {} vs Q(π_L) − Q(∅) = {}",
-            warm.gain(),
-            warm.q_value() - warm.q_empty()
-        );
-        for s in warm.steps() {
-            assert!(s.delta >= 0.0);
-            assert_eq!(s.degree, p.graph().degree(s.fbs));
-        }
-        assert!(warm.upper_bound_gain() >= warm.gain() - 1e-9);
-    }
-
-    #[test]
-    fn incremental_every_channel_still_ends_up_maximally_assigned() {
-        let p = fig5_problem();
-        let outcome = GreedyAllocator::new().incremental(true).allocate(&p);
-        for ch in 0..p.num_channels() {
-            let holders = outcome.assignment().holders(ch);
-            assert!(!holders.is_empty(), "channel {ch} unassigned");
-            for i in 0..p.num_fbss() {
-                let f = FbsId(i);
-                if holders.contains(&f) {
-                    continue;
-                }
-                assert!(
-                    holders.iter().any(|h| p.graph().are_adjacent(*h, f)),
-                    "channel {ch}: {f} could still be added"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_flag_round_trips_and_default_is_cold() {
-        let a = GreedyAllocator::new();
-        assert!(!a.is_incremental());
-        assert!(a.incremental(true).is_incremental());
-        assert!(!a.incremental(true).incremental(false).is_incremental());
+    fn default_is_new_and_the_incremental_flag_changes_nothing() {
         assert_eq!(GreedyAllocator::default(), GreedyAllocator::new());
+        assert_eq!(
+            GreedyAllocator::new().incremental(true),
+            GreedyAllocator::new()
+        );
     }
 
     /// The cold greedy before the per-step `Q` memo: every candidate of
@@ -978,94 +757,6 @@ mod tests {
             });
             let neighbors = problem.graph().neighbors(fbs);
             candidates.retain(|(f, ch)| !(*ch == channel && (*f == fbs || neighbors.contains(f))));
-        }
-        let solved = problem.q_solution(&assignment, &allocator.solver);
-        allocator.finish(problem, assignment, steps, q_empty, solved)
-    }
-
-    /// The incremental greedy before the fill cache: every `Q` solved
-    /// through a fresh scratch. Kept only as the bit-identity oracle.
-    fn uncached_incremental(
-        allocator: &GreedyAllocator,
-        problem: &InterferingProblem,
-    ) -> GreedyOutcome {
-        let n = problem.num_fbss();
-        let m = problem.num_channels();
-        let (q_empty, empty_alloc) =
-            problem.q_solution(&ChannelAssignment::empty(n, m), &allocator.solver);
-        struct Candidate {
-            fbs: FbsId,
-            channel: usize,
-            delta: f64,
-            fresh: bool,
-        }
-        let mut candidates: Vec<Candidate> = (0..n)
-            .flat_map(|i| {
-                (0..m).map(move |ch| Candidate {
-                    fbs: FbsId(i),
-                    channel: ch,
-                    delta: f64::INFINITY,
-                    fresh: false,
-                })
-            })
-            .collect();
-        let signature_of = |alloc: &Allocation| -> (Vec<Mode>, f64) {
-            (
-                alloc.users().iter().map(|u| u.mode).collect(),
-                alloc.mbs_load(),
-            )
-        };
-        let mut assignment = ChannelAssignment::empty(n, m);
-        let mut q_current = q_empty;
-        let mut signature = signature_of(&empty_alloc);
-        let mut steps = Vec::new();
-        while !candidates.is_empty() {
-            let mut last_eval: Option<(usize, f64, (Vec<Mode>, f64))> = None;
-            let top = loop {
-                let mut top = 0;
-                for k in 1..candidates.len() {
-                    if candidates[k].delta > candidates[top].delta {
-                        top = k;
-                    }
-                }
-                if candidates[top].fresh {
-                    break top;
-                }
-                let mut trial = assignment.clone();
-                trial.assign(candidates[top].fbs, candidates[top].channel);
-                let (q, alloc) = problem.q_solution(&trial, &allocator.solver);
-                candidates[top].delta = q - q_current;
-                candidates[top].fresh = true;
-                last_eval = Some((top, q, signature_of(&alloc)));
-            };
-            let (fbs, channel) = (candidates[top].fbs, candidates[top].channel);
-            assignment.assign(fbs, channel);
-            let (q_new, sig_new) = match last_eval {
-                Some((idx, q, sig)) if idx == top => (q, sig),
-                _ => {
-                    let (q, alloc) = problem.q_solution(&assignment, &allocator.solver);
-                    (q, signature_of(&alloc))
-                }
-            };
-            let delta = q_new - q_current;
-            q_current = q_new;
-            steps.push(GreedyStep {
-                fbs,
-                channel,
-                delta: delta.max(0.0),
-                degree: problem.graph().degree(fbs),
-            });
-            let neighbors = problem.graph().neighbors(fbs);
-            candidates.retain(|c| {
-                !(c.channel == channel && (c.fbs == fbs || neighbors.contains(&c.fbs)))
-            });
-            let moved = sig_new.0 != signature.0 || (sig_new.1 - signature.1).abs() > 1e-9;
-            for c in &mut candidates {
-                if moved || c.fbs == fbs {
-                    c.fresh = false;
-                }
-            }
-            signature = sig_new;
         }
         let solved = problem.q_solution(&assignment, &allocator.solver);
         allocator.finish(problem, assignment, steps, q_empty, solved)
@@ -1178,14 +869,6 @@ mod tests {
         fn the_memoised_greedy_is_bit_identical_to_the_oracle(p in arb_problem()) {
             let allocator = GreedyAllocator::new();
             assert_same_outcome(&allocator.allocate(&p), &unmemoised_cold(&allocator, &p));
-        }
-
-        /// The incremental greedy, its fills cached, matches the same
-        /// path solving every `Q` through a fresh scratch, bit for bit.
-        #[test]
-        fn the_cached_incremental_greedy_is_bit_identical_to_the_oracle(p in arb_problem()) {
-            let allocator = GreedyAllocator::new().incremental(true);
-            assert_same_outcome(&allocator.allocate(&p), &uncached_incremental(&allocator, &p));
         }
     }
 
@@ -1407,8 +1090,7 @@ mod tests {
     /// Two runs on problems with the same graph, channels and user
     /// links but with the users' qualities reversed, so that fills of
     /// the first run share their keys with fills of the second but not
-    /// their shares: the second run must replay no fill of the first, on
-    /// either path.
+    /// their shares: the second run must replay no fill of the first.
     #[test]
     fn a_run_replays_no_fill_of_an_earlier_run() {
         let first = fig5_problem();
@@ -1421,25 +1103,22 @@ mod tests {
             .collect();
         let second =
             InterferingProblem::new(users, path3(), first.channel_weights().to_vec()).unwrap();
-        let cold = GreedyAllocator::new();
-        let warm = cold.incremental(true);
-        cold.allocate(&first);
-        assert_same_outcome(&cold.allocate(&second), &unmemoised_cold(&cold, &second));
-        warm.allocate(&first);
+        let allocator = GreedyAllocator::new();
+        allocator.allocate(&first);
         assert_same_outcome(
-            &warm.allocate(&second),
-            &uncached_incremental(&warm, &second),
+            &allocator.allocate(&second),
+            &unmemoised_cold(&allocator, &second),
         );
     }
 
     /// Two users of FBS 0 with no MBS link whose FBS quotients `w/rate`
     /// overflow once FBS 0 holds a channel (`r_fbs = 1e-310`): every
     /// solve granting FBS 0 a channel fills their budget with λ deep in
-    /// the subnormals. Both paths end finite and feasible, and bit-equal
-    /// to their uncached oracles. The cold run's bounds stay finite (the
-    /// price search's `s/λ` overflows to a full share, as in the fill)
-    /// and cover each candidate's exact optimum; a bound that is not
-    /// finite is tested on its own above.
+    /// the subnormals. The run ends finite and feasible, and bit-equal
+    /// to its unmemoised oracle. Its bounds stay finite (the price
+    /// search's `s/λ` overflows to a full share, as in the fill) and
+    /// cover each candidate's exact optimum; a bound that is not finite
+    /// is tested on its own above.
     #[test]
     fn a_run_over_overflowing_quotients_is_finite_and_feasible() {
         let users = vec![
@@ -1449,17 +1128,12 @@ mod tests {
         ];
         let graph = InterferenceGraph::new(2, &[(FbsId(0), FbsId(1))]);
         let p = InterferingProblem::new(users, graph, vec![0.9, 1.0]).unwrap();
-        let cold = GreedyAllocator::new();
-        let warm = cold.incremental(true);
-        for (got, want) in [
-            (cold.allocate(&p), unmemoised_cold(&cold, &p)),
-            (warm.allocate(&p), uncached_incremental(&warm, &p)),
-        ] {
-            let solved = p.problem_for(got.assignment());
-            assert!(solved.is_feasible(got.allocation(), 0.0), "{got:?}");
-            assert!(got.q_value().is_finite() && got.upper_bound().is_finite());
-            assert_same_outcome(&got, &want);
-        }
+        let allocator = GreedyAllocator::new();
+        let got = allocator.allocate(&p);
+        let solved = p.problem_for(got.assignment());
+        assert!(solved.is_feasible(got.allocation(), 0.0), "{got:?}");
+        assert!(got.q_value().is_finite() && got.upper_bound().is_finite());
+        assert_same_outcome(&got, &unmemoised_cold(&allocator, &p));
         assert_bounds_cover_the_exact_optimum(&p);
     }
 

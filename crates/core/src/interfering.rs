@@ -264,9 +264,7 @@ impl InterferingProblem {
     }
 
     /// As [`Self::q_value`], also returning the solved time-share
-    /// allocation — the incremental greedy reads its mode vector as the
-    /// MBS-coupling signature (DESIGN §7 deviation 6) that decides
-    /// which cached `Δ` evaluations a commit invalidates.
+    /// allocation.
     pub fn q_solution(
         &self,
         assignment: &ChannelAssignment,

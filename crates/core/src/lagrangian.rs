@@ -52,6 +52,13 @@ impl SubproblemSolution {
 /// The unconstrained maximizer `[success/λ − w/rate]⁺` clamped to one
 /// slot, with the λ→0 and rate→0 limits handled explicitly.
 pub fn best_share(success: f64, lambda: f64, w: f64, rate: f64) -> f64 {
+    share_given_quotient(success, lambda, rate, quotient(w, rate))
+}
+
+/// [`best_share`] with its quotient given: the caller's `quotient` must
+/// be `quotient(w, rate)`, which the dual loop computes once per solve
+/// and a budget fill once per member, instead of once per price.
+pub(crate) fn share_given_quotient(success: f64, lambda: f64, rate: f64, quotient: f64) -> f64 {
     if rate <= 0.0 || success <= 0.0 {
         // The branch's logarithm cannot grow: spend nothing.
         return 0.0;
@@ -60,7 +67,7 @@ pub fn best_share(success: f64, lambda: f64, w: f64, rate: f64) -> f64 {
         // Free resource: take the whole slot.
         return 1.0;
     }
-    (success / lambda - quotient(w, rate)).clamp(0.0, 1.0)
+    (success / lambda - quotient).clamp(0.0, 1.0)
 }
 
 /// `w / rate`, saturated at the largest finite `f64`. The quotient
@@ -96,7 +103,14 @@ pub(crate) fn branch_value_ln(
     rate: f64,
     rho: f64,
 ) -> f64 {
-    success * (w + rho * rate).ln() + (1.0 - success) * ln_w - lambda * rho
+    value_given_log(success, lambda, ln_w, (w + rho * rate).ln(), rho)
+}
+
+/// [`branch_value_ln`] with its log given: the caller's `log` must be
+/// `(w + rho·rate).ln()`, which a caller that knows `rho` can often
+/// take without a logarithm.
+pub(crate) fn value_given_log(success: f64, lambda: f64, ln_w: f64, log: f64, rho: f64) -> f64 {
+    success * log + (1.0 - success) * ln_w - lambda * rho
 }
 
 /// Solves the subproblem (14) for one user at prices

@@ -168,7 +168,7 @@ pub(crate) struct Level {
 
 /// Reusable buffers for one budget-constraint fill: the gathered
 /// `(user, success, w, rate)` columns, each member's `w / rate`
-/// quotient, the effectiveness mask, and the share output. One scratch
+/// quotient, and the share output. One scratch
 /// serves a whole solve; nothing inside the bisection loop allocates.
 ///
 /// The scratch also tallies the work done through it (budget fills,
@@ -195,8 +195,6 @@ pub struct FillScratch {
     /// quotient [`crate::lagrangian::best_share`] computes, done once
     /// per member instead of once per bisection step.
     pub(crate) q: Vec<f64>,
-    /// `s > 0 && c > 0` mask, aligned with `idx`.
-    pub effective: Vec<bool>,
     /// Share output buffer, aligned with `idx`.
     pub shares: Vec<f64>,
     /// Budgets filled through this scratch since the last flush.
@@ -242,7 +240,6 @@ impl FillScratch {
         self.w.clear();
         self.c.clear();
         self.q.clear();
-        self.effective.clear();
         self.shares.clear();
     }
 
@@ -255,21 +252,14 @@ impl FillScratch {
             self.w.push(w);
             self.c.push(c);
             self.q.push(crate::lagrangian::quotient(w, c));
-            self.effective.push(s > 0.0 && c > 0.0);
         }
     }
 
-    /// Member `k`'s share at water level `lambda`: `[s/λ − w/c]` clamped
-    /// to `[0, 1]`, 1 at a free budget (`λ ≤ 0`) and 0 for a member that
-    /// cannot benefit — [`crate::lagrangian::best_share`], bit for bit.
+    /// Member `k`'s share at water level `lambda`:
+    /// [`crate::lagrangian::best_share`] at the member's gathered
+    /// quotient, bit for bit.
     pub(crate) fn share(&self, k: usize, lambda: f64) -> f64 {
-        if !self.effective[k] {
-            0.0
-        } else if lambda <= 0.0 {
-            1.0
-        } else {
-            (self.s[k] / lambda - self.q[k]).clamp(0.0, 1.0)
-        }
+        crate::lagrangian::share_given_quotient(self.s[k], lambda, self.c[k], self.q[k])
     }
 
     /// `Σ_k share(k, λ)`, summed in member order — the left fold
@@ -457,7 +447,7 @@ mod tests {
             }
         });
         assert_eq!(scratch.len(), 2);
-        assert_eq!(scratch.effective, vec![true, false]);
+        assert_eq!(scratch.s, vec![0.9, 0.0]);
         let cap = scratch.idx.capacity();
         scratch.clear();
         assert!(scratch.is_empty());

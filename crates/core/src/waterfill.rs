@@ -570,11 +570,11 @@ impl WaterfillingSolver {
     /// `scratch.shares`.
     fn fill_constraint(&self, scratch: &mut FillScratch) -> Level {
         // Users that cannot benefit (zero rate or success) always get 0
-        // — the `effective` mask was computed at gather time — and take
-        // no part in the count or in λ_hi, where every share hits zero.
+        // and take no part in the count or in λ_hi, where every share
+        // hits zero.
         let (mut effective, mut largest) = (0, f64::MIN_POSITIVE);
         for k in 0..scratch.len() {
-            if scratch.effective[k] {
+            if scratch.s[k] > 0.0 && scratch.c[k] > 0.0 {
                 effective += 1;
                 largest = largest.max(scratch.s[k] * scratch.c[k] / scratch.w[k]);
             }

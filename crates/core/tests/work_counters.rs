@@ -8,11 +8,12 @@
 use fcr_core::dual::{DualConfig, DualSolver};
 use fcr_core::greedy::GreedyAllocator;
 use fcr_core::interfering::{ChannelAssignment, InterferingProblem};
+use fcr_core::partition::Partition;
 use fcr_core::problem::{SlotProblem, UserState};
 use fcr_core::waterfill::WaterfillingSolver;
 use fcr_net::interference::InterferenceGraph;
 use fcr_net::node::FbsId;
-use fcr_sim::massive::{generate_problem, MassiveConfig, MassiveDriver};
+use fcr_sim::massive::{generate_problem, MassiveConfig};
 use fcr_telemetry::TelemetrySnapshot;
 use std::sync::{Mutex, PoisonError};
 
@@ -100,16 +101,33 @@ fn fig5_greedy_work_counts_are_exact() {
     }
 }
 
-/// The lazy greedy has no bounds. Its last evaluation or re-anchor
-/// solve is a solve of the final assignment, which the outcome reuses:
-/// the run's 28 `Q` solves are all its solves.
+/// The 64-FBS massive slot of seed 20110620: the counts of its 16
+/// cluster greedies, the ones `MassiveDriver` runs, and the slot problem
+/// at their merged assignment. The greedies run on the sink's turn, so
+/// that they count into nobody else's snapshot.
+fn massive_slot() -> ([u64; 11], SlotProblem) {
+    let config = MassiveConfig {
+        num_fbss: 64,
+        ..MassiveConfig::default()
+    };
+    let problem = generate_problem(&config, 20110620);
+    let partition = Partition::of(&problem);
+    let mut merged = None;
+    let greedies = counts(|| merged = Some(partition.allocate_serial(&GreedyAllocator::new()).0));
+    let merged = merged.expect("the greedies ran");
+    (greedies, problem.problem_for(&merged))
+}
+
+/// Each cluster's greedy bounds its candidates and solves only those
+/// that can win: 286 `Q` solves and 779 candidates skipped over the 16
+/// clusters (17.9 solves per cluster).
 #[test]
-fn incremental_greedy_work_counts_are_exact() {
-    let problem = fig5(vec![0.9, 0.8, 0.85, 0.7]);
-    let got = counts(|| {
-        GreedyAllocator::new().incremental(true).allocate(&problem);
-    });
-    assert_eq!(got, [28, 0, 0, 28, 96, 480, 1828, 402, 7, 41, 392]);
+fn massive_cluster_greedy_work_counts_are_exact() {
+    let (greedies, _) = massive_slot();
+    assert_eq!(
+        greedies,
+        [286, 0, 779, 286, 923, 6280, 28112, 5290, 384, 702, 5846]
+    );
 }
 
 /// A standalone solve fills every budget it needs: nothing outside a
@@ -134,20 +152,8 @@ fn a_standalone_solve_replays_no_fill() {
 /// a user that holds share 0 before and after, and keep both budgets.
 #[test]
 fn a_massive_dual_recovery_keeps_the_budgets_of_its_zero_share_moves() {
-    let config = MassiveConfig {
-        num_fbss: 64,
-        ..MassiveConfig::default()
-    };
-    // The slot is set up on the sink's turn too, so that its greedy
-    // runs count into nobody's snapshot.
-    let mut slot = None;
-    counted(|| {
-        let problem = generate_problem(&config, 20110620);
-        let outcome = MassiveDriver::new(config).solve_slot_serial(&problem);
-        slot = Some(problem.problem_for(&outcome.assignment));
-    });
-    let slot = slot.expect("the slot is set up");
-    let dual = DualSolver::new(config.dual_for(config.num_fbss));
+    let (_, slot) = massive_slot();
+    let dual = DualSolver::new(MassiveConfig::default().dual_for(64));
     let snapshot = counted(|| {
         dual.solve(&slot);
     });

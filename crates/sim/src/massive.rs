@@ -8,10 +8,11 @@
 //!
 //! 1. [`fcr_core::partition::Partition`] splits the interference graph
 //!    into independent FBS clusters;
-//! 2. each cluster's Table III greedy (incremental `Q`-cache by
-//!    default) runs as one job on the shared [`fcr_runtime::Runtime`]
-//!    worker pool — results return in submission order, so the
-//!    parallel solve is bit-identical to the serial reference;
+//! 2. each cluster's Table III greedy, the bounded cold path every
+//!    [`GreedyAllocator`] runs, is one job on the shared
+//!    [`fcr_runtime::Runtime`] worker pool — results return in
+//!    submission order, so the parallel solve is bit-identical to the
+//!    serial reference and makes Table III's exact choices per cluster;
 //! 3. the per-cluster assignments merge into one conflict-free global
 //!    assignment;
 //! 4. the *global* time-share problem at the merged assignment is
@@ -50,8 +51,9 @@ pub struct MassiveConfig {
     pub users_per_fbs: usize,
     /// Licensed channels in the slot's available set `A(t)`.
     pub num_channels: usize,
-    /// Run each cluster's greedy with the incremental `Q` cache
-    /// (DESIGN §15); the cold Table III sweep otherwise.
+    /// Ignored: every cluster runs the bounded cold Table III greedy.
+    /// Kept, like [`GreedyAllocator::incremental`], for callers of the
+    /// removed incremental greedy (DESIGN §15).
     pub incremental_greedy: bool,
     /// Configuration of the global warm-started dual solve.
     pub dual: DualConfig,
@@ -81,7 +83,7 @@ impl Default for MassiveConfig {
             cluster_size: 4,
             users_per_fbs: 2,
             num_channels: 4,
-            incremental_greedy: true,
+            incremental_greedy: false,
             dual: DualConfig::default(),
         }
     }
@@ -218,7 +220,7 @@ impl MassiveDriver {
     /// and the batch returns in submission order.
     pub fn solve_slot(&mut self, runtime: &Runtime, problem: &InterferingProblem) -> SlotOutcome {
         let partition = Partition::of(problem);
-        let allocator = GreedyAllocator::new().incremental(self.config.incremental_greedy);
+        let allocator = GreedyAllocator::new();
         let outcomes = runtime.run_batch(partition.clusters().iter().map(|cluster| {
             let cluster = cluster.clone();
             move || allocator.allocate(cluster.problem()).assignment().clone()
@@ -235,29 +237,23 @@ impl MassiveDriver {
             .metrics()
             .counter(SOLVER_COUNTER)
             .fetch_add(locals.len() as u64 + 1, Ordering::Relaxed);
-        self.finish_slot(problem, &partition, &locals)
+        self.finish_slot(problem, &partition, partition.merge(&locals))
     }
 
     /// The sequential reference: identical semantics to
     /// [`Self::solve_slot`] without the worker pool.
     pub fn solve_slot_serial(&mut self, problem: &InterferingProblem) -> SlotOutcome {
         let partition = Partition::of(problem);
-        let allocator = GreedyAllocator::new().incremental(self.config.incremental_greedy);
-        let locals: Vec<ChannelAssignment> = partition
-            .clusters()
-            .iter()
-            .map(|c| allocator.allocate(c.problem()).assignment().clone())
-            .collect();
-        self.finish_slot(problem, &partition, &locals)
+        let (assignment, _) = partition.allocate_serial(&GreedyAllocator::new());
+        self.finish_slot(problem, &partition, assignment)
     }
 
     fn finish_slot(
         &mut self,
         problem: &InterferingProblem,
         partition: &Partition,
-        locals: &[ChannelAssignment],
+        assignment: ChannelAssignment,
     ) -> SlotOutcome {
-        let assignment = partition.merge(locals);
         debug_assert!(assignment.is_conflict_free(problem.graph()));
         let slot_problem = problem.problem_for(&assignment);
         let solution = DualSolver::new(self.config.dual_for(problem.num_fbss()))
@@ -305,6 +301,9 @@ mod tests {
         }
     }
 
+    /// Both paths return the same slot, and each cluster's part of its
+    /// merged assignment is what `GreedyAllocator::new()` chooses for
+    /// the cluster alone.
     #[test]
     fn parallel_slot_is_bit_identical_to_serial() {
         let cfg = small_cfg();
@@ -316,6 +315,14 @@ mod tests {
         let parallel = MassiveDriver::new(cfg).solve_slot(&runtime, &problem);
         let serial = MassiveDriver::new(cfg).solve_slot_serial(&problem);
         assert_eq!(parallel, serial);
+        let partition = Partition::of(&problem);
+        let allocator = GreedyAllocator::new();
+        let locals: Vec<ChannelAssignment> = partition
+            .clusters()
+            .iter()
+            .map(|c| allocator.allocate(c.problem()).assignment().clone())
+            .collect();
+        assert_eq!(serial.assignment, partition.merge(&locals));
         assert!(parallel.assignment.is_conflict_free(problem.graph()));
         assert_eq!(parallel.num_clusters, 4);
         assert_eq!(parallel.idle_fbss, 0);
