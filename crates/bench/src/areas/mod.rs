@@ -9,8 +9,7 @@
 //! - [`runtime`] — worker-pool throughput and latency on a dedicated
 //!   pool (no cross-area pollution), measured from `MetricsSnapshot`;
 //! - [`serve`] — the always-on service at steady state on its own
-//!   pool, emitting the same `BENCH_serve.json` shape as the `serve`
-//!   daemon's `--bench-out`;
+//!   pool, the only writer of `BENCH_serve.json`;
 //! - [`scenario`] — a declarative pack's full churn replay (mobility
 //!   walks, handovers, PU bursts) against a live service, so pack
 //!   edits show up in the perf trajectory without a code change.

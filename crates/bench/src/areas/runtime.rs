@@ -3,14 +3,14 @@
 //! Runs batches of real solver jobs (water-filling on the canonical
 //! fixture) on a **dedicated** pool — never the shared one, so the
 //! numbers are not polluted by other areas — and reads the results
-//! from the pool's own `MetricsSnapshot`: jobs/sec, p50/p99 job wall
-//! time from the runtime histogram, failure/rejection counts, and
-//! worker utilization.
+//! from the pool's own `MetricsSnapshot`: its metric list
+//! ([`fcr_telemetry::pool_metrics`]), then jobs/sec, p50/p99 job wall
+//! time from the runtime histogram, and worker utilization.
 
 use crate::single_fbs_problem;
 use fcr_core::waterfill::WaterfillingSolver;
-use fcr_runtime::{Runtime, RuntimeConfig};
-use fcr_telemetry::{peak_rss_kb, BenchEnvelope};
+use fcr_runtime::{MetricsSnapshot, Runtime, RuntimeConfig};
+use fcr_telemetry::{peak_rss_kb, pool_metrics, BenchEnvelope};
 use std::time::Instant;
 
 use super::Scale;
@@ -75,9 +75,19 @@ pub fn run(params: &RuntimeParams) -> BenchEnvelope {
         ok += outcomes.iter().filter(|o| o.is_ok()).count() as u64;
     }
     let batch_secs = t.elapsed().as_secs_f64();
+    envelope(params, &runtime.snapshot(), ok, batch_secs)
+        .wall_seconds(started.elapsed().as_secs_f64())
+}
 
-    let snap = runtime.snapshot();
-    let total = params.batch_jobs * params.batches;
+/// Builds `BENCH_runtime.json` from the pool's snapshot (its whole
+/// metric list) and what the run measured: jobs that returned `Ok`
+/// and the seconds the batches took.
+pub fn envelope(
+    params: &RuntimeParams,
+    snap: &MetricsSnapshot,
+    ok: u64,
+    batch_secs: f64,
+) -> BenchEnvelope {
     let utilization_mean = if snap.per_worker.is_empty() {
         0.0
     } else {
@@ -88,12 +98,12 @@ pub fn run(params: &RuntimeParams) -> BenchEnvelope {
             / snap.per_worker.len() as f64
     };
     BenchEnvelope::new("runtime", params.seed)
-        .wall_seconds(started.elapsed().as_secs_f64())
         .workload("scale", params.scale.name())
         .workload("workers", snap.workers)
         .workload("batch_jobs", params.batch_jobs)
         .workload("batches", params.batches)
-        .metric("jobs_total", total)
+        .metric_list(pool_metrics(snap))
+        .metric("jobs_total", params.batch_jobs * params.batches)
         .metric("jobs_ok", ok)
         .metric(
             "jobs_per_sec",
@@ -103,10 +113,6 @@ pub fn run(params: &RuntimeParams) -> BenchEnvelope {
                 0.0
             },
         )
-        .metric("jobs_submitted", snap.jobs_submitted)
-        .metric("jobs_completed", snap.jobs_completed)
-        .metric("jobs_failed", snap.jobs_failed)
-        .metric("jobs_rejected", snap.jobs_rejected)
         .metric("job_p50_us", snap.job_wall_time.percentile_micros(0.50))
         .metric("job_p99_us", snap.job_wall_time.percentile_micros(0.99))
         .metric("worker_utilization_mean", utilization_mean)

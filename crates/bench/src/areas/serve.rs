@@ -3,15 +3,15 @@
 //! Admits a population of small sessions on a **dedicated** pool,
 //! steps the slot clock unpaced until every session resolves (bounded
 //! by `max_steps` — a stuck service fails loudly, it does not hang the
-//! bench), then drains and builds the same `BENCH_serve.json` envelope
-//! the `serve` daemon's `--bench-out` writes, via
-//! [`fcr_serve::bench_envelope`]. One schema, two emitters.
+//! bench), then drains and writes `BENCH_serve.json`: the service
+//! snapshot's metric list plus this area's own rows. It is the only
+//! writer of that file.
 
-use fcr_runtime::{Runtime, RuntimeConfig};
-use fcr_serve::{bench_envelope, AdmitOutcome, ServeBenchRun, ServeConfig, Service, SessionSpec};
+use fcr_runtime::{MetricsSnapshot, Runtime, RuntimeConfig};
+use fcr_serve::{AdmitOutcome, ServeConfig, Service, ServiceSnapshot, SessionSpec};
 use fcr_sim::config::SimConfig;
 use fcr_sim::Scenario;
-use fcr_telemetry::BenchEnvelope;
+use fcr_telemetry::{peak_rss_kb, BenchEnvelope};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -129,20 +129,49 @@ pub fn run(params: &ServeParams) -> BenchEnvelope {
 
     let snap = service.snapshot();
     assert!(snap.accounting_holds(), "accounting identity violated");
-    let pool = runtime.snapshot();
-    bench_envelope(
-        &ServeBenchRun {
-            seed: params.seed,
-            wall_seconds,
-            target_sessions: params.sessions,
-            slot_ms: 0,
-            peak_concurrent,
-            slots_simulated: pool_slots(&runtime).saturating_sub(slots_before),
-        },
+    let slots_simulated = pool_slots(&runtime).saturating_sub(slots_before);
+    envelope(
+        params,
         &snap,
-        &pool,
+        &runtime.snapshot(),
+        wall_seconds,
+        peak_concurrent,
+        slots_simulated,
     )
-    .workload("scale", params.scale.name())
+}
+
+/// Builds `BENCH_serve.json` from a drained service's snapshot (its
+/// whole metric list), the pool's job wall times, and what the run
+/// measured: steady-state wall seconds, peak concurrency and slots
+/// simulated.
+pub fn envelope(
+    params: &ServeParams,
+    snap: &ServiceSnapshot,
+    pool: &MetricsSnapshot,
+    wall_seconds: f64,
+    peak_concurrent: usize,
+    slots_simulated: u64,
+) -> BenchEnvelope {
+    let per_sec = |v: u64| {
+        if wall_seconds > 0.0 {
+            v as f64 / wall_seconds
+        } else {
+            0.0
+        }
+    };
+    BenchEnvelope::new("serve", params.seed)
+        .wall_seconds(wall_seconds)
+        .workload("target_sessions", params.sessions)
+        // Slot pacing in ms: this area always steps unpaced.
+        .workload("slot_ms", 0u64)
+        .workload("scale", params.scale.name())
+        .metric_list(snap.metrics())
+        .metric("peak_concurrent", peak_concurrent)
+        .metric("sessions_per_sec", per_sec(snap.completed))
+        .metric("slots_per_sec", per_sec(slots_simulated))
+        .metric("job_p50_us", pool.job_wall_time.percentile_micros(0.50))
+        .metric("job_p99_us", pool.job_wall_time.percentile_micros(0.99))
+        .metric("peak_rss_kb", peak_rss_kb())
 }
 
 fn pool_slots(runtime: &Runtime) -> u64 {
@@ -177,5 +206,25 @@ mod tests {
         );
         assert!(env.metric_value("slots_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("steps").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn zero_wall_seconds_reports_zero_rates_not_nan() {
+        let runtime = Arc::new(Runtime::with_config(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        }));
+        let service = Service::new(ServeConfig::default(), Arc::clone(&runtime));
+        let params = ServeParams::at(Scale::Smoke, 0);
+        let env = envelope(
+            &params,
+            &service.snapshot(),
+            &runtime.snapshot(),
+            0.0,
+            0,
+            10,
+        );
+        assert_eq!(env.metric_value("slots_per_sec"), Some(0.0));
+        assert_eq!(env.metric_value("sessions_per_sec"), Some(0.0));
     }
 }

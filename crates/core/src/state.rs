@@ -25,7 +25,6 @@
 //! agreement within dual tolerance on perturbed channel states.
 
 use crate::dual::DualSolution;
-use fcr_telemetry::SolveRecord;
 
 /// Persisted dual-solver state: the final prices
 /// `[λ_0, λ_1, …, λ_N]` and step-schedule position τ of the most
@@ -80,16 +79,6 @@ impl SolverState {
         self.absorb(solution.lambda(), solution.final_tau());
     }
 
-    /// Absorbs the final prices carried by a telemetry
-    /// [`SolveRecord`] — the channel the convergence exporter already
-    /// drains, so a consumer replaying recorded solves can rebuild the
-    /// warm-start lineage without touching solver internals. The
-    /// record carries no schedule origin, so its iteration count
-    /// stands in for τ (exact for cold solves).
-    pub fn absorb_record(&mut self, record: &SolveRecord) {
-        self.absorb(&record.lambda, record.iterations);
-    }
-
     /// Forgets the persisted prices; the next solve is cold. Call on
     /// topology changes (FBS churn) or after long gaps where the
     /// stored prices stopped being informative.
@@ -141,18 +130,5 @@ mod tests {
         state.reset();
         assert_eq!(state.warm_start(3), None);
         assert_eq!(state.tau(), 0);
-    }
-
-    #[test]
-    fn absorb_record_round_trips_the_telemetry_channel() {
-        let mut state = SolverState::new();
-        state.absorb_record(&SolveRecord {
-            iterations: 42,
-            converged: true,
-            residual: 0.0,
-            lambda: vec![0.5, 0.25],
-        });
-        assert_eq!(state.warm_start(2), Some(&[0.5, 0.25][..]));
-        assert_eq!(state.tau(), 42);
     }
 }

@@ -43,5 +43,5 @@ pub mod topology;
 
 pub use geometry::Point;
 pub use interference::InterferenceGraph;
-pub use node::{BaseStation, CrUser, Fbs, FbsId, UserId};
+pub use node::{CrUser, Fbs, FbsId, UserId};
 pub use topology::Topology;

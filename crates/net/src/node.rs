@@ -23,25 +23,6 @@ impl fmt::Display for UserId {
     }
 }
 
-/// The base station serving a user in a given slot: the MBS on the
-/// common channel, or an FBS on licensed channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaseStation {
-    /// The macro base station (common channel, index 0 in the paper).
-    Mbs,
-    /// A femto base station (licensed channels).
-    Fbs(FbsId),
-}
-
-impl fmt::Display for BaseStation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaseStation::Mbs => write!(f, "mbs"),
-            BaseStation::Fbs(id) => write!(f, "{id}"),
-        }
-    }
-}
-
 /// A femto base station: position and coverage radius.
 ///
 /// # Examples
@@ -127,8 +108,6 @@ mod tests {
     fn ids_display() {
         assert_eq!(format!("{}", FbsId(2)), "fbs2");
         assert_eq!(format!("{}", UserId(5)), "user5");
-        assert_eq!(format!("{}", BaseStation::Mbs), "mbs");
-        assert_eq!(format!("{}", BaseStation::Fbs(FbsId(1))), "fbs1");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Steady-state serving demo and standing benchmark: holds a target
-//! number of concurrent sessions on the shared pool with continuous
-//! churn (completions, forced retirements, replacement admissions) for
-//! a wall-clock budget, then drains and verifies the service contract:
+//! Steady-state serving demo: holds a target number of concurrent
+//! sessions on the shared pool with continuous churn (completions,
+//! forced retirements, replacement admissions) for a wall-clock
+//! budget, then drains and verifies the service contract:
 //!
 //! - exact accounting: `admitted == completed + retired + shed`
 //! - zero job loss: every window job resolved, `pending == 0` at drain
@@ -10,16 +10,16 @@
 //! - a parseable live metrics body (optionally written to a file
 //!   and/or served on a TCP endpoint)
 //!
+//! At exit it prints the drained service's final `serve` JSON line.
+//!
 //! ```text
 //! cargo run --release -p fcr-serve --bin serve -- \
 //!     --seconds 30 --sessions 10000 [--seed N] [--budget F] \
 //!     [--metrics-addr 127.0.0.1:0] [--metrics-out PATH] \
-//!     [--bench-out PATH] [--telemetry-stream PATH]
+//!     [--telemetry-stream PATH]
 //! ```
 
-use fcr_serve::{
-    bench_envelope, AdmitOutcome, MetricsServer, ServeBenchRun, ServeConfig, Service, SessionSpec,
-};
+use fcr_serve::{AdmitOutcome, MetricsServer, ServeConfig, Service, SessionSpec};
 use fcr_sim::config::SimConfig;
 use fcr_sim::Scenario;
 use std::sync::Arc;
@@ -33,7 +33,6 @@ struct Args {
     budget: Option<f64>,
     metrics_addr: Option<String>,
     metrics_out: Option<String>,
-    bench_out: Option<String>,
     telemetry_stream: Option<String>,
 }
 
@@ -46,7 +45,6 @@ fn parse_args() -> Args {
         budget: None,
         metrics_addr: None,
         metrics_out: None,
-        bench_out: None,
         telemetry_stream: None,
     };
     let mut it = std::env::args().skip(1);
@@ -69,13 +67,12 @@ fn parse_args() -> Args {
             }
             "--metrics-addr" => args.metrics_addr = Some(val("--metrics-addr")),
             "--metrics-out" => args.metrics_out = Some(val("--metrics-out")),
-            "--bench-out" => args.bench_out = Some(val("--bench-out")),
             "--telemetry-stream" => args.telemetry_stream = Some(val("--telemetry-stream")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: serve [--seconds N] [--sessions N] [--seed N] [--slot-ms N] \
                      [--budget F] [--metrics-addr ADDR] [--metrics-out PATH] \
-                     [--bench-out PATH] [--telemetry-stream PATH]"
+                     [--telemetry-stream PATH]"
                 );
                 std::process::exit(0);
             }
@@ -182,12 +179,6 @@ fn main() {
     );
 
     // --- Steady state: step the clock, churn, replace. ---
-    // The service's shard counters live on the serve pool's registry.
-    let pool_runtime = fcr_serve::shared_runtime();
-    let slots_before = pool_runtime
-        .snapshot()
-        .counter(fcr_sim::pool::SLOTS_COUNTER)
-        .unwrap_or(0);
     let steady_start = Instant::now();
     let mut peak_concurrent = ramped.active;
     let mut retired_by_churn = 0u64;
@@ -298,26 +289,7 @@ fn main() {
         "session lost: admitted != completed + retired + shed"
     );
 
-    // --- Benchmark artifact: the shared BENCH_serve.json envelope. ---
-    let pool = pool_runtime.snapshot();
-    let slots_after = pool.counter(fcr_sim::pool::SLOTS_COUNTER).unwrap_or(0);
-    let bench = bench_envelope(
-        &ServeBenchRun {
-            seed: args.seed,
-            wall_seconds: elapsed,
-            target_sessions: args.sessions,
-            slot_ms: args.slot_ms,
-            peak_concurrent,
-            slots_simulated: slots_after.saturating_sub(slots_before),
-        },
-        &snap,
-        &pool,
-    )
-    .to_json();
-    if let Some(path) = &args.bench_out {
-        std::fs::write(path, &bench).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    print!("{bench}");
+    println!("{}", snap.to_json_line());
 
     assert!(
         peak_concurrent >= args.sessions,

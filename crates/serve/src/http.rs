@@ -1,12 +1,15 @@
 //! The `/metrics`-style live endpoint: a std-only TCP server that
-//! answers every request with the service's metrics body.
+//! answers `GET /metrics` (and `/`) with the service's metrics body.
 //!
 //! Deliberately minimal (the vendored-deps constraint rules out an
-//! HTTP stack): the request line is read best-effort for one piece of
-//! negotiation — a `format=prom` query selects the Prometheus text
-//! exposition; anything else gets the JSONL body — and every
-//! connection gets an `HTTP/1.0 200` with `text/plain`, curl-able,
-//! `nc`-able, and parseable line by line.
+//! HTTP stack): only the request line is read. A `format=prom` query
+//! selects the Prometheus text exposition; anything else gets the
+//! JSONL body, as an `HTTP/1.0 200` with `text/plain` — curl-able and
+//! parseable line by line. Any other path answers `404`, and a request
+//! line that is not `METHOD TARGET VERSION` answers `400`. The request
+//! and the response each get one deadline across all their reads or
+//! writes, so a client that stalls or trickles cannot hold the
+//! single-threaded accept loop.
 
 use crate::service::Service;
 use std::io::{Read, Write};
@@ -14,7 +17,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a connection may take to deliver its request line, across
+/// all its reads.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
+/// How long a connection may take to accept the whole response,
+/// across all its writes.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A running metrics endpoint. Dropping (or [`MetricsServer::shutdown`])
 /// stops the accept loop and joins the serving thread.
@@ -27,8 +37,8 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// serves `service`'s metrics body to every connection from a
-    /// background thread.
+    /// serves `service`'s metrics body to each `/metrics` request from
+    /// a background thread.
     pub fn spawn(service: Arc<Service>, addr: &str) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -79,48 +89,115 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Answers one connection: read the request line best-effort, pick the
-/// body format from it (`format=prom` → Prometheus text exposition,
-/// anything else → JSONL), then write the response. All I/O errors are
-/// ignored — a dropped scrape must not disturb the service.
+/// Answers one connection: read the request line, route it, then
+/// write the response. All I/O errors are ignored — a dropped scrape
+/// must not disturb the service.
 fn serve_one(mut stream: TcpStream, service: &Service) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    // The request line may arrive in several reads; all of them share
+    // one deadline, so a client that trickles bytes cannot stretch it.
+    let deadline = Instant::now() + READ_TIMEOUT;
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf).unwrap_or(0);
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].contains(&b'\n') {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf[n..]) {
+            Ok(0) | Err(_) => break,
+            Ok(k) => n += k,
+        }
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
-    let (body, content_type) = if wants_prometheus(&request) {
-        (
-            service.metrics_prometheus(),
+    let (status, content_type, body) = match route(&request) {
+        Route::Metrics => (
+            "200 OK",
+            "text/plain; charset=utf-8",
+            service.metrics_text(),
+        ),
+        Route::Prometheus => (
+            "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-        )
-    } else {
-        (service.metrics_text(), "text/plain; charset=utf-8")
+            service.metrics_prometheus(),
+        ),
+        Route::NotFound => (
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            "not found\n".to_string(),
+        ),
+        Route::BadRequest => (
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            "bad request\n".to_string(),
+        ),
     };
     let response = format!(
-        "HTTP/1.0 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        content_type,
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
-        body
     );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    write_before(
+        &mut stream,
+        response.as_bytes(),
+        Instant::now() + WRITE_TIMEOUT,
+    );
 }
 
-/// `true` when the request line's query string asks for the Prometheus
-/// format (`GET /metrics?format=prom` — `prometheus` is accepted too).
-fn wants_prometheus(request: &str) -> bool {
-    let Some(line) = request.lines().next() else {
-        return false;
+/// Writes as much of `bytes` as the client accepts before `deadline`
+/// and returns how many bytes that was. Each write may block only for
+/// the time left, so a client that reads slowly is cut off at the
+/// deadline as surely as one that stops.
+fn write_before(stream: &mut TcpStream, bytes: &[u8], deadline: Instant) -> usize {
+    let mut written = 0;
+    while written < bytes.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_write_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.write(&bytes[written..]) {
+            Ok(0) | Err(_) => break,
+            Ok(k) => written += k,
+        }
+    }
+    written
+}
+
+/// What a request line asks for.
+#[derive(Debug, PartialEq, Eq)]
+enum Route {
+    /// `/metrics` or `/`: the JSONL body.
+    Metrics,
+    /// The same paths with `format=prom` (or `format=prometheus`) in
+    /// the query: the Prometheus exposition.
+    Prometheus,
+    /// A well-formed request for any other path.
+    NotFound,
+    /// A first line that is not `METHOD TARGET HTTP/x`.
+    BadRequest,
+}
+
+fn route(request: &str) -> Route {
+    let line = request.lines().next().unwrap_or("");
+    let mut parts = line.split_whitespace();
+    let (Some(_method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Route::BadRequest;
     };
-    let Some(target) = line.split_whitespace().nth(1) else {
-        return false;
-    };
-    let Some((_, query)) = target.split_once('?') else {
-        return false;
-    };
-    query
+    if !version.starts_with("HTTP/") {
+        return Route::BadRequest;
+    }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    if !matches!(path, "/metrics" | "/") {
+        return Route::NotFound;
+    }
+    if query
         .split('&')
         .any(|pair| matches!(pair, "format=prom" | "format=prometheus"))
+    {
+        Route::Prometheus
+    } else {
+        Route::Metrics
+    }
 }
 
 #[cfg(test)]
@@ -129,22 +206,31 @@ mod tests {
     use crate::config::ServeConfig;
     use fcr_runtime::{Runtime, RuntimeConfig};
 
-    #[test]
-    fn endpoint_serves_a_parseable_metrics_body() {
+    /// Sends `request` on a fresh connection and returns the whole
+    /// response.
+    fn scrape(addr: SocketAddr, request: &[u8]) -> String {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.write_all(request).expect("request");
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("response");
+        response
+    }
+
+    fn server() -> MetricsServer {
         let runtime = Arc::new(Runtime::with_config(RuntimeConfig {
             workers: 1,
             ..RuntimeConfig::default()
         }));
         let service = Arc::new(Service::new(ServeConfig::default(), runtime));
-        let server = MetricsServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+        MetricsServer::spawn(service, "127.0.0.1:0").expect("bind")
+    }
+
+    #[test]
+    fn endpoint_serves_a_parseable_metrics_body() {
+        let server = server();
         let addr = server.local_addr();
 
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-            .expect("request");
-        let mut response = String::new();
-        conn.read_to_string(&mut response).expect("response");
-
+        let response = scrape(addr, b"GET /metrics HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
         let body = response.split("\r\n\r\n").nth(1).expect("body");
         let serve_line = body.lines().next().expect("serve line");
@@ -154,25 +240,18 @@ mod tests {
         );
         assert!(body.contains("\"type\":\"meta\""), "{body}");
         // Two scrapes both answer (the loop keeps serving).
-        let mut conn = TcpStream::connect(addr).expect("second connect");
-        conn.write_all(b"GET / HTTP/1.0\r\n\r\n").expect("request");
-        let mut second = String::new();
-        conn.read_to_string(&mut second).expect("second response");
+        let second = scrape(addr, b"GET / HTTP/1.0\r\n\r\n");
         assert!(second.contains("\"type\":\"serve\""));
 
         // format=prom negotiates the Prometheus exposition instead.
-        let mut conn = TcpStream::connect(addr).expect("prom connect");
-        conn.write_all(b"GET /metrics?format=prom HTTP/1.0\r\n\r\n")
-            .expect("request");
-        let mut prom = String::new();
-        conn.read_to_string(&mut prom).expect("prom response");
+        let prom = scrape(addr, b"GET /metrics?format=prom HTTP/1.0\r\n\r\n");
         assert!(
             prom.contains("Content-Type: text/plain; version=0.0.4"),
             "{prom}"
         );
         let prom_body = prom.split("\r\n\r\n").nth(1).expect("prom body");
         assert!(
-            prom_body.starts_with("# TYPE fcr_serve_slot counter"),
+            prom_body.starts_with("# TYPE fcr_serve_steps_total counter"),
             "{prom_body}"
         );
         assert!(
@@ -184,14 +263,99 @@ mod tests {
     }
 
     #[test]
-    fn format_negotiation_parses_the_query_string() {
-        assert!(wants_prometheus("GET /metrics?format=prom HTTP/1.0\r\n"));
-        assert!(wants_prometheus(
-            "GET /metrics?x=1&format=prometheus HTTP/1.1\r\n"
-        ));
-        assert!(!wants_prometheus("GET /metrics HTTP/1.0\r\n"));
-        assert!(!wants_prometheus("GET /metrics?format=json HTTP/1.0\r\n"));
-        assert!(!wants_prometheus("GET /metrics?format=promx HTTP/1.0\r\n"));
-        assert!(!wants_prometheus(""));
+    fn unknown_paths_answer_404_and_malformed_requests_400() {
+        let server = server();
+        let addr = server.local_addr();
+        for request in [
+            &b"GET /favicon.ico HTTP/1.1\r\n\r\n"[..],
+            b"GET /metricsx?format=prom HTTP/1.0\r\n\r\n",
+        ] {
+            let response = scrape(addr, request);
+            assert!(
+                response.starts_with("HTTP/1.0 404 Not Found\r\n"),
+                "{response}"
+            );
+            assert!(!response.contains("fcr_serve_"), "{response}");
+        }
+        for request in [
+            &b"GET /metrics\r\n\r\n"[..],
+            b"GET /metrics HTTP/1.0 extra\r\n\r\n",
+            b"GET /metrics FTP/1.0\r\n\r\n",
+            b"\r\n",
+        ] {
+            let response = scrape(addr, request);
+            assert!(
+                response.starts_with("HTTP/1.0 400 Bad Request\r\n"),
+                "{response}"
+            );
+        }
+        // A request line split across two writes still routes.
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_nodelay(true).expect("nodelay");
+        conn.write_all(b"GET /met").expect("first half");
+        std::thread::sleep(Duration::from_millis(20));
+        conn.write_all(b"rics HTTP/1.0\r\n\r\n")
+            .expect("second half");
+        let mut split = String::new();
+        conn.read_to_string(&mut split).expect("response");
+        assert!(split.starts_with("HTTP/1.0 200 OK"), "{split}");
+        // The loop still serves after the errors.
+        assert!(scrape(addr, b"GET / HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 200 OK"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_slow_reader_is_cut_off_at_the_response_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut conn, _) = listener.accept().expect("accept");
+        // Reads 4 KiB every 5 ms (< 1 MB/s): every write makes some
+        // progress, but the whole body would take half a minute.
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 4096];
+                while !stop.load(Ordering::Acquire)
+                    && matches!(client.read(&mut buf), Ok(k) if k > 0)
+                {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        let body = vec![b'x'; 32 << 20];
+        let started = Instant::now();
+        let written = write_before(&mut conn, &body, started + Duration::from_millis(200));
+        let took = started.elapsed();
+        drop(conn);
+        stop.store(true, Ordering::Release);
+        reader.join().expect("reader");
+        assert!(written < body.len(), "{written}");
+        assert!(took < Duration::from_secs(5), "{took:?}");
+    }
+
+    #[test]
+    fn routing_parses_the_request_line() {
+        assert_eq!(route("GET /metrics HTTP/1.0\r\n"), Route::Metrics);
+        assert_eq!(route("GET / HTTP/1.1\r\n"), Route::Metrics);
+        assert_eq!(
+            route("GET /metrics?format=prom HTTP/1.0\r\n"),
+            Route::Prometheus
+        );
+        assert_eq!(
+            route("GET /metrics?x=1&format=prometheus HTTP/1.1\r\n"),
+            Route::Prometheus
+        );
+        assert_eq!(
+            route("GET /metrics?format=json HTTP/1.0\r\n"),
+            Route::Metrics
+        );
+        assert_eq!(
+            route("GET /metrics?format=promx HTTP/1.0\r\n"),
+            Route::Metrics
+        );
+        assert_eq!(route("GET /other HTTP/1.0\r\n"), Route::NotFound);
+        assert_eq!(route(""), Route::BadRequest);
+        assert_eq!(route("GET\r\n"), Route::BadRequest);
     }
 }

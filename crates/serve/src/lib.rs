@@ -54,13 +54,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod bench;
 mod config;
 mod http;
 mod service;
 mod snapshot;
 
-pub use bench::{bench_envelope, ServeBenchRun};
 pub use config::{ServeConfig, ADMIT_EPS};
 pub use http::MetricsServer;
 pub use service::{

@@ -1,7 +1,8 @@
-//! The polled in-process service snapshot and its JSON rendering.
+//! The polled in-process service snapshot and its metric list.
 
 use crate::service::Counts;
 use fcr_runtime::HistogramSnapshot;
+use fcr_telemetry::Metric;
 
 /// A point-in-time copy of the service's counters and gauges — the
 /// in-process twin of the `/metrics` endpoint's `serve` line.
@@ -11,7 +12,8 @@ use fcr_runtime::HistogramSnapshot;
 /// inside every step).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSnapshot {
-    /// Service slot clock.
+    /// Service slot clock. Each step advances it with `steps`, so the
+    /// metric list carries only `steps`.
     pub slot: u64,
     /// Slot steps executed.
     pub steps: u64,
@@ -141,123 +143,54 @@ impl ServiceSnapshot {
         self.admitted == self.active as u64 + self.completed + self.retired + self.shed
     }
 
+    /// The snapshot's metric list: each service counter and gauge under
+    /// the one name the `serve` JSON line, the `fcr_serve_*` Prometheus
+    /// exposition and `BENCH_serve.json` share.
+    pub fn metrics(&self) -> Vec<Metric> {
+        vec![
+            Metric::counter("steps", self.steps),
+            Metric::counter("sessions_admitted", self.admitted),
+            Metric::gauge("sessions_active", self.active),
+            Metric::gauge("sessions_draining", self.draining),
+            Metric::counter("sessions_completed", self.completed),
+            Metric::counter("sessions_retired", self.retired),
+            Metric::counter("sessions_shed", self.shed),
+            Metric::counter("rejected_capacity", self.rejected_capacity),
+            Metric::counter("rejected_budget", self.rejected_budget),
+            Metric::counter("windows_completed", self.windows_completed),
+            Metric::counter("windows_retried", self.windows_retried),
+            Metric::counter("deferrals", self.deferrals),
+            Metric::gauge("deferrals_per_step", self.deferrals_per_step),
+            Metric::counter("handovers_fbs_fbs", self.handovers_fbs_fbs),
+            Metric::counter("handovers_fbs_mbs", self.handovers_fbs_mbs),
+            Metric::counter("handovers_mbs_fbs", self.handovers_mbs_fbs),
+            Metric::counter("handovers_rejected", self.handovers_rejected),
+            Metric::gauge("sessions_active_on_mbs", self.active_on_mbs),
+            Metric::counter("enhancement_runs_shed", self.enhancement_runs_shed),
+            Metric::counter("degraded_sessions", self.degraded_sessions),
+            Metric::counter("completed_dropped", self.completed_dropped),
+            Metric::gauge("mbs_in_use", self.mbs_in_use),
+            Metric::gauge("mbs_budget", self.mbs_budget),
+            Metric::gauge("jobs_pending", self.pending),
+            Metric::gauge("completed_buffered", self.completed_buffered),
+            Metric::gauge("step_p50_us", self.step_p50_us),
+            Metric::gauge("step_p99_us", self.step_p99_us),
+            Metric::gauge("accounting_holds", self.accounting_holds()),
+        ]
+    }
+
     /// Renders the snapshot as one self-contained JSONL line
-    /// (`"type":"serve"`), the head of the `/metrics` body.
+    /// (`"type":"serve"`), the head of the `/metrics` body. A missing
+    /// step-wall percentile (no steps yet) is `null`.
     pub fn to_json_line(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-        format!(
-            "{{\"type\":\"serve\",\"slot\":{},\"steps\":{},\"admitted\":{},\"active\":{},\
-             \"draining\":{},\"completed\":{},\"retired\":{},\"shed\":{},\
-             \"rejected_capacity\":{},\"rejected_budget\":{},\"windows_completed\":{},\
-             \"windows_retried\":{},\"deferrals\":{},\"deferrals_per_step\":{},\
-             \"handovers_fbs_fbs\":{},\"handovers_fbs_mbs\":{},\"handovers_mbs_fbs\":{},\
-             \"handovers_rejected\":{},\"active_on_mbs\":{},\
-             \"enhancement_runs_shed\":{},\
-             \"degraded_sessions\":{},\"completed_dropped\":{},\"mbs_in_use\":{},\
-             \"mbs_budget\":{},\"pending\":{},\"completed_buffered\":{},\
-             \"step_p50_us\":{},\"step_p99_us\":{},\"accounting_holds\":{}}}",
-            self.slot,
-            self.steps,
-            self.admitted,
-            self.active,
-            self.draining,
-            self.completed,
-            self.retired,
-            self.shed,
-            self.rejected_capacity,
-            self.rejected_budget,
-            self.windows_completed,
-            self.windows_retried,
-            self.deferrals,
-            json_num(self.deferrals_per_step),
-            self.handovers_fbs_fbs,
-            self.handovers_fbs_mbs,
-            self.handovers_mbs_fbs,
-            self.handovers_rejected,
-            self.active_on_mbs,
-            self.enhancement_runs_shed,
-            self.degraded_sessions,
-            self.completed_dropped,
-            json_num(self.mbs_in_use),
-            json_num(self.mbs_budget),
-            self.pending,
-            self.completed_buffered,
-            opt(self.step_p50_us),
-            opt(self.step_p99_us),
-            self.accounting_holds(),
-        )
+        fcr_telemetry::metrics_to_json_line("serve", &self.metrics())
     }
 
     /// Renders the snapshot as Prometheus text exposition (format
-    /// 0.0.4) — the same numbers as [`ServiceSnapshot::to_json_line`]
-    /// under `fcr_serve_*` metric names. Missing percentiles (no steps
-    /// yet) emit no quantile sample, matching the JSONL `null`.
+    /// 0.0.4): the same list as [`ServiceSnapshot::to_json_line`] under
+    /// `fcr_serve_*` names. A missing percentile has no sample.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut counter = |name: &str, help_value: u64| {
-            out.push_str(&format!(
-                "# TYPE fcr_serve_{name} counter\nfcr_serve_{name} {help_value}\n"
-            ));
-        };
-        counter("slot", self.slot);
-        counter("steps_total", self.steps);
-        counter("sessions_admitted_total", self.admitted);
-        counter("sessions_completed_total", self.completed);
-        counter("sessions_retired_total", self.retired);
-        counter("sessions_shed_total", self.shed);
-        counter("rejected_capacity_total", self.rejected_capacity);
-        counter("rejected_budget_total", self.rejected_budget);
-        counter("windows_completed_total", self.windows_completed);
-        counter("windows_retried_total", self.windows_retried);
-        counter("deferrals_total", self.deferrals);
-        counter("handovers_fbs_fbs_total", self.handovers_fbs_fbs);
-        counter("handovers_fbs_mbs_total", self.handovers_fbs_mbs);
-        counter("handovers_mbs_fbs_total", self.handovers_mbs_fbs);
-        counter("handovers_rejected_total", self.handovers_rejected);
-        counter("enhancement_runs_shed_total", self.enhancement_runs_shed);
-        counter("degraded_sessions_total", self.degraded_sessions);
-        counter("completed_dropped_total", self.completed_dropped);
-        let mut gauge = |name: &str, value: f64| {
-            if value.is_finite() {
-                out.push_str(&format!(
-                    "# TYPE fcr_serve_{name} gauge\nfcr_serve_{name} {value}\n"
-                ));
-            }
-        };
-        gauge("sessions_active", self.active as f64);
-        gauge("sessions_active_on_mbs", self.active_on_mbs as f64);
-        gauge("sessions_draining", self.draining as f64);
-        gauge("deferrals_per_step", self.deferrals_per_step);
-        gauge("mbs_in_use", self.mbs_in_use);
-        gauge("mbs_budget", self.mbs_budget);
-        gauge("jobs_pending", self.pending as f64);
-        gauge("completed_buffered", self.completed_buffered as f64);
-        gauge(
-            "accounting_holds",
-            if self.accounting_holds() { 1.0 } else { 0.0 },
-        );
-        out.push_str("# TYPE fcr_serve_step_wall_us summary\n");
-        if let Some(p50) = self.step_p50_us {
-            out.push_str(&format!(
-                "fcr_serve_step_wall_us{{quantile=\"0.5\"}} {p50}\n"
-            ));
-        }
-        if let Some(p99) = self.step_p99_us {
-            out.push_str(&format!(
-                "fcr_serve_step_wall_us{{quantile=\"0.99\"}} {p99}\n"
-            ));
-        }
-        out.push_str(&format!("fcr_serve_step_wall_us_count {}\n", self.steps));
-        out
-    }
-}
-
-/// A JSON number: plain decimal for finite values, `null` otherwise.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        fcr_telemetry::metrics_to_prometheus("fcr_serve_", &self.metrics())
     }
 }
 
@@ -299,25 +232,27 @@ mod tests {
     }
 
     #[test]
-    fn json_line_is_balanced_and_self_describing() {
-        let line = sample().to_json_line();
-        assert!(line.starts_with("{\"type\":\"serve\""), "{line}");
-        assert!(line.ends_with('}'), "{line}");
-        assert!(line.contains("\"accounting_holds\":true"));
-        assert!(line.contains("\"mbs_in_use\":0.25"));
-        assert!(line.contains("\"handovers_fbs_mbs\":2"));
-        assert!(line.contains("\"active_on_mbs\":1"));
-        assert!(line.contains("\"deferrals_per_step\":0.7"));
-        assert!(line.contains("\"step_p99_us\":90"));
-        let braces: i64 = line
-            .chars()
-            .map(|c| match c {
-                '{' => 1,
-                '}' => -1,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(braces, 0, "unbalanced: {line}");
+    fn formats_carry_the_wire_names() {
+        let snap = sample();
+        let line = snap.to_json_line();
+        assert!(
+            line.starts_with("{\"type\":\"serve\",\"steps\":10,"),
+            "{line}"
+        );
+        assert!(line.contains("\"sessions_admitted\":5,"), "{line}");
+        assert!(line.contains("\"sessions_active_on_mbs\":1,"), "{line}");
+        assert!(line.contains("\"jobs_pending\":4,"), "{line}");
+        assert!(line.ends_with(",\"step_p99_us\":90,\"accounting_holds\":true}"));
+        let prom = snap.to_prometheus();
+        for sample in [
+            "# TYPE fcr_serve_steps_total counter\nfcr_serve_steps_total 10\n",
+            "# TYPE fcr_serve_sessions_admitted_total counter\nfcr_serve_sessions_admitted_total 5\n",
+            "# TYPE fcr_serve_mbs_in_use gauge\nfcr_serve_mbs_in_use 0.25\n",
+            "# TYPE fcr_serve_step_p50_us gauge\nfcr_serve_step_p50_us 12\n",
+            "fcr_serve_accounting_holds 1\n",
+        ] {
+            assert!(prom.contains(sample), "{sample} missing:\n{prom}");
+        }
     }
 
     #[test]
@@ -330,67 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn missing_percentiles_render_null() {
+    fn missing_percentiles_are_null_and_have_no_sample() {
         let mut snap = sample();
         snap.step_p50_us = None;
         snap.step_p99_us = None;
         let line = snap.to_json_line();
-        assert!(line.contains("\"step_p50_us\":null"));
-        assert!(line.contains("\"step_p99_us\":null"));
-    }
-
-    #[test]
-    fn prometheus_rendering_matches_the_json_numbers() {
-        let snap = sample();
-        let out = snap.to_prometheus();
-        assert!(
-            out.contains("fcr_serve_sessions_admitted_total 5\n"),
-            "{out}"
-        );
-        assert!(out.contains("fcr_serve_sessions_active 1\n"), "{out}");
-        assert!(out.contains("fcr_serve_deferrals_total 7\n"), "{out}");
-        assert!(
-            out.contains("fcr_serve_handovers_fbs_mbs_total 2\n"),
-            "{out}"
-        );
-        assert!(
-            out.contains("fcr_serve_sessions_active_on_mbs 1\n"),
-            "{out}"
-        );
-        assert!(out.contains("fcr_serve_deferrals_per_step 0.7\n"), "{out}");
-        assert!(out.contains("fcr_serve_mbs_in_use 0.25\n"), "{out}");
-        assert!(out.contains("fcr_serve_accounting_holds 1\n"), "{out}");
-        assert!(
-            out.contains("fcr_serve_step_wall_us{quantile=\"0.5\"} 12\n"),
-            "{out}"
-        );
-        assert!(
-            out.contains("fcr_serve_step_wall_us{quantile=\"0.99\"} 90\n"),
-            "{out}"
-        );
-        assert!(out.contains("fcr_serve_step_wall_us_count 10\n"), "{out}");
-        // Every sample line has a TYPE header for its metric family
-        // (summary _count/_sum samples belong to the base name).
-        for line in out.lines().filter(|l| !l.starts_with('#')) {
-            let name = line.split(['{', ' ']).next().unwrap();
-            let family = name
-                .strip_suffix("_count")
-                .or_else(|| name.strip_suffix("_sum"))
-                .unwrap_or(name);
-            assert!(
-                out.contains(&format!("# TYPE {family} ")),
-                "missing TYPE for {family}: {out}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_omits_quantiles_without_steps() {
-        let mut snap = sample();
-        snap.step_p50_us = None;
-        snap.step_p99_us = None;
-        let out = snap.to_prometheus();
-        assert!(!out.contains("quantile"), "{out}");
-        assert!(out.contains("fcr_serve_step_wall_us_count 10\n"), "{out}");
+        assert!(line.contains("\"step_p50_us\":null,\"step_p99_us\":null"));
+        assert!(!snap.to_prometheus().contains("step_p"));
     }
 }

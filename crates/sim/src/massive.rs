@@ -203,15 +203,9 @@ impl MassiveDriver {
         &self.config
     }
 
-    /// The warm-start state (inspect warm/cold counts; reset on
-    /// topology changes).
+    /// The warm-start state (inspect warm/cold counts).
     pub fn state(&self) -> &SolverState {
         &self.state
-    }
-
-    /// Forgets the warm-start prices; the next slot solves cold.
-    pub fn reset_state(&mut self) {
-        self.state.reset();
     }
 
     /// Solves one slot with cluster greedy jobs fanned out on

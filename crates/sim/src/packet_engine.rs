@@ -11,7 +11,7 @@
 //! sum of the quality its *delivered* units carry.
 //!
 //! Comparing [`run_packet_level`] against [`crate::engine::run`]
-//! (the `fluid_vs_packet` example and the integration tests) quantifies
+//! (`experiments packet` and the integration tests) quantifies
 //! what the fluid abstraction hides: quantization to unit boundaries,
 //! retransmission overhead, and base-layer-loss outages.
 //!

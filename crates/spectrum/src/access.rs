@@ -146,29 +146,6 @@ impl ThresholdPolicy {
     }
 }
 
-/// Configuration of the access stage beyond γ.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessConfig {
-    /// The access rule (γ).
-    pub policy: AccessPolicy,
-    /// When `true`, compute `G_t` from the *first* observation's
-    /// posterior only, as eq. literally printed in the paper
-    /// (`G_t = Σ P^A_m(Θ^m_1)`); when `false` (default), use the fully
-    /// fused posterior (see DESIGN.md §7 for why we read the paper's
-    /// formula as a typo).
-    pub first_observation_only: bool,
-}
-
-impl AccessConfig {
-    /// Creates a config with the fused-posterior `G_t` (the default).
-    pub fn new(policy: AccessPolicy) -> Self {
-        Self {
-            policy,
-            first_observation_only: false,
-        }
-    }
-}
-
 /// Outcome of the access stage for one time slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessOutcome {
@@ -373,13 +350,6 @@ mod tests {
         let outcome = AccessOutcome::decide_all(policy, &fused, Some(&first), &mut rng);
         assert_eq!(outcome.len(), 2);
         assert!((outcome.expected_available() - 1.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn access_config_default_uses_fused_posterior() {
-        let cfg = AccessConfig::new(AccessPolicy::new(0.2).unwrap());
-        assert!(!cfg.first_observation_only);
-        assert_eq!(cfg.policy.gamma(), 0.2);
     }
 
     #[test]

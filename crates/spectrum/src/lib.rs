@@ -53,7 +53,7 @@ pub mod streams;
 
 mod error;
 
-pub use access::{AccessConfig, AccessOutcome, AccessPolicy, ThresholdPolicy};
+pub use access::{AccessOutcome, AccessPolicy, ThresholdPolicy};
 pub use error::SpectrumError;
 pub use estimation::TransitionCounts;
 pub use fading::{

@@ -28,7 +28,6 @@
 pub mod ci;
 pub mod descriptive;
 pub mod fairness;
-pub mod histogram;
 pub mod rng;
 pub mod series;
 pub mod special;
@@ -36,6 +35,5 @@ pub mod special;
 pub use ci::ConfidenceInterval;
 pub use descriptive::Summary;
 pub use fairness::jain_index;
-pub use histogram::Histogram;
 pub use rng::SeedSequence;
 pub use series::{Series, SeriesPoint};

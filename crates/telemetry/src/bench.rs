@@ -1,13 +1,12 @@
 //! The machine-readable benchmark envelope: one shared schema for
-//! every `BENCH_<area>.json` artifact the workspace emits.
+//! every `BENCH_<area>.json` artifact the workspace emits, and the
+//! metric list every format of a service or pool snapshot is rendered
+//! from.
 //!
-//! PR 6's `serve` binary wrote an ad-hoc JSON blob; this module is the
-//! generalization the ROADMAP's standing-benchmark item calls for — a
-//! single envelope (schema version, area, workload parameters, seed,
-//! wall seconds, metrics) that the `fcr-bench` runner, the `serve`
-//! daemon, and the CI regression gate all speak. The perf trajectory
-//! stays comparable across PRs because the shape is versioned here,
-//! in one place.
+//! The envelope (schema version, area, workload parameters, seed, wall
+//! seconds, metrics) is what the `fcr-bench` runner writes and its
+//! budget gate reads. The perf trajectory stays comparable across
+//! changes because the shape is versioned here, in one place.
 //!
 //! ```text
 //! {
@@ -15,7 +14,7 @@
 //!   "area": "serve",
 //!   "seed": 24077,
 //!   "wall_seconds": 30.012,
-//!   "workload": { "target_sessions": 10000, "slot_ms": 100 },
+//!   "workload": { "target_sessions": 10000, "scale": "full" },
 //!   "metrics": { "sessions_per_sec": 91.7, "step_p99_us": 41000, ... }
 //! }
 //! ```
@@ -24,6 +23,12 @@
 //! are only compared like for like); `metrics` is the flat name →
 //! number map the `fcr-bench check` budget gate diffs against
 //! `bench/budgets.json`.
+//!
+//! A [`Metric`] list names each counter and gauge of a snapshot once.
+//! The JSONL line ([`crate::metrics_to_json_line`]), the Prometheus
+//! exposition ([`crate::metrics_to_prometheus`]) and the envelope
+//! ([`BenchEnvelope::metric_list`]) all walk the same list, so a metric
+//! carries one name and one value in every format.
 
 use crate::export::{push_json_string, render_f64};
 use std::fmt::Write as _;
@@ -49,7 +54,8 @@ pub enum BenchValue {
 }
 
 impl BenchValue {
-    fn render(&self, out: &mut String) {
+    /// Appends the value as a JSON value.
+    pub(crate) fn render(&self, out: &mut String) {
         match self {
             BenchValue::U64(v) => {
                 let _ = write!(out, "{v}");
@@ -60,6 +66,61 @@ impl BenchValue {
             }
             BenchValue::Str(s) => push_json_string(out, s),
             BenchValue::Null => out.push_str("null"),
+        }
+    }
+
+    /// The value as `f64`, if comparable: `U64` is widened and `Bool`
+    /// maps to 1/0, so invariant flags like `accounting_holds` can be
+    /// budget-gated and exported as Prometheus samples.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            BenchValue::U64(v) => Some(*v as f64),
+            BenchValue::F64(v) => Some(*v),
+            BenchValue::Bool(v) => Some(if *v { 1.0 } else { 0.0 }),
+            BenchValue::Str(_) | BenchValue::Null => None,
+        }
+    }
+}
+
+/// How a metric moves: a counter only grows, a gauge moves both ways.
+/// Prometheus types the sample by it and suffixes counters `_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotonically growing count.
+    Counter,
+    /// A level that can rise and fall.
+    Gauge,
+}
+
+/// One entry of a snapshot's metric list: the name every format uses,
+/// its kind, and its value. A `Null` value renders as JSON `null` and
+/// has no Prometheus sample.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// The metric's one name (Prometheus prefixes it).
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// The measured value.
+    pub value: BenchValue,
+}
+
+impl Metric {
+    /// A counter entry.
+    pub fn counter(name: &'static str, value: impl Into<BenchValue>) -> Self {
+        Metric {
+            name,
+            kind: MetricKind::Counter,
+            value: value.into(),
+        }
+    }
+
+    /// A gauge entry.
+    pub fn gauge(name: &'static str, value: impl Into<BenchValue>) -> Self {
+        Metric {
+            name,
+            kind: MetricKind::Gauge,
+            value: value.into(),
         }
     }
 }
@@ -159,20 +220,20 @@ impl BenchEnvelope {
         self
     }
 
-    /// The metric's value as `f64`, if present and comparable (`U64`
-    /// is widened; `Bool` maps to 1/0 so invariant flags like
-    /// `accounting_holds` can be budget-gated) — what the budget gate
-    /// compares against.
+    /// Appends every entry of a snapshot's metric list under its name.
+    pub fn metric_list(mut self, metrics: Vec<Metric>) -> Self {
+        self.metrics
+            .extend(metrics.into_iter().map(|m| (m.name.to_string(), m.value)));
+        self
+    }
+
+    /// The metric's value as `f64`, if present and comparable (see
+    /// [`BenchValue::as_f64`]) — what the budget gate compares against.
     pub fn metric_value(&self, name: &str) -> Option<f64> {
         self.metrics
             .iter()
             .find(|(k, _)| k == name)
-            .and_then(|(_, v)| match v {
-                BenchValue::U64(v) => Some(*v as f64),
-                BenchValue::F64(v) => Some(*v),
-                BenchValue::Bool(v) => Some(if *v { 1.0 } else { 0.0 }),
-                _ => None,
-            })
+            .and_then(|(_, v)| v.as_f64())
     }
 
     /// The canonical artifact file name: `BENCH_<area>.json`.

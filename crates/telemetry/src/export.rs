@@ -14,13 +14,18 @@
 //! | `shard` | executed intra-run shard | `run`, `window`, `gop_start`, `gops`, `wall_ns` |
 //! | `span` | span event (opt-in) | `id`, `parent` (`null` for roots), `phase`, `wall_ns` |
 //! | `worker` | pool worker | `index`, `busy_ns`, `lifetime_ns`, `jobs`, `utilization` |
-//! | `pool` | runtime snapshot | `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed` |
+//! | `pool` | runtime snapshot | the [`pool_metrics`] list: `workers`, `jobs_submitted`, `jobs_completed`, `jobs_failed`, `jobs_rejected`, `queue_depth`, `jobs_in_flight` |
 //!
 //! The per-record renderers below are shared between the batch
 //! [`to_jsonl`] export and the sink's live stream writer
 //! ([`crate::TelemetrySink::attach_stream`]), so a tailed stream and a
 //! final export never disagree on the line format.
+//!
+//! A snapshot with a [`Metric`] list (the pool here, the service in
+//! `fcr-serve`) renders it through [`metrics_to_json_line`] and
+//! [`metrics_to_prometheus`], which hold no metric names of their own.
 
+use crate::bench::{Metric, MetricKind};
 use crate::record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 use crate::sink::TelemetrySnapshot;
 use fcr_runtime::MetricsSnapshot;
@@ -82,6 +87,57 @@ pub(crate) fn span_line(s: &SpanRecord) -> String {
         s.phase.name(),
         s.wall_ns
     );
+    out
+}
+
+/// The pool's scalar metrics, in the order every format lists them.
+pub fn pool_metrics(rt: &MetricsSnapshot) -> Vec<Metric> {
+    vec![
+        Metric::gauge("workers", rt.workers),
+        Metric::counter("jobs_submitted", rt.jobs_submitted),
+        Metric::counter("jobs_completed", rt.jobs_completed),
+        Metric::counter("jobs_failed", rt.jobs_failed),
+        Metric::counter("jobs_rejected", rt.jobs_rejected),
+        Metric::gauge("queue_depth", rt.queue_depth),
+        Metric::gauge("jobs_in_flight", rt.jobs_in_flight),
+    ]
+}
+
+/// One JSONL object (no trailing newline): `"type":line_type`, then
+/// every entry as `"name":value`.
+pub fn metrics_to_json_line(line_type: &str, metrics: &[Metric]) -> String {
+    let mut out = String::from("{\"type\":");
+    push_json_string(&mut out, line_type);
+    for m in metrics {
+        out.push(',');
+        push_json_string(&mut out, m.name);
+        out.push(':');
+        m.value.render(&mut out);
+    }
+    out.push('}');
+    out
+}
+
+/// Prometheus text exposition of a metric list: each entry under
+/// `prefix` + its name (+ `_total` on counters) with a `# TYPE`
+/// header. An entry with no numeric value (`Null`, non-finite) has no
+/// sample.
+pub fn metrics_to_prometheus(prefix: &str, metrics: &[Metric]) -> String {
+    let mut out = String::new();
+    for m in metrics {
+        let Some(sample) = m.value.as_f64().filter(|x| x.is_finite()) else {
+            continue;
+        };
+        let (suffix, kind) = match m.kind {
+            MetricKind::Counter => ("_total", "counter"),
+            MetricKind::Gauge => ("", "gauge"),
+        };
+        let name = m.name;
+        let _ = writeln!(
+            out,
+            "# TYPE {prefix}{name}{suffix} {kind}\n{prefix}{name}{suffix} {sample}"
+        );
+    }
     out
 }
 
@@ -157,11 +213,8 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>)
                 num(w.utilization()),
             );
         }
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"pool\",\"workers\":{},\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_failed\":{}}}",
-            rt.workers, rt.jobs_submitted, rt.jobs_completed, rt.jobs_failed,
-        );
+        out.push_str(&metrics_to_json_line("pool", &pool_metrics(rt)));
+        out.push('\n');
     }
     out
 }
@@ -175,8 +228,9 @@ pub fn to_jsonl(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnapshot>)
 ///   `quantile="0.99"` samples (interpolated percentiles from the
 ///   wall-time histograms, in microseconds) plus `_sum`/`_count`;
 /// - named domain counters under one metric with a `name` label;
-/// - when `runtime` is given, pool job counters, the job wall-time
-///   summary, and per-worker utilization gauges.
+/// - when `runtime` is given, the [`pool_metrics`] list under
+///   `fcr_pool_*`, the job wall-time summary, and per-worker
+///   utilization gauges.
 ///
 /// Non-finite values and empty-histogram quantiles are omitted (the
 /// exposition format has no `null`).
@@ -215,32 +269,7 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot, runtime: Option<&MetricsSnaps
     }
 
     if let Some(rt) = runtime {
-        let _ = writeln!(
-            out,
-            "# TYPE fcr_pool_workers gauge\nfcr_pool_workers {}",
-            rt.workers
-        );
-        for (name, value) in [
-            ("submitted", rt.jobs_submitted),
-            ("completed", rt.jobs_completed),
-            ("failed", rt.jobs_failed),
-            ("rejected", rt.jobs_rejected),
-        ] {
-            let _ = writeln!(
-                out,
-                "# TYPE fcr_pool_jobs_{name}_total counter\nfcr_pool_jobs_{name}_total {value}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE fcr_pool_queue_depth gauge\nfcr_pool_queue_depth {}",
-            rt.queue_depth
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE fcr_pool_jobs_in_flight gauge\nfcr_pool_jobs_in_flight {}",
-            rt.jobs_in_flight
-        );
+        out.push_str(&metrics_to_prometheus("fcr_pool_", &pool_metrics(rt)));
         out.push_str("# TYPE fcr_job_wall_us summary\n");
         prom_summary(&mut out, "fcr_job_wall_us", "", &rt.job_wall_time);
         out.push_str("# TYPE fcr_worker_utilization gauge\n");

@@ -61,8 +61,10 @@ mod record;
 mod sink;
 mod span;
 
-pub use bench::{peak_rss_kb, BenchEnvelope, BenchValue, BENCH_SCHEMA_VERSION};
-pub use export::{to_jsonl, to_prometheus};
+pub use bench::{peak_rss_kb, BenchEnvelope, BenchValue, Metric, MetricKind, BENCH_SCHEMA_VERSION};
+pub use export::{
+    metrics_to_json_line, metrics_to_prometheus, pool_metrics, to_jsonl, to_prometheus,
+};
 pub use phase::Phase;
 pub use record::{GreedyRecord, ShardRecord, SolveRecord, SpanRecord};
 pub use sink::{PhaseSnapshot, TelemetrySink, TelemetrySnapshot, MAX_RECORDS};

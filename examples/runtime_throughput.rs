@@ -5,10 +5,9 @@
 //! ```text
 //! cargo run --release --example runtime_throughput -- --jobs 64 --gops 4
 //! cargo run --release --example runtime_throughput -- --shards --jobs 8 --gops 12
-//! cargo run --release --example runtime_throughput -- --mixed --jobs 6 --gops 6
 //! ```
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! - **default** — every job is one whole simulation run of the
 //!   paper's baseline single-FBS scenario (a [`SimSession`] under
@@ -23,11 +22,6 @@
 //!   The PSNR sums must be **bit-identical**; on a multi-core box the
 //!   sharded pass must also be faster. Shard stats land in the runtime
 //!   metrics table and the telemetry JSONL printed at the end.
-//! - **`--mixed`** — mixed-priority determinism smoke: the same sharded
-//!   session is executed under Normal, Urgent, Bulk, and deadlined
-//!   priorities; the PSNR sums must be **bit-identical** across every
-//!   ordering, proving priorities reorder queue service without
-//!   touching a single RNG draw.
 
 use fcr::prelude::*;
 use fcr::sim::engine;
@@ -39,7 +33,6 @@ struct Args {
     jobs: u64,
     gops: u32,
     shards: bool,
-    mixed: bool,
 }
 
 fn parse_args() -> Args {
@@ -47,7 +40,6 @@ fn parse_args() -> Args {
         jobs: 64,
         gops: 4,
         shards: false,
-        mixed: false,
     };
     fn grab<T: std::str::FromStr>(name: &str, value: Option<String>) -> T {
         value
@@ -60,8 +52,7 @@ fn parse_args() -> Args {
             "--jobs" => args_out.jobs = grab("--jobs", args.next()),
             "--gops" => args_out.gops = grab("--gops", args.next()),
             "--shards" => args_out.shards = true,
-            "--mixed" => args_out.mixed = true,
-            other => panic!("unknown flag {other}; use [--shards|--mixed] --jobs N --gops N"),
+            other => panic!("unknown flag {other}; use [--shards] --jobs N --gops N"),
         }
     }
     assert!(
@@ -210,65 +201,9 @@ fn run_shards_mode(runs: u64, gops: u32) {
     fcr::telemetry::disable();
 }
 
-/// `--mixed` mode: the same sharded session under every priority class
-/// (and a deadline), PSNR sums bit-identical across all orderings.
-fn run_mixed_mode(runs: u64, gops: u32) {
-    let config = SimConfig {
-        gops,
-        ..SimConfig::default()
-    };
-    let make = || {
-        SimSession::new(Scenario::single_fbs(&config))
-            .config(config)
-            .runs(runs)
-            .seed(2011)
-            .shards(ShardPolicy::Auto)
-    };
-    let orderings: [(&str, Priority); 4] = [
-        ("normal", Priority::normal()),
-        ("urgent", Priority::urgent()),
-        ("bulk", Priority::bulk()),
-        (
-            "deadlined",
-            Priority::normal().deadline_in(std::time::Duration::from_millis(5)),
-        ),
-    ];
-    println!(
-        "{runs} runs x {gops} GOPs under {} priority orderings on {} workers:",
-        orderings.len(),
-        pool::shared().workers(),
-    );
-    let mut baseline: Option<(Vec<RunResult>, f64)> = None;
-    for (label, priority) in orderings {
-        let started = Instant::now();
-        let results = make().priority(priority).run(Scheme::Proposed).results();
-        let elapsed = started.elapsed();
-        let psnr_sum: f64 = results.iter().map(RunResult::mean_psnr).sum();
-        println!("  {label:<9} {elapsed:>10.2?}  PSNR sum {psnr_sum:.12}");
-        match &baseline {
-            None => baseline = Some((results, psnr_sum)),
-            Some((base_results, base_sum)) => {
-                assert_eq!(
-                    &results, base_results,
-                    "{label} priority changed simulation results"
-                );
-                assert!(
-                    psnr_sum.to_bits() == base_sum.to_bits(),
-                    "{label} PSNR sum differs at the bit level: {base_sum} vs {psnr_sum}"
-                );
-            }
-        }
-    }
-    println!("  bit-identical across orderings: yes");
-    println!();
-    print!("{}", runtime_metrics_table(&pool::snapshot()));
-}
-
 fn main() {
     let args = parse_args();
-    if args.mixed {
-        run_mixed_mode(args.jobs, args.gops);
-    } else if args.shards {
+    if args.shards {
         run_shards_mode(args.jobs, args.gops);
     } else {
         run_batch_mode(args.jobs, args.gops);
