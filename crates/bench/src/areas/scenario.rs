@@ -3,7 +3,9 @@
 //! service on a dedicated pool. This is the pack-driven counterpart of
 //! the `serve` area: same service machinery, but the workload comes
 //! from `scenarios/*.json` instead of hand-coded specs, so a pack edit
-//! shows up in the perf trajectory without a code change.
+//! shows up in the perf trajectory without a code change. The replay
+//! runs in lockstep and holds each session for its playout, so its
+//! counts are exact and its walkers' handovers reach live sessions.
 
 use fcr_runtime::{Runtime, RuntimeConfig};
 use fcr_scenario::{ChurnDriver, ChurnSchedule, Pack};
@@ -16,9 +18,8 @@ use super::Scale;
 
 /// How many times the shipped pack's horizon a full-scale replay runs.
 /// Re-seeded over the pack's own 40 slots, the walk need not carry
-/// anyone across a cell boundary (the default seed hands over no one);
-/// over 400 slots, seeds 1–5 and the default seed each hand over
-/// dozens of times.
+/// anyone across a cell boundary while their session plays; over 400
+/// slots the default seed attempts 13 handovers.
 const FULL_HORIZON_FACTOR: u64 = 10;
 
 /// Workload knobs for the `scenario` area.
@@ -73,6 +74,10 @@ pub fn run(params: &ScenarioParams) -> BenchEnvelope {
         ServeConfig {
             mbs_budget: churn.mbs_budget,
             max_sessions: churn.max_sessions as usize,
+            // The lockstep replay computes each session in its first
+            // slots; held for its playout, a session is still active
+            // when its walker crosses a cell boundary.
+            hold_for_playout: true,
             ..ServeConfig::default()
         },
         Arc::new(Runtime::with_config(RuntimeConfig {
@@ -132,6 +137,32 @@ mod tests {
         assert_eq!(slots(&full), FULL_HORIZON_FACTOR * slots(&smoke));
         let envelope = run(&full);
         assert!(envelope.metric_value("handovers_attempted").unwrap_or(0.0) >= 1.0);
+    }
+
+    /// The replay runs in lockstep, so the smoke preset's counts repeat
+    /// exactly on any pool: of the shipped pack's 25 arrivals, 19 are
+    /// admitted, and one handover finds its session held for playout,
+    /// over 43 service steps.
+    #[test]
+    fn the_smoke_replay_repeats_its_counts_exactly() {
+        let params = ScenarioParams::at(Scale::Smoke, 20110620);
+        for _ in 0..2 {
+            let envelope = run(&params);
+            let counts = [
+                "arrivals",
+                "admitted",
+                "rejected_admissions",
+                "handovers_attempted",
+                "handovers_completed",
+                "steps",
+            ]
+            .map(|name| envelope.metric_value(name));
+            assert_eq!(
+                counts,
+                [25.0, 19.0, 6.0, 1.0, 1.0, 43.0].map(Some),
+                "{counts:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Admits a population of small sessions on a **dedicated** pool,
 //! steps the slot clock unpaced until every session resolves (bounded
 //! by `max_steps` — a stuck service fails loudly, it does not hang the
-//! bench), then drains and writes `BENCH_serve.json`: the service
-//! snapshot's metric list plus this area's own rows. It is the only
-//! writer of that file.
+//! bench), taking the completed sessions' outputs after every step as
+//! a consumer of the service does, and writes `BENCH_serve.json`: the
+//! service snapshot's metric list plus this area's own rows. It is the
+//! only writer of that file.
 
 use fcr_runtime::{MetricsSnapshot, Runtime, RuntimeConfig};
 use fcr_serve::{AdmitOutcome, ServeConfig, Service, ServiceSnapshot, SessionSpec};
@@ -72,7 +73,12 @@ pub fn run(params: &ServeParams) -> BenchEnvelope {
         ServeConfig {
             mbs_budget: params.sessions as f64,
             max_sessions: params.sessions.max(1),
-            completed_buffer: 64,
+            // The outputs are taken after every step, but one unpaced
+            // step can complete every session whose windows the pool
+            // finished meanwhile (a full-scale run saw ~350 in one
+            // step), so only the population bounds what a step hands
+            // over.
+            completed_buffer: params.sessions.max(1),
             // Unpaced stepping over-commits the pool by design; keep
             // backpressure at the defer stage (the shed ladder has its
             // own tests).
@@ -111,8 +117,10 @@ pub fn run(params: &ServeParams) -> BenchEnvelope {
 
     let slots_before = pool_slots(&runtime);
     let mut resolved = false;
+    let mut completed_taken = 0u64;
     for _ in 0..params.max_steps {
         let report = service.step();
+        completed_taken += service.take_completed().len() as u64;
         peak_concurrent = peak_concurrent.max(report.active);
         if report.active == 0 && report.pending == 0 {
             resolved = true;
@@ -137,13 +145,14 @@ pub fn run(params: &ServeParams) -> BenchEnvelope {
         wall_seconds,
         peak_concurrent,
         slots_simulated,
+        completed_taken,
     )
 }
 
 /// Builds `BENCH_serve.json` from a drained service's snapshot (its
 /// whole metric list), the pool's job wall times, and what the run
-/// measured: steady-state wall seconds, peak concurrency and slots
-/// simulated.
+/// measured: steady-state wall seconds, peak concurrency, slots
+/// simulated and the completed sessions whose outputs it took.
 pub fn envelope(
     params: &ServeParams,
     snap: &ServiceSnapshot,
@@ -151,6 +160,7 @@ pub fn envelope(
     wall_seconds: f64,
     peak_concurrent: usize,
     slots_simulated: u64,
+    completed_taken: u64,
 ) -> BenchEnvelope {
     let per_sec = |v: u64| {
         if wall_seconds > 0.0 {
@@ -167,6 +177,7 @@ pub fn envelope(
         .workload("scale", params.scale.name())
         .metric_list(snap.metrics())
         .metric("peak_concurrent", peak_concurrent)
+        .metric("completed_taken", completed_taken)
         .metric("sessions_per_sec", per_sec(snap.completed))
         .metric("slots_per_sec", per_sec(slots_simulated))
         .metric("job_p50_us", pool.job_wall_time.percentile_micros(0.50))
@@ -206,6 +217,9 @@ mod tests {
         );
         assert!(env.metric_value("slots_per_sec").unwrap() > 0.0);
         assert!(env.metric_value("steps").unwrap() > 0.0);
+        // Every completed session's outputs were taken; none dropped.
+        assert_eq!(env.metric_value("completed_taken"), Some(6.0));
+        assert_eq!(env.metric_value("completed_dropped"), Some(0.0));
     }
 
     #[test]
@@ -223,6 +237,7 @@ mod tests {
             0.0,
             0,
             10,
+            0,
         );
         assert_eq!(env.metric_value("slots_per_sec"), Some(0.0));
         assert_eq!(env.metric_value("sessions_per_sec"), Some(0.0));

@@ -11,9 +11,11 @@
 //! quantities) come from the `SolveRecord` telemetry channel, which the
 //! dual solver feeds whenever telemetry is enabled: `kernel_reps`
 //! untimed Table-I solves, the massive-N slots' solves and the
-//! pipelines'. The greedy kernel's exact work counts come from the
-//! counters of one untimed allocation of the same fixture, and the
-//! massive workload's from its slot 0's cluster greedies.
+//! pipelines'. The greedy kernel's exact work counts (its `Q` solves,
+//! the candidates its bounds skip and the share sums its budget fills
+//! evaluate) come from the counters of one untimed allocation of the
+//! same fixture, and the massive workload's from its slot 0's cluster
+//! greedies.
 
 use crate::{fig5_problem, single_fbs_problem};
 use fcr_core::dual::{DualConfig, DualSolver};
@@ -117,21 +119,24 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
     fcr_telemetry::enable();
     let _ = fcr_telemetry::drain();
     // The greedy kernel's exact work: the `Q` solves of one untimed
-    // allocation and the candidates its bounds skip. Counts, unlike the
-    // rates, do not depend on the host's speed.
+    // allocation, the candidates its bounds skip and the share sums its
+    // budget fills evaluate. Counts, unlike the rates, do not depend on
+    // the host's speed.
     let greedy_counter = |name: &str| {
         fcr_telemetry::global()
             .snapshot()
             .counter(name)
             .unwrap_or(0)
     };
-    let (solves_before, pruned_before) = (
+    let (solves_before, pruned_before, sums_before) = (
         greedy_counter("greedy.inner_solves"),
         greedy_counter("greedy.bound_pruned"),
+        greedy_counter("waterfill.bisection_steps"),
     );
     std::hint::black_box(greedy.allocate(std::hint::black_box(&interfering)));
     let greedy_q_solves = greedy_counter("greedy.inner_solves") - solves_before;
     let greedy_bound_pruned = greedy_counter("greedy.bound_pruned") - pruned_before;
+    let greedy_bisection_steps = greedy_counter("waterfill.bisection_steps") - sums_before;
     for _ in 0..params.kernel_reps {
         std::hint::black_box(dual.solve(std::hint::black_box(&problem)));
     }
@@ -239,6 +244,7 @@ pub fn run(params: &SolverParams) -> BenchEnvelope {
         .metric("greedy_allocs_per_sec", greedy_rate)
         .metric("greedy_q_solves", greedy_q_solves)
         .metric("greedy_bound_pruned", greedy_bound_pruned)
+        .metric("greedy_bisection_steps", greedy_bisection_steps)
         .metric("pipeline_seconds", pipeline_secs)
         .metric("pipeline_slots", pipeline_slots)
         .metric(
@@ -321,6 +327,7 @@ mod tests {
             solves > 0.0 && pruned > 0.0,
             "{solves} solves, {pruned} pruned"
         );
+        assert!(env.metric_value("greedy_bisection_steps").unwrap() > 0.0);
         assert!(env.metric_value("pipeline_slots").unwrap() > 0.0);
         // The Table-I dual ran kernel_reps untimed times with telemetry
         // enabled, so the SolveRecord channel saw at least that many

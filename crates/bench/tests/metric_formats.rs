@@ -157,6 +157,7 @@ fn serve_and_pool_lists_agree_across_jsonl_prometheus_and_bench() {
             2.0,
             9,
             50,
+            19,
         );
         assert_formats_agree(
             &snap.metrics(),
@@ -198,7 +199,8 @@ fn area_envelopes_carry_the_run_rows() {
     let job_p50 = pool.job_wall_time.percentile_micros(0.50).map(|v| v as f64);
     assert!(job_p50.is_some());
 
-    // 21 sessions completed and 50 slots simulated in 2 s, peak 9.
+    // 21 sessions completed, 19 of them taken, and 50 slots simulated
+    // in 2 s, peak 9.
     let params = serve::ServeParams::at(Scale::Smoke, 7);
     let env = serve::envelope(
         &params,
@@ -207,6 +209,7 @@ fn area_envelopes_carry_the_run_rows() {
         2.0,
         9,
         50,
+        19,
     );
     assert_eq!(
         (env.area.as_str(), env.seed, env.wall_seconds),
@@ -215,6 +218,7 @@ fn area_envelopes_carry_the_run_rows() {
     assert_eq!(env.metric_value("sessions_per_sec"), Some(10.5));
     assert_eq!(env.metric_value("slots_per_sec"), Some(25.0));
     assert_eq!(env.metric_value("peak_concurrent"), Some(9.0));
+    assert_eq!(env.metric_value("completed_taken"), Some(19.0));
     assert_eq!(env.metric_value("job_p50_us"), job_p50);
     assert_eq!(
         workload(&env, "target_sessions"),

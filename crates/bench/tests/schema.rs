@@ -96,6 +96,11 @@ fn smoke_run_satisfies_schema_invariants_and_budget_gate() {
         "accounting identity violated"
     );
     assert_eq!(metric(serve_env, "accounting_holds"), 1.0);
+    assert_eq!(
+        metric(serve_env, "completed_taken"),
+        metric(serve_env, "sessions_completed"),
+        "a completed session's outputs were not taken"
+    );
 
     // --- The in-tree budgets pass on a clean run... ---
     let budgets = in_tree_budgets();
@@ -128,11 +133,26 @@ fn smoke_run_satisfies_schema_invariants_and_budget_gate() {
         "FAIL serve/windows_retried: measured 7 > budget max 0"
     );
 
+    // --- A service that drops completed outputs fails its gate. ---
+    let mut dropping = envelopes.to_vec();
+    for (name, value) in &mut dropping[2].metrics {
+        if name == "completed_dropped" {
+            *value = BenchValue::U64(3);
+        }
+    }
+    let violations = check(&budgets, &dropping);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(
+        violations[0].to_string(),
+        "FAIL serve/completed_dropped: measured 3 > budget max 0"
+    );
+
     // --- Doubling either greedy's exact work fails its count gate.
-    // The fig-5 count is measured here, so its budget must equal it.
-    // The massive row is doubled from its budget: the smoke slot runs
-    // N = 32, far below the budget's N = 1000, so the full-scale
-    // envelope in the tree must equal that budget instead. ---
+    // The fig-5 counts (`Q` solves and share sums) are measured here,
+    // so their budgets must equal them. The massive row is doubled
+    // from its budget: the smoke slot runs N = 32, far below the
+    // budget's N = 1000, so the full-scale envelope in the tree must
+    // equal that budget instead. ---
     let massive_max = budgets
         .budgets
         .iter()
@@ -150,6 +170,10 @@ fn smoke_run_satisfies_schema_invariants_and_budget_gate() {
     );
     for (row, pinned) in [
         ("greedy_q_solves", metric(&envelopes[0], "greedy_q_solves")),
+        (
+            "greedy_bisection_steps",
+            metric(&envelopes[0], "greedy_bisection_steps"),
+        ),
         ("massive_greedy_q_solves", massive_max),
     ] {
         let mut doubled = envelopes.to_vec();

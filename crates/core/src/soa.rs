@@ -168,13 +168,14 @@ pub(crate) struct Level {
 
 /// Reusable buffers for one budget-constraint fill: the gathered
 /// `(user, success, w, rate)` columns, each member's `w / rate`
-/// quotient, and the share output. One scratch
-/// serves a whole solve; nothing inside the bisection loop allocates.
+/// quotient, the breakpoints that estimate the level, and the share
+/// output. One scratch serves a whole solve; nothing inside the
+/// bisection loop allocates.
 ///
 /// The scratch also tallies the work done through it (budget fills,
-/// bisection steps, replayed fills, the budgets a polish refill keeps,
-/// and the polish candidates refilled and ruled out); the solve that
-/// uses it flushes the tallies to `fcr_telemetry` once, when it
+/// share sums evaluated, replayed fills, the budgets a polish refill
+/// keeps, and the polish candidates refilled and ruled out); the solve
+/// that uses it flushes the tallies to `fcr_telemetry` once, when it
 /// returns.
 ///
 /// A scratch from [`FillScratch::new`] fills every budget it is asked
@@ -197,9 +198,14 @@ pub struct FillScratch {
     pub(crate) q: Vec<f64>,
     /// Share output buffer, aligned with `idx`.
     pub shares: Vec<f64>,
+    /// The effective members' breakpoints in `x = 1/λ`, each with its
+    /// member and whether its share starts to rise or saturates there.
+    breaks: Vec<(f64, usize, bool)>,
     /// Budgets filled through this scratch since the last flush.
     pub(crate) budget_fills: u64,
-    /// Bisection steps run through this scratch since the last flush.
+    /// Share sums a fill evaluated through this scratch since the last
+    /// flush: its bisection steps that the certificates did not decide,
+    /// and its certification probes. A replayed fill evaluates none.
     pub(crate) bisection_steps: u64,
     /// Fills replayed from `cache` since the last flush.
     pub(crate) fill_memo_hits: u64,
@@ -245,7 +251,7 @@ impl FillScratch {
 
     /// Takes the `(success, w, rate)` columns of the members in `idx`
     /// from `member`.
-    fn gather_columns(&mut self, member: impl Fn(usize) -> (f64, f64, f64)) {
+    pub(crate) fn gather_columns(&mut self, member: impl Fn(usize) -> (f64, f64, f64)) {
         for &j in &self.idx {
             let (s, w, c) = member(j);
             self.s.push(s);
@@ -266,6 +272,69 @@ impl FillScratch {
     /// `shares.iter().sum()` takes, without writing the shares.
     pub(crate) fn share_sum(&self, lambda: f64) -> f64 {
         (0..self.len()).map(|k| self.share(k, lambda)).sum()
+    }
+
+    /// An estimate of the water level: the `λ` at which the exact share
+    /// sum first exceeds 1 as `λ` falls, or `None` when the walk finds
+    /// no finite positive one.
+    ///
+    /// In `x = 1/λ` an effective member's share is `clamp(s·x − q, 0,
+    /// 1)`: 0 up to `x = q/s`, rising with slope `s`, and 1 from `x =
+    /// (1 + q)/s` on. The sum is piecewise linear and non-decreasing,
+    /// so one walk over the sorted breakpoints finds the segment where
+    /// it passes 1 and solves for the crossing there. The walk targets
+    /// the *strict* crossing: a stretch where the sum stays exactly 1
+    /// (one member saturated, the others still at 0) is walked past,
+    /// since the smallest level with a sum of at most 1 lies at its
+    /// far end (DESIGN §15). Rounding makes this an estimate; the fill
+    /// certifies it before use.
+    pub(crate) fn level_estimate(&mut self) -> Option<f64> {
+        self.breaks.clear();
+        for k in 0..self.len() {
+            let (s, q) = (self.s[k], self.q[k]);
+            let (start, end) = (q / s, (1.0 + q) / s);
+            // A member whose share would jump from 0 to 1 (`1 + q == q`)
+            // only takes part at levels where `s/λ` passes 2^53; the
+            // estimate leaves it out.
+            if s > 0.0 && self.c[k] > 0.0 && start < end {
+                self.breaks.push((start, k, true));
+                self.breaks.push((end, k, false));
+            }
+        }
+        // At a tie, saturations come first, so that the sum at each
+        // breakpoint is read with no member mid-change there.
+        self.breaks
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
+        // Between breakpoints the sum is `slope·x − offset + saturated`
+        // over the `rising` members.
+        let (mut slope, mut offset) = (0.0, 0.0);
+        let (mut rising, mut saturated) = (0usize, 0usize);
+        for &(x, k, rises) in &self.breaks {
+            let left = (slope, offset, rising, saturated);
+            if !rises {
+                rising -= 1;
+                saturated += 1;
+                if rising == 0 {
+                    // No member rises: the sum is flat, exactly.
+                    (slope, offset) = (0.0, 0.0);
+                } else {
+                    slope -= self.s[k];
+                    offset -= self.q[k];
+                }
+            }
+            if slope * x - offset > 1.0 - saturated as f64 {
+                // The sum passes 1 on the segment left of `x`.
+                let (slope, offset, rising, saturated) = left;
+                let level = slope / (1.0 - saturated as f64 + offset);
+                return (rising > 0 && level.is_finite() && level > 0.0).then_some(level);
+            }
+            if rises {
+                rising += 1;
+                slope += self.s[k];
+                offset += self.q[k];
+            }
+        }
+        None
     }
 
     /// Writes every member's share at `lambda` to `shares`.

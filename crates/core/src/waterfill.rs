@@ -47,7 +47,19 @@
 //! share 0 on both sides (DESIGN §15).
 //!
 //! Each bisection stops at the first step that moves neither bound;
-//! every later step would repeat it.
+//! every later step would repeat it. Its share sums are certified,
+//! not evaluated blind. The members' breakpoints in `1/λ` estimate the
+//! level, and probes at and next to the estimate prove a bracket: the
+//! rounded share sum never rises with λ, so a probe whose sum exceeds 1
+//! decides every step below it, and one whose sum is at most 1 every
+//! step above it. Where the bracket also proves that the bisection from
+//! `(0, λ_hi)` would end at the adjacent pair around the level within
+//! its cap, the bisection starts from the bracket; elsewhere it runs
+//! from `(0, λ_hi)` and evaluates only the steps the certificates leave
+//! open. Either way it ends where the blind loop ends, bit for bit. The
+//! estimate is the level itself or one ulp from it in nearly every
+//! fill, so a fill on the paper's workload evaluates about 2.3 share
+//! sums instead of 54 (DESIGN §15).
 //!
 //! Within one greedy run ([`crate::greedy`]) every solve goes through
 //! one scratch that caches the run's budget fills. A fill is a pure
@@ -76,9 +88,13 @@ pub struct WaterfillingSolver {
     /// vector it has already filled; the polish, at the first pass
     /// that improves nothing.
     pub max_rounds: usize,
-    /// Cap on the bisection steps per budget fill (60 reaches f64
-    /// precision). A fill stops earlier, at the first step that moves
-    /// neither end of the bracket.
+    /// Cap on the bisection steps per budget fill, counted from the
+    /// bracket `(0, λ_hi)` (60 reaches f64 precision wherever
+    /// `λ_hi/λ ≤ 32`). A fill stops earlier, at the first step that
+    /// moves neither end of the bracket. It starts from a narrower,
+    /// certified bracket only where that provably ends at the same pair
+    /// within this cap, so every level and share is a function of the
+    /// cap as if each step had been taken (DESIGN §15).
     pub bisection_iters: usize,
     /// When `num_users ≤ exhaustive_modes_up_to` (internally capped at
     /// 20), [`Self::solve`] skips the heuristic mode iteration and
@@ -592,13 +608,28 @@ impl WaterfillingSolver {
         }
         let lambda_hi = largest * (1.0 + 1e-9);
         // At λ→0 all effective shares are 1, so the sum is n_eff ≥ 2 > 1:
-        // the budget binds and bisection is well-posed.
-        let mut lo = 0.0;
-        let mut hi = lambda_hi;
-        for _ in 0..self.bisection_iters {
-            scratch.bisection_steps += 1;
+        // the budget binds and bisection is well-posed. The plain loop
+        // bisects `(0, λ_hi)`; the certificates decide each step they
+        // can without a share sum, and when they prove that the plain
+        // loop ends at the adjacent pair around the level, the loop
+        // starts from them instead (DESIGN §15).
+        let mut known = Certificates {
+            above: 0.0,
+            below: f64::INFINITY,
+        };
+        if self.bisection_iters > 0 {
+            if let Some(estimate) = scratch.level_estimate() {
+                known.probe_around(scratch, estimate);
+            }
+        }
+        let (mut lo, mut hi, steps) = if known.prove_adjacency(lambda_hi, self.bisection_iters) {
+            (known.above, known.below, usize::MAX)
+        } else {
+            (0.0, lambda_hi, self.bisection_iters)
+        };
+        for _ in 0..steps {
             let mid = 0.5 * (lo + hi);
-            let bound = if scratch.share_sum(mid) > 1.0 {
+            let bound = if known.exceeds(scratch, mid) {
                 &mut lo
             } else {
                 &mut hi
@@ -618,6 +649,109 @@ impl WaterfillingSolver {
             effective,
             largest,
         }
+    }
+}
+
+/// The farthest, in ulps, that the probes gallop from a level
+/// estimate before they leave the rest of the bracket to the
+/// bisection.
+const GALLOP_ULPS: u64 = 1 << 12;
+
+/// The steps the plain bisection from `(0, λ_hi)` may take before its
+/// bracket is adjacent, beyond `⌈log2(λ_hi/above)⌉` (DESIGN §15).
+const ADJACENCY_STEPS: usize = 55;
+
+/// What a fill has proven about its share sum `S`: `S(above) > 1` and
+/// `S(below) ≤ 1`. The rounded `S` is non-increasing in `λ` (DESIGN
+/// §15), so `S > 1` at every `λ ≤ above` and `S ≤ 1` at every
+/// `λ ≥ below`. At `λ = 0` every effective share is 1, which proves
+/// `above = 0` for any budget with two effective members.
+#[derive(Debug)]
+struct Certificates {
+    above: f64,
+    below: f64,
+}
+
+impl Certificates {
+    /// Whether `S(lambda) > 1`: read from the certificates where they
+    /// decide it, else evaluated, counted and kept as a certificate.
+    fn exceeds(&mut self, scratch: &mut FillScratch, lambda: f64) -> bool {
+        if lambda <= self.above {
+            return true;
+        }
+        if lambda >= self.below {
+            return false;
+        }
+        scratch.bisection_steps += 1;
+        let exceeds = scratch.share_sum(lambda) > 1.0;
+        if exceeds {
+            self.above = lambda;
+        } else {
+            self.below = lambda;
+        }
+        exceeds
+    }
+
+    /// Certifies both sides of `estimate`, a finite positive level that
+    /// is usually the level itself or one ulp from it: probes the
+    /// estimate, then gallops away from it on the side its sum points
+    /// to, 1, 2, 4, … ulps out, until a probe lands on the other side
+    /// or the gallop passes [`GALLOP_ULPS`]. Every probe certifies the
+    /// side it lands on, so in most fills the first two probes leave
+    /// an adjacent pair.
+    fn probe_around(&mut self, scratch: &mut FillScratch, estimate: f64) {
+        let bits = estimate.to_bits();
+        // Whether the level lies above the estimate.
+        let up = self.exceeds(scratch, estimate);
+        let mut ulps = 1;
+        while ulps <= GALLOP_ULPS {
+            // Positive finite floats are ordered as their bits.
+            let probe = if up {
+                bits.checked_add(ulps)
+            } else {
+                bits.checked_sub(ulps)
+            }
+            .map(f64::from_bits)
+            .filter(|probe| *probe > 0.0 && probe.is_finite());
+            match probe {
+                Some(probe) if self.exceeds(scratch, probe) == up => ulps *= 2,
+                _ => break,
+            }
+        }
+    }
+
+    /// Whether the plain bisection from `(0, lambda_hi)`, capped at
+    /// `cap` steps, provably ends at the adjacent pair `(pred λ_c,
+    /// λ_c)` around the smallest level `λ_c` with `S ≤ 1`, as the
+    /// bisection from `(above, below)` does. It does when both sides
+    /// are certified, the bracket lies inside one binade with three
+    /// ulps to spare at each end, no sum or halving of the plain loop
+    /// can overflow or underflow, and `55 + ⌈log2(lambda_hi/above)⌉ ≤
+    /// cap` (DESIGN §15).
+    fn prove_adjacency(&self, lambda_hi: f64, cap: usize) -> bool {
+        let (above, below) = (self.above, self.below);
+        if !(2.0 * f64::MIN_POSITIVE <= above
+            && above < below
+            && below <= lambda_hi
+            && lambda_hi <= f64::MAX / 2.0
+            && cap >= ADJACENCY_STEPS)
+        {
+            return false;
+        }
+        // `above`'s binade `[2^e, 2^(e+1))` and its ulp `2^(e−52)`.
+        let binade = f64::from_bits(above.to_bits() & f64::INFINITY.to_bits());
+        let ulp = binade * f64::EPSILON;
+        if above < binade + 3.0 * ulp || below > 2.0 * binade - 3.0 * ulp {
+            return false;
+        }
+        // `⌈log2(lambda_hi/above)⌉ ≤ spare` ⟺ `lambda_hi ≤ above·2^spare`.
+        let spare = cap - ADJACENCY_STEPS;
+        let scale = if spare > 1023 {
+            f64::INFINITY
+        } else {
+            f64::from_bits((1023 + spare as u64) << 52)
+        };
+        lambda_hi <= above * scale
     }
 }
 
@@ -1127,12 +1261,12 @@ mod tests {
     mod oracle {
         use super::*;
 
-        /// One budget over `members = [(success, w, rate)]`: λ and the
-        /// shares.
-        fn fill_constraint(
+        /// One budget over `members = [(success, w, rate)]`: λ, the
+        /// bisection's final bracket floor, and the shares.
+        pub(super) fn fill_constraint(
             solver: &WaterfillingSolver,
             members: &[(f64, f64, f64)],
-        ) -> (f64, Vec<f64>) {
+        ) -> (f64, f64, Vec<f64>) {
             let effective = |&(s, _, c): &(f64, f64, f64)| s > 0.0 && c > 0.0;
             let shares_at = |lambda: f64| -> Vec<f64> {
                 members
@@ -1148,10 +1282,10 @@ mod tests {
             };
             let n_eff = members.iter().filter(|m| effective(m)).count();
             if n_eff == 0 {
-                return (0.0, vec![0.0; members.len()]);
+                return (0.0, 0.0, vec![0.0; members.len()]);
             }
             if n_eff == 1 {
-                return (0.0, shares_at(0.0));
+                return (0.0, 0.0, shares_at(0.0));
             }
             let mut lambda_hi = f64::MIN_POSITIVE;
             for m in members.iter().filter(|m| effective(m)) {
@@ -1167,7 +1301,7 @@ mod tests {
                     hi = mid;
                 }
             }
-            (hi, shares_at(hi))
+            (hi, lo, shares_at(hi))
         }
 
         /// Every budget filled at `modes`, and the water levels.
@@ -1196,7 +1330,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let (lambda, shares) = fill_constraint(solver, &gathered);
+                let (lambda, _, shares) = fill_constraint(solver, &gathered);
                 for (&j, &share) in members.iter().zip(&shares) {
                     users[j] = if b == 0 {
                         UserAllocation::mbs(share)
@@ -1561,6 +1695,216 @@ mod tests {
             let got = solver.solve(&p);
             let (want, _) = oracle::solve(&solver, &p);
             prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        }
+    }
+
+    /// Member `(success, w, rate)` of a budget built for an edge of the
+    /// certified fill's proof (DESIGN §15), by kind: the paper's range;
+    /// `w` down to 1e-7 beside rates near 1, so that `λ_hi/λ_c` nears
+    /// 1e7 and the plain loop overruns a 60-step cap; `w` far below the
+    /// rate, a member that saturates early and leaves the sum at exactly
+    /// 1 over a stretch; a quotient saturated at `f64::MAX`; a rate of
+    /// 1e-300 beside a large `w`, a level in the subnormals; and no
+    /// success, a member that cannot benefit.
+    fn arb_edge_member() -> impl Strategy<Value = (f64, f64, f64)> {
+        (
+            0..6u8,
+            0.05..=1.0f64,
+            5.0..50.0f64,
+            0.1..=6.0f64,
+            0.0..=1.0f64,
+        )
+            .prop_map(|(kind, s, w, c, t)| match kind {
+                0 => (s, w, c),
+                1 => (s, 1e-7 + 9e-7 * t, 0.9 + 0.1 * t),
+                2 => (0.5 + 0.5 * t, 0.01 + 0.09 * t, c),
+                3 => (s, w, 1e-310),
+                4 => (1e-3 + 9e-3 * t, 1e6 + 9.9e7 * t, 1e-300),
+                _ => (0.0, w, c),
+            })
+    }
+
+    /// A budget of edge members, plus up to three copies of one of them,
+    /// whose breakpoints tie its own.
+    fn arb_edge_budget() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+        (
+            proptest::collection::vec(arb_edge_member(), 1..=6),
+            0..=3usize,
+            0..6usize,
+        )
+            .prop_map(|(mut members, copies, which)| {
+                let copied = members[which % members.len()];
+                members.extend(std::iter::repeat_n(copied, copies));
+                members
+            })
+    }
+
+    /// Bisection caps at the proof's edges: none, one step, 19, the
+    /// caps around the 55-step bound, and 80.
+    fn arb_bisection_cap() -> impl Strategy<Value = usize> {
+        (0..5u8, 53..=61usize).prop_map(|(k, near)| match k {
+            0 => 0,
+            1 => 1,
+            2 => 19,
+            3 => 80,
+            _ => near,
+        })
+    }
+
+    /// The members' columns gathered into a fresh scratch.
+    fn gathered(members: &[(f64, f64, f64)]) -> FillScratch {
+        let mut scratch = FillScratch::new();
+        scratch.idx.extend(0..members.len());
+        scratch.gather_columns(|j| members[j]);
+        scratch
+    }
+
+    /// The plain bisection's steps from `(0, lambda_hi)` until its
+    /// bracket is adjacent, on a share sum that exceeds 1 exactly below
+    /// `level`.
+    fn steps_to_adjacency(lambda_hi: f64, level: f64) -> usize {
+        let (mut lo, mut hi, mut steps) = (0.0f64, lambda_hi, 0);
+        while lo.next_up() < hi {
+            let mid = 0.5 * (lo + hi);
+            if mid < level {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            steps += 1;
+        }
+        steps
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every certified fill has the bits of the oracle's, whose
+        /// bisection runs every step blind: its level, its bracket
+        /// floor and every share, on budgets built for the edges of the
+        /// certificates and of the jump's guard, under caps around the
+        /// step bound.
+        #[test]
+        fn certified_fills_are_bit_identical_to_the_oracle_on_proof_edges(
+            members in arb_edge_budget(),
+            bisection_iters in arb_bisection_cap(),
+        ) {
+            let solver = WaterfillingSolver {
+                bisection_iters,
+                ..WaterfillingSolver::default()
+            };
+            let mut scratch = gathered(&members);
+            let level = solver.fill_constraint(&mut scratch);
+            let (lambda, floor, shares) = oracle::fill_constraint(&solver, &members);
+            prop_assert_eq!(
+                (level.lambda.to_bits(), level.floor.to_bits()),
+                (lambda.to_bits(), floor.to_bits()),
+                "{:?}: level {:e} floor {:e}, oracle {:e} {:e}",
+                members, level.lambda, level.floor, lambda, floor
+            );
+            prop_assert_eq!(bits(&scratch.shares), bits(&shares));
+        }
+
+        /// The rounded share sum never rises as the level does, the
+        /// lemma every certificate rests on: at random levels from the
+        /// subnormals up, and within 1e-12 of the budget's own level.
+        #[test]
+        fn the_share_sum_never_rises_with_the_level(
+            members in arb_edge_budget(),
+            exponent in -1075.0..=8.0f64,
+            near in -1e-12..=1e-12f64,
+        ) {
+            let mut scratch = gathered(&members);
+            let level = WaterfillingSolver::default().fill_constraint(&mut scratch).lambda;
+            for lambda in [exponent.exp2(), level * (1.0 + near)] {
+                let (at, above) = (scratch.share_sum(lambda), scratch.share_sum(lambda.next_up()));
+                prop_assert!(above <= at, "S({lambda:e}) = {at} < S(next) = {above}");
+            }
+        }
+
+        /// The step bound behind the jump: wherever the guard admits a
+        /// certified bracket, the plain bisection from `(0, λ_hi)` is
+        /// adjacent within `55 + ⌈log2(λ_hi/above)⌉` steps, the least
+        /// cap the guard accepts. Levels across the exponent range and
+        /// near the top of their binade, where the bound is tightest.
+        #[test]
+        fn the_plain_bisection_is_adjacent_within_the_step_bound(
+            exponent in -1000..=1000i32,
+            mantissa in 1.0..2.0f64,
+            top in proptest::bool::ANY,
+            log_ratio in 0.0..=40.0f64,
+            ulps_below in 1..=40u32,
+            ulps_above in 0..=40u32,
+        ) {
+            let mantissa = if top { 2.0 - mantissa * 1e-14 } else { mantissa };
+            let level = mantissa * f64::from(exponent).exp2();
+            let lambda_hi = level * log_ratio.exp2();
+            let (mut above, mut below) = (level, level);
+            for _ in 0..ulps_below {
+                above = above.next_down();
+            }
+            for _ in 0..ulps_above {
+                below = below.next_up();
+            }
+            let known = Certificates { above, below };
+            if let Some(cap) = (ADJACENCY_STEPS..=1200).find(|&cap| known.prove_adjacency(lambda_hi, cap)) {
+                let steps = steps_to_adjacency(lambda_hi, level);
+                prop_assert!(steps <= cap, "{steps} steps > cap {cap} at level {level:e}, λ_hi {lambda_hi:e}");
+            }
+        }
+    }
+
+    /// A budget whose sum stays at exactly 1 between one member's
+    /// saturation and the next member's rise: the estimate lands at the
+    /// far end of that stretch, both probes certify it, and the fill
+    /// starts its bisection from them.
+    #[test]
+    fn a_flat_stretch_is_estimated_at_its_far_end() {
+        // Member 0 saturates at λ = 1/(1 + 0.01) ≈ 0.99; member 1 rises
+        // only below λ = 1/30.
+        let members = [(1.0, 0.01, 1.0), (1.0, 30.0, 1.0)];
+        let mut scratch = gathered(&members);
+        let estimate = scratch.level_estimate().expect("a finite estimate");
+        assert!((estimate * 30.0 - 1.0).abs() < 1e-15, "{estimate}");
+        let solver = WaterfillingSolver::default();
+        let level = solver.fill_constraint(&mut scratch);
+        let (lambda, floor, shares) = oracle::fill_constraint(&solver, &members);
+        assert_eq!(level.lambda.to_bits(), lambda.to_bits());
+        assert_eq!(level.floor.to_bits(), floor.to_bits());
+        assert_eq!(bits(&scratch.shares), bits(&shares));
+        assert_eq!(scratch.shares, [1.0, 0.0]);
+        // The estimate is the level: its probe and the one an ulp below
+        // leave an adjacent pair, and no step evaluates a sum (~55 blind).
+        assert_eq!(scratch.bisection_steps, 2);
+    }
+
+    /// `λ_hi/λ_c` near 1e7 needs about 78 plain steps, so under the
+    /// default 60-step cap the guard refuses the jump and the loop runs
+    /// from `(0, λ_hi)`, stopping at its cap short of adjacency; at a
+    /// cap of 80 it jumps. Both match the oracle bit for bit.
+    #[test]
+    fn a_tiny_weight_overruns_the_cap_and_takes_the_plain_loop() {
+        let members = [(0.9, 1e-7, 1.0), (0.8, 2e-7, 0.95)];
+        for (bisection_iters, jumps) in [(60, false), (80, true)] {
+            let solver = WaterfillingSolver {
+                bisection_iters,
+                ..WaterfillingSolver::default()
+            };
+            let mut scratch = gathered(&members);
+            let estimate = scratch.level_estimate().expect("a finite estimate");
+            let mut known = Certificates {
+                above: 0.0,
+                below: f64::INFINITY,
+            };
+            known.probe_around(&mut scratch, estimate);
+            let lambda_hi = 0.9 / 1e-7 * (1.0 + 1e-9);
+            assert!(known.above > 0.0 && known.below < lambda_hi, "{known:?}");
+            assert_eq!(known.prove_adjacency(lambda_hi, bisection_iters), jumps);
+            let level = solver.fill_constraint(&mut gathered(&members));
+            let (lambda, floor, _) = oracle::fill_constraint(&solver, &members);
+            assert_eq!(level.lambda.to_bits(), lambda.to_bits());
+            assert_eq!(level.floor.to_bits(), floor.to_bits());
+            assert_eq!(level.floor.next_up() < level.lambda, !jumps);
         }
     }
 

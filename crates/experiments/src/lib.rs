@@ -622,6 +622,7 @@ pub fn scenario_churn_report(pack: &fcr_scenario::Pack) -> String {
         ServeConfig {
             mbs_budget: churn.mbs_budget,
             max_sessions: churn.max_sessions as usize,
+            hold_for_playout: true,
             ..ServeConfig::default()
         },
         Arc::new(Runtime::with_config(RuntimeConfig {

@@ -86,6 +86,19 @@ impl<T> JobHandle<T> {
             .is_some()
     }
 
+    /// Blocks until the job finishes, leaving its outcome for
+    /// [`JobHandle::join`]. Unlike the pool's completion counters, which
+    /// count a job before its handle is fulfilled, this returns only
+    /// once `is_finished` is `true`.
+    pub fn wait(&self) {
+        let guard = self.slot.result.lock().expect("completion slot poisoned");
+        let _finished = self
+            .slot
+            .done
+            .wait_while(guard, |result| result.is_none())
+            .expect("completion slot poisoned");
+    }
+
     /// Blocks until the job finishes and returns its outcome.
     ///
     /// A panicking job yields `Err(JobError::Panicked(..))` rather than
@@ -122,6 +135,18 @@ mod tests {
         slot.fulfill(Ok(7u32));
         assert!(handle.is_finished());
         assert_eq!(handle.join(), Ok(7));
+    }
+
+    #[test]
+    fn wait_blocks_until_fulfilled_and_leaves_the_outcome() {
+        let slot = CompletionSlot::<u8>::new();
+        let handle = JobHandle::new(Arc::clone(&slot));
+        let fulfiller = std::thread::spawn(move || slot.fulfill(Ok(3)));
+        handle.wait();
+        assert!(handle.is_finished());
+        fulfiller.join().unwrap();
+        handle.wait();
+        assert_eq!(handle.join(), Ok(3));
     }
 
     #[test]

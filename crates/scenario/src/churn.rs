@@ -268,10 +268,14 @@ impl ChurnDriver {
 
     /// Replays `pack`'s schedule against `service`: admissions,
     /// handovers, retirements, one [`Service::step`] per slot, then a
-    /// quiesce. The service's extended accounting identity is asserted
-    /// internally on every one of these transitions. Completed
-    /// sessions' outputs stay buffered for
-    /// [`Service::take_completed`].
+    /// drain and a quiesce. The replay runs in lockstep: after each
+    /// step, the drain's included, it waits for the windows the step
+    /// dispatched ([`Service::wait_for_windows`]), so a handover finds
+    /// its session active or not, and the report's counts and the
+    /// service's step count come out, the same on any pool. The
+    /// service's extended accounting identity is asserted internally
+    /// on every one of these transitions. Completed sessions' outputs
+    /// stay buffered for [`Service::take_completed`].
     pub fn run(pack: &Pack, service: &Service) -> ChurnReport {
         let completed_before = service.snapshot().completed;
         let schedule = ChurnSchedule::generate(pack);
@@ -332,6 +336,13 @@ impl ChurnDriver {
                 }
             }
             service.step();
+            service.wait_for_windows();
+        }
+        // Drain in lockstep too, until no window is queued or running;
+        // the quiesce then only steps through sessions held for their
+        // playout, and fails loudly on a stuck one.
+        while service.step().pending > 0 {
+            service.wait_for_windows();
         }
         service.quiesce();
         report.completed = service.snapshot().completed - completed_before;

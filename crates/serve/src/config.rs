@@ -42,6 +42,14 @@ pub struct ServeConfig {
     /// accounting stays exact — a daemon whose caller never collects
     /// outputs must not grow without bound.
     pub completed_buffer: usize,
+    /// Keep a session active until its playout ends — `gops × deadline`
+    /// slots after admission — even when every window landed earlier.
+    /// A pool that keeps up computes a session well ahead of its
+    /// playout, and by default the session completes as soon as its
+    /// last window lands. A replay whose users move while they watch
+    /// needs the session, and its budget claim, held for the whole
+    /// playout, so that a handover finds it.
+    pub hold_for_playout: bool,
 }
 
 impl Default for ServeConfig {
@@ -54,6 +62,7 @@ impl Default for ServeConfig {
             urgent_horizon: 2,
             shed_after: 16,
             completed_buffer: 1_024,
+            hold_for_playout: false,
         }
     }
 }

@@ -274,6 +274,9 @@ struct SessionState {
     demand_units: u64,
     admitted_slot: u64,
     deadline: u64,
+    /// Slots after admission before the session may complete: its
+    /// playout under [`ServeConfig::hold_for_playout`], else 0.
+    hold_slots: u64,
     runs: Vec<RunState>,
     degraded: bool,
     /// `true` while the session is macro-served (after an FBS→MBS
@@ -500,6 +503,11 @@ impl Service {
             demand_units,
             admitted_slot: st.slot,
             deadline: u64::from(spec.config.deadline),
+            hold_slots: if self.config.hold_for_playout {
+                spec.config.total_slots()
+            } else {
+                0
+            },
             runs,
             degraded: false,
             on_mbs: false,
@@ -811,12 +819,15 @@ impl Service {
             }
         }
 
-        // --- Complete sessions whose runs are all resolved. ---
+        // --- Complete sessions whose runs are all resolved (and whose
+        //     playout has ended, when the service holds for it). ---
         let mut completed_idx: Vec<usize> = st
             .active
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.runs.iter().all(RunState::resolved))
+            .filter(|(_, s)| {
+                s.runs.iter().all(RunState::resolved) && now - s.admitted_slot >= s.hold_slots
+            })
             .map(|(i, _)| i)
             .collect();
         completed_idx.sort_unstable_by(|a, b| b.cmp(a));
@@ -852,6 +863,23 @@ impl Service {
         self.lock().completed_buf.drain(..).collect()
     }
 
+    /// Blocks until every window job the service has submitted so far
+    /// has finished, through the jobs' own handles. A replay that calls
+    /// it after each [`Service::step`] runs in lockstep: the next step
+    /// collects every window the steps before it dispatched, so what
+    /// the replay counts does not depend on the pool's speed. It holds
+    /// the service's lock while it waits; window jobs never take it.
+    pub fn wait_for_windows(&self) {
+        let st = self.lock();
+        for session in st.active.iter().chain(&st.draining) {
+            for run in &session.runs {
+                for (_, handle) in &run.inflight {
+                    handle.wait();
+                }
+            }
+        }
+    }
+
     /// Steps the clock until every admitted session has resolved and
     /// all pool work has drained: it keeps stepping while any window
     /// is queued in a session or running on the pool, however long
@@ -863,16 +891,22 @@ impl Service {
     /// queued, submitted or running — no further step could change
     /// anything, so a stuck service fails loudly instead of hanging.
     /// (A draining session always has a window running, so only
-    /// active sessions can be stuck this way.)
+    /// active sessions can be stuck this way. A resolved session held
+    /// for its playout is not stuck: a later step completes it.)
     pub fn quiesce(&self) {
         loop {
             let report = self.step();
             if report.pending == 0 {
-                assert_eq!(
-                    report.active, 0,
+                if report.active == 0 {
+                    return;
+                }
+                assert!(
+                    self.lock()
+                        .active
+                        .iter()
+                        .all(|s| s.runs.iter().all(RunState::resolved)),
                     "service cannot quiesce: active sessions have no window queued or running"
                 );
-                return;
             }
             std::thread::yield_now();
         }

@@ -222,3 +222,49 @@ fn handed_over_sessions_complete_with_batch_identical_outputs() {
         "handover must not perturb simulation output"
     );
 }
+
+/// In lockstep (each step's windows finish before the next), a session
+/// completes in the step that collects its last window, two slots
+/// after admission, long before its playout ends. Held for its
+/// playout, it stays active, hands over and keeps its claim until
+/// `gops × deadline` slots have passed, then completes.
+#[test]
+fn a_session_held_for_its_playout_stays_active_to_hand_over() {
+    let cfg = SimConfig {
+        gops: 3,
+        ..tiny_cfg()
+    };
+    let playout = cfg.total_slots();
+    let scenario = Arc::new(Scenario::single_fbs(&cfg));
+    let demand = Service::estimate_demand(&spec(&scenario, cfg, 1));
+    for hold_for_playout in [false, true] {
+        let service = Service::new(
+            ServeConfig {
+                mbs_budget: demand * 10.0,
+                hold_for_playout,
+                ..ServeConfig::default()
+            },
+            Arc::new(Runtime::with_config(RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            })),
+        );
+        let id = service.admit(spec(&scenario, cfg, 1)).expect_admitted();
+        let mut completed_at = None;
+        for slot in 1..=playout + 1 {
+            if slot == 3 {
+                let handed = service.handover(id, demand, HandoverKind::FbsToFbs);
+                assert_eq!(handed.completed(), hold_for_playout, "{handed:?}");
+            }
+            let report = service.step();
+            service.wait_for_windows();
+            if report.completed.contains(&id) {
+                completed_at = Some(slot);
+            }
+        }
+        let want = if hold_for_playout { playout } else { 2 };
+        assert_eq!(completed_at, Some(want), "hold {hold_for_playout}");
+        assert_eq!(service.snapshot().mbs_in_use, 0.0);
+        service.quiesce();
+    }
+}
