@@ -22,12 +22,22 @@
 //!   whose bound, plus a derived rounding margin, cannot reach the best
 //!   `Δ` solved so far: none of the rest could win or tie (DESIGN §15).
 //! - Within one step, each distinct `G` vector is solved once (`Q`
-//!   depends on a trial only through `G`).
+//!   depends on a trial only through `G`). A trial differs from the
+//!   step's `G` in at most its own FBS's entry, so the step keys its
+//!   solves on that FBS and its grant's bits, with a grant bit-equal to
+//!   the current `G_i` keyed as no change: keys are equal exactly when
+//!   the `G` vectors are.
 //! - Every `Q` solve of a run shares one fill cache, created and
 //!   dropped by [`GreedyAllocator::allocate`]. A budget fill depends
 //!   only on the budget, its FBS's `G_i` and the members it gathers,
 //!   so a fill one solve made is replayed by any later solve that
 //!   needs it.
+//!
+//! The solves also share their working memory: one SoA view of the
+//! run's users, whose `G` column each solve re-points, and one set of
+//! solve buffers, so a solve allocates only the allocation it returns
+//! (DESIGN §15). A solve's `Q` is its polish's best value, the same
+//! fold [`crate::problem::SlotProblem::objective`] takes.
 //!
 //! The final assignment's `G` is the last committed candidate's (or
 //! `∅`'s), and the run's solves are deterministic through its fill
@@ -38,10 +48,10 @@ use crate::allocation::Allocation;
 use crate::bounds;
 use crate::interfering::{ChannelAssignment, InterferingProblem};
 use crate::lagrangian::{best_share, branch_value_ln};
-use crate::soa::FillScratch;
+use crate::soa::{FillScratch, WordHashing};
 use crate::waterfill::{gamma, magnitude, WaterfillingSolver, UNIT_ROUNDOFF};
 use fcr_net::node::FbsId;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 
 /// One committed step of the greedy algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,16 +158,19 @@ impl GreedyAllocator {
     /// Runs the greedy algorithm on `problem`.
     pub fn allocate(&self, problem: &InterferingProblem) -> GreedyOutcome {
         let _span = fcr_telemetry::Span::enter(fcr_telemetry::Phase::GreedyAlloc);
-        // One fill cache per run, shared by every `Q` solve and dropped
-        // with the run: the users and the solver it assumes fixed are
-        // fixed only here.
-        let mut scratch = FillScratch::caching();
         let n = problem.num_fbss();
         let m = problem.num_channels();
         let mut assignment = ChannelAssignment::empty(n, m);
+        // The channel counts of `assignment`.
+        let mut g = problem.g_for(&assignment);
+        // One view of the users, one set of solve buffers and one fill
+        // cache per run, shared by every `Q` solve and dropped with the
+        // run: the users and the solver the cache assumes fixed are
+        // fixed only here.
+        let mut workspace = problem.workspace(&g, FillScratch::caching());
         // The solve of the last committed assignment, `∅`'s until a
         // commit.
-        let mut committed = problem.q_at(problem.g_for(&assignment), &self.solver, &mut scratch);
+        let mut committed = workspace.q_at(&g, &self.solver);
         let q_empty = committed.0;
         let mut q_current = q_empty;
         let mut steps = Vec::new();
@@ -166,52 +179,61 @@ impl GreedyAllocator {
             .flat_map(|i| (0..m).map(move |ch| (FbsId(i), ch)))
             .collect();
         let mut dual = Dual::new(problem);
+        // A trial's channel counts, each candidate's grant, and the
+        // step's solves by trial key.
+        let mut trial = g.clone();
+        let mut grants = Vec::with_capacity(candidates.len());
+        let mut memo: Vec<(TrialKey, (f64, Allocation))> = Vec::new();
 
         let (mut memo_hits, mut pruned) = (0u64, 0u64);
         while !candidates.is_empty() {
             // Step 3: the pair with the largest Q increase. A trial
             // changes only its FBS's G_i, so the trial's G vector is the
-            // current one with that entry replaced.
-            let g = problem.g_for(&assignment);
-            let grants: Vec<f64> = candidates
-                .iter()
-                .map(|&(fbs, ch)| problem.g_granting(&assignment, fbs, Some(ch)))
-                .collect();
-            let trial_g = |idx: usize| {
-                let (FbsId(i), _) = candidates[idx];
-                let mut trial = g.clone();
-                trial[i] = grants[idx];
-                trial
-            };
+            // current one with that entry replaced by its grant.
+            grants.clear();
+            grants.extend(
+                candidates
+                    .iter()
+                    .map(|&(fbs, ch)| problem.g_granting(&assignment, fbs, Some(ch))),
+            );
             let bounds = dual.bounds(&g, &candidates, &grants);
             // Q depends on the trial only through its G vector, and
             // channels with bit-equal posteriors give candidates
             // bit-equal G vectors: each distinct G of the step is solved
             // once.
-            let mut memo: HashMap<Vec<u64>, (f64, Allocation)> = HashMap::new();
+            memo.clear();
+            let key = |idx: usize| trial_key(&g, candidates[idx].0, grants[idx]);
             let (best_idx, delta, skipped) =
                 best_candidate(&bounds.values, bounds.margin, q_current, |idx| {
-                    let trial = trial_g(idx);
-                    let q = match memo.entry(bits(&trial)) {
-                        Entry::Occupied(hit) => {
-                            memo_hits += 1;
-                            hit.get().0
-                        }
-                        Entry::Vacant(miss) => {
-                            let solved = problem.q_at(trial, &self.solver, &mut scratch);
-                            miss.insert(solved).0
-                        }
+                    let key = key(idx);
+                    let q = if let Some((_, (q, _))) = memo.iter().find(|(k, _)| *k == key) {
+                        memo_hits += 1;
+                        *q
+                    } else {
+                        let FbsId(i) = candidates[idx].0;
+                        trial.copy_from_slice(&g);
+                        trial[i] = grants[idx];
+                        let solved = workspace.q_at(&trial, &self.solver);
+                        let q = solved.0;
+                        memo.push((key, solved));
+                        q
                     };
                     q - q_current
                 });
             pruned += skipped;
-            committed = memo
-                .remove(&bits(&trial_g(best_idx)))
+            let chosen = key(best_idx);
+            let solved = memo
+                .iter()
+                .position(|(k, _)| *k == chosen)
                 .expect("the chosen candidate was solved");
+            committed = memo.swap_remove(solved).1;
             let (fbs, channel) = candidates[best_idx];
 
-            // Step 4: commit.
+            // Step 4: commit. The FBS's new channel count is its grant,
+            // which sums the same weights in the same (channel) order
+            // as `g_for` of the new assignment.
             assignment.assign(fbs, channel);
+            g[fbs.0] = grants[best_idx];
             q_current += delta;
             steps.push(GreedyStep {
                 fbs,
@@ -270,9 +292,17 @@ impl GreedyAllocator {
     }
 }
 
-/// The bit patterns of `g`: the key of the per-step `Q` memo.
-fn bits(g: &[f64]) -> Vec<u64> {
-    g.iter().map(|x| x.to_bits()).collect()
+/// The key of the per-step `Q` memo: `None` for a trial whose grant
+/// leaves the step's channel counts as they are, bit for bit, and
+/// `(FBS, grant bits)` for one that changes its FBS's.
+type TrialKey = Option<(usize, u64)>;
+
+/// The key of the trial that grants FBS `i` the channel count `grant`
+/// at the step's channel counts `g`. Two trials' keys are equal exactly
+/// when their `G` vectors are bit-equal: each differs from `g` in at
+/// most its own FBS's entry.
+fn trial_key(g: &[f64], FbsId(i): FbsId, grant: f64) -> TrialKey {
+    (grant.to_bits() != g[i].to_bits()).then_some((i, grant.to_bits()))
 }
 
 /// Step 3 of Table III over candidates whose weak-duality bounds are
@@ -365,7 +395,7 @@ struct Dual<'a> {
     /// Per user, `V0_j(λ_0)`.
     mbs_values: Vec<f64>,
     /// [`Self::part`] per (FBS, channel-count bits).
-    parts: HashMap<(usize, u64), (f64, f64)>,
+    parts: HashMap<(usize, u64), (f64, f64), WordHashing>,
 }
 
 /// One step's candidate bounds, and the margin that covers their
@@ -396,7 +426,7 @@ impl<'a> Dual<'a> {
             users_of,
             lambda_mbs,
             mbs_values,
-            parts: HashMap::new(),
+            parts: HashMap::default(),
         }
     }
 

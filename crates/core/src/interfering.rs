@@ -12,8 +12,8 @@
 use crate::allocation::Allocation;
 use crate::error::{check_probability, CoreError};
 use crate::problem::{SlotProblem, UserState};
-use crate::soa::FillScratch;
-use crate::waterfill::WaterfillingSolver;
+use crate::soa::{FillScratch, SoaProblem};
+use crate::waterfill::{SolveBuffers, WaterfillingSolver};
 use fcr_net::interference::InterferenceGraph;
 use fcr_net::node::FbsId;
 
@@ -270,26 +270,18 @@ impl InterferingProblem {
         assignment: &ChannelAssignment,
         solver: &WaterfillingSolver,
     ) -> (f64, Allocation) {
-        self.q_at(self.g_for(assignment), solver, &mut FillScratch::new())
+        let g = self.g_for(assignment);
+        self.workspace(&g, FillScratch::new()).q_at(&g, solver)
     }
 
-    /// `Q` and its allocation at the channel counts `g`: `Q(c)` depends
-    /// on the assignment only through `G = g_for(c)`. The solve runs
-    /// through `scratch`, which a greedy run shares across its `Q`
-    /// solves so that they share its fill cache.
-    pub(crate) fn q_at(
-        &self,
-        g: Vec<f64>,
-        solver: &WaterfillingSolver,
-        scratch: &mut FillScratch,
-    ) -> (f64, Allocation) {
-        // Each Q(c) evaluation is one inner time-share solve — the
-        // O(N²M²) term of Table III. The counter makes the actual
-        // inner-solve volume observable per run.
-        fcr_telemetry::incr("greedy.inner_solves", 1);
-        let problem = SlotProblem::new(self.users.clone(), g).expect("validated at construction");
-        let alloc = solver.solve_in(&problem, scratch);
-        (problem.objective(&alloc), alloc)
+    /// A workspace for `Q` solves of this problem, its view pointed at
+    /// the channel counts `g`, its fills made through `scratch`.
+    pub(crate) fn workspace(&self, g: &[f64], scratch: FillScratch) -> QWorkspace {
+        QWorkspace {
+            soa: SoaProblem::from_users(&self.users, g),
+            buffers: SolveBuffers::default(),
+            scratch,
+        }
     }
 
     /// `Q(∅)`: the objective with no channels allocated (everyone can
@@ -301,6 +293,32 @@ impl InterferingProblem {
             &ChannelAssignment::empty(self.num_fbss(), self.num_channels()),
             solver,
         )
+    }
+}
+
+/// What a sequence of `Q` solves of one problem shares: the SoA view of
+/// its users, whose `G` column each solve re-points, one set of solve
+/// buffers, and one fill scratch. A greedy run makes one for all its
+/// solves, with a scratch that caches their fills.
+#[derive(Debug)]
+pub(crate) struct QWorkspace {
+    soa: SoaProblem,
+    buffers: SolveBuffers,
+    scratch: FillScratch,
+}
+
+impl QWorkspace {
+    /// `Q` and its allocation at the channel counts `g`: `Q(c)` depends
+    /// on the assignment only through `G = g_for(c)`. `Q` is
+    /// [`SlotProblem::objective`] of the allocation, bit for bit, and
+    /// the solve allocates only the allocation it returns.
+    pub(crate) fn q_at(&mut self, g: &[f64], solver: &WaterfillingSolver) -> (f64, Allocation) {
+        // Each Q(c) evaluation is one inner time-share solve — the
+        // O(N²M²) term of Table III. The counter makes the actual
+        // inner-solve volume observable per run.
+        fcr_telemetry::incr("greedy.inner_solves", 1);
+        self.soa.set_g(g);
+        solver.solve_soa(&self.soa, &mut self.buffers, &mut self.scratch)
     }
 }
 

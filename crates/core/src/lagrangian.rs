@@ -122,21 +122,31 @@ pub fn solve_user(
     lambda_mbs: f64,
     lambda_fbs: f64,
 ) -> SubproblemSolution {
-    let fbs_rate = g * user.r_fbs();
-
-    let rho_mbs = best_share(user.success_mbs(), lambda_mbs, user.w(), user.r_mbs());
-    let rho_fbs = best_share(user.success_fbs(), lambda_fbs, user.w(), fbs_rate);
-
-    let (w, ln_w) = (user.w(), user.ln_w());
-    let value_mbs = branch_value_ln(
-        user.success_mbs(),
+    respond(
+        user.w(),
+        user.ln_w(),
+        (user.success_mbs(), user.r_mbs()),
+        (user.success_fbs(), g * user.r_fbs()),
         lambda_mbs,
-        w,
-        ln_w,
-        user.r_mbs(),
-        rho_mbs,
-    );
-    let value_fbs = branch_value_ln(user.success_fbs(), lambda_fbs, w, ln_w, fbs_rate, rho_fbs);
+        lambda_fbs,
+    )
+}
+
+/// [`solve_user`] for a user given as its `w`, its `ln w`, and each
+/// branch's `(success, rate)`, the FBS rate already `G·R_{i,j}`.
+pub(crate) fn respond(
+    w: f64,
+    ln_w: f64,
+    (success_mbs, r_mbs): (f64, f64),
+    (success_fbs, fbs_rate): (f64, f64),
+    lambda_mbs: f64,
+    lambda_fbs: f64,
+) -> SubproblemSolution {
+    let rho_mbs = best_share(success_mbs, lambda_mbs, w, r_mbs);
+    let rho_fbs = best_share(success_fbs, lambda_fbs, w, fbs_rate);
+
+    let value_mbs = branch_value_ln(success_mbs, lambda_mbs, w, ln_w, r_mbs, rho_mbs);
+    let value_fbs = branch_value_ln(success_fbs, lambda_fbs, w, ln_w, fbs_rate, rho_fbs);
 
     // Step 4: strict comparison — ties go to the FBS branch (the
     // "otherwise" arm of Theorem 1).

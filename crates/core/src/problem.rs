@@ -267,16 +267,11 @@ impl SlotProblem {
 
     /// [`Self::user_objective`] of one entry: user `j`'s term when it is
     /// allocated `a`, whatever the other users hold.
-    pub(crate) fn entry_objective(&self, j: usize, a: UserAllocation) -> f64 {
+    fn entry_objective(&self, j: usize, a: UserAllocation) -> f64 {
         let u = &self.users[j];
         match a.mode {
-            Mode::Mbs => {
-                u.success_mbs * (u.w + a.rho_mbs * u.r_mbs).ln() + (1.0 - u.success_mbs) * u.ln_w
-            }
-            Mode::Fbs => {
-                u.success_fbs * (u.w + a.rho_fbs * self.fbs_rate(j)).ln()
-                    + (1.0 - u.success_fbs) * u.ln_w
-            }
+            Mode::Mbs => objective_term(u.success_mbs, u.w, u.ln_w, u.r_mbs, a.rho_mbs),
+            Mode::Fbs => objective_term(u.success_fbs, u.w, u.ln_w, self.fbs_rate(j), a.rho_fbs),
         }
     }
 
@@ -305,6 +300,14 @@ impl SlotProblem {
         let fbs_of = self.fbs_of();
         (0..self.g.len()).all(|i| alloc.fbs_load(FbsId(i), &fbs_of) <= 1.0 + tol)
     }
+}
+
+/// One user's objective term on the branch whose success probability
+/// and rate are `success` and `rate`, at share `rho`:
+/// `success·ln(w + rho·rate) + (1 − success)·ln(w)`, with `ln_w` the
+/// user's `ln w`. Every objective in the crate folds these terms.
+pub(crate) fn objective_term(success: f64, w: f64, ln_w: f64, rate: f64, rho: f64) -> f64 {
+    success * (w + rho * rate).ln() + (1.0 - success) * ln_w
 }
 
 #[cfg(test)]

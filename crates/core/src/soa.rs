@@ -13,7 +13,9 @@
 //! within each group), so a fill gathers each budget's users with one
 //! contiguous sweep — `O(n)` total across all constraints — and
 //! [`FillScratch`] makes every buffer of the bisection reusable across
-//! fills.
+//! fills. A greedy run builds one view for all its `Q(c)` solves and
+//! re-points its `G` column before each: the users are the run's, and
+//! only `G` moves between its solves.
 //!
 //! The layout changes *where the numbers live*, never *what arithmetic
 //! runs on them*: `fcr_core::waterfill` performs the exact same
@@ -22,19 +24,22 @@
 //! and the committed golden traces do not move. The conformance tests
 //! assert the bit-identity directly.
 
-use crate::problem::SlotProblem;
+use crate::allocation::{Mode, UserAllocation};
+use crate::problem::{objective_term, SlotProblem, UserState};
 use fcr_net::node::FbsId;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Parallel-array view of a [`SlotProblem`], built once per problem and
-/// shared across the many fills of a solve.
+/// Parallel-array view of a [`SlotProblem`], built once per greedy run
+/// and shared across the many fills of its solves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaProblem {
     // Per-user fields, indexed by user id.
     w: Vec<f64>,
     ln_w: Vec<f64>,
     r_mbs: Vec<f64>,
+    r_fbs: Vec<f64>,
+    // `G_i·R_{i,j}`, kept in step with `g` by `set_g`.
     fbs_rate: Vec<f64>,
     s_mbs: Vec<f64>,
     s_fbs: Vec<f64>,
@@ -51,29 +56,38 @@ pub struct SoaProblem {
 impl SoaProblem {
     /// Flattens `problem` into parallel arrays.
     pub fn from_problem(problem: &SlotProblem) -> Self {
-        let n_users = problem.num_users();
-        let n_fbss = problem.num_fbss();
+        Self::from_users(problem.users(), problem.g_all())
+    }
+
+    /// Flattens `users`, whose FBSs see the channel counts `g`, into
+    /// parallel arrays. Each user's FBS must be an index into `g`.
+    pub(crate) fn from_users(users: &[UserState], g: &[f64]) -> Self {
+        let n_users = users.len();
+        let n_fbss = g.len();
         let mut soa = Self {
             w: Vec::with_capacity(n_users),
             ln_w: Vec::with_capacity(n_users),
             r_mbs: Vec::with_capacity(n_users),
+            r_fbs: Vec::with_capacity(n_users),
             fbs_rate: Vec::with_capacity(n_users),
             s_mbs: Vec::with_capacity(n_users),
             s_fbs: Vec::with_capacity(n_users),
             fbs: Vec::with_capacity(n_users),
-            g: problem.g_all().to_vec(),
+            g: g.to_vec(),
             fbs_user_offsets: vec![0; n_fbss + 1],
             fbs_user_ids: Vec::with_capacity(n_users),
         };
-        for (j, u) in problem.users().iter().enumerate() {
+        for u in users {
             soa.w.push(u.w());
             soa.ln_w.push(u.ln_w());
             soa.r_mbs.push(u.r_mbs());
-            soa.fbs_rate.push(problem.fbs_rate(j));
+            soa.r_fbs.push(u.r_fbs());
+            soa.fbs_rate.push(0.0);
             soa.s_mbs.push(u.success_mbs());
             soa.s_fbs.push(u.success_fbs());
             soa.fbs.push(u.fbs().0);
         }
+        soa.set_rates();
         // Counting sort into CSR: two sweeps, stable, so each FBS's
         // users come out in ascending user order — the same order the
         // array-of-structs filter visits them.
@@ -90,6 +104,25 @@ impl SoaProblem {
             cursor[*f] += 1;
         }
         soa
+    }
+
+    /// Re-points the view at the channel counts `g`: the view of the
+    /// same users under `g`, field for field, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has a different length than the FBS count.
+    pub(crate) fn set_g(&mut self, g: &[f64]) {
+        self.g.copy_from_slice(g);
+        self.set_rates();
+    }
+
+    /// Every user's `G_i·R_{i,j}`: the product
+    /// [`SlotProblem::fbs_rate`] takes, bit for bit.
+    fn set_rates(&mut self) {
+        for (j, rate) in self.fbs_rate.iter_mut().enumerate() {
+            *rate = self.g[self.fbs[j]] * self.r_fbs[j];
+        }
     }
 
     /// Number of users.
@@ -146,6 +179,16 @@ impl SoaProblem {
     pub fn users_of(&self, i: usize) -> &[usize] {
         &self.fbs_user_ids[self.fbs_user_offsets[i]..self.fbs_user_offsets[i + 1]]
     }
+
+    /// User `j`'s objective term when it is allocated `a`:
+    /// `SlotProblem::user_objective`'s, bit for bit.
+    pub(crate) fn term(&self, j: usize, a: UserAllocation) -> f64 {
+        let (s, c) = match a.mode {
+            Mode::Mbs => (self.s_mbs[j], self.r_mbs[j]),
+            Mode::Fbs => (self.s_fbs[j], self.fbs_rate[j]),
+        };
+        objective_term(s, self.w[j], self.ln_w[j], c, a.rho())
+    }
 }
 
 /// One budget's fill as the polish keeps it: the water level, and what
@@ -168,9 +211,9 @@ pub(crate) struct Level {
 
 /// Reusable buffers for one budget-constraint fill: the gathered
 /// `(user, success, w, rate)` columns, each member's `w / rate`
-/// quotient, the breakpoints that estimate the level, and the share
-/// output. One scratch serves a whole solve; nothing inside the
-/// bisection loop allocates.
+/// quotient, the breakpoints that estimate the level, and the share and
+/// objective-term output. One scratch serves a whole solve; nothing
+/// inside the bisection loop allocates.
 ///
 /// The scratch also tallies the work done through it (budget fills,
 /// share sums evaluated, replayed fills, the budgets a polish refill
@@ -198,6 +241,8 @@ pub struct FillScratch {
     pub(crate) q: Vec<f64>,
     /// Share output buffer, aligned with `idx`.
     pub shares: Vec<f64>,
+    /// Each member's objective term at its share, aligned with `idx`.
+    pub(crate) terms: Vec<f64>,
     /// The effective members' breakpoints in `x = 1/λ`, each with its
     /// member and whether its share starts to rise or saturates there.
     breaks: Vec<(f64, usize, bool)>,
@@ -247,6 +292,7 @@ impl FillScratch {
         self.c.clear();
         self.q.clear();
         self.shares.clear();
+        self.terms.clear();
     }
 
     /// Takes the `(success, w, rate)` columns of the members in `idx`
@@ -346,11 +392,30 @@ impl FillScratch {
         }
     }
 
+    /// Writes every member's objective term at its share to `terms`:
+    /// `SlotProblem::user_objective`'s, bit for bit, since the gathered
+    /// columns are the branch's success, `w` and rate. `ln_w` gives a
+    /// user's `ln w`.
+    pub(crate) fn set_terms(&mut self, ln_w: impl Fn(usize) -> f64) {
+        self.terms.clear();
+        for k in 0..self.len() {
+            let term = objective_term(
+                self.s[k],
+                self.w[k],
+                ln_w(self.idx[k]),
+                self.c[k],
+                self.shares[k],
+            );
+            self.terms.push(term);
+        }
+    }
+
     /// Runs `fill` over the members in `idx` of budget `budget` (0 for
     /// the MBS), whose rates scale with `g` (`None` for the MBS), and
-    /// returns its level, leaving its shares in `shares`. The members'
-    /// columns come from `member`. With a cache, a fill already made
-    /// replays its level and shares instead, and a new one is stored.
+    /// returns its level, leaving its shares in `shares` and its
+    /// members' objective terms in `terms`. The members' columns come
+    /// from `member`. With a cache, a fill already made replays its
+    /// level, shares and terms instead, and a new one is stored.
     pub(crate) fn fill_once(
         &mut self,
         budget: usize,
@@ -364,9 +429,11 @@ impl FillScratch {
             cache.key.push(g.map_or(0, f64::to_bits));
             cache.key.extend(self.idx.iter().map(|&j| j as u64));
             if let Some(&(level, start)) = cache.fills.get(cache.key.as_slice()) {
+                let stored = start..start + self.idx.len();
                 self.shares.clear();
-                self.shares
-                    .extend_from_slice(&cache.shares[start..start + self.idx.len()]);
+                self.shares.extend_from_slice(&cache.shares[stored.clone()]);
+                self.terms.clear();
+                self.terms.extend_from_slice(&cache.terms[stored]);
                 self.fill_memo_hits += 1;
                 return level;
             }
@@ -376,6 +443,7 @@ impl FillScratch {
         if let Some(cache) = &mut self.cache {
             let start = cache.shares.len();
             cache.shares.extend_from_slice(&self.shares);
+            cache.terms.extend_from_slice(&self.terms);
             cache
                 .fills
                 .insert(cache.key.as_slice().into(), (level, start));
@@ -419,25 +487,32 @@ impl FillScratch {
 ///
 /// Within a run the users and the solver are fixed. The MBS budget's
 /// rates are then `R_{0,j}` and FBS `i`'s are `G_i·R_{i,j}`, so a fill
-/// (its level and its shares) is a pure function of the budget, of `G_i`
-/// for an FBS budget, and of the members it gathers, in order. A fill
-/// is keyed on exactly those.
+/// (its level, its shares and its members' objective terms) is a pure
+/// function of the budget, of `G_i` for an FBS budget, and of the
+/// members it gathers, in order. A fill is keyed on exactly those.
 #[derive(Debug, Default, Clone)]
 struct FillCache {
     /// `[budget, G_i bits (0 for the MBS), member ids…]` → the fill's
-    /// level and where its shares start in `shares`.
-    fills: HashMap<Box<[u64]>, (Level, usize), BuildHasherDefault<WordHasher>>,
+    /// level and where its shares and terms start in `shares` and
+    /// `terms`.
+    fills: HashMap<Box<[u64]>, (Level, usize), WordHashing>,
     /// The shares of every fill, back to back.
     shares: Vec<f64>,
+    /// The objective terms of every fill, aligned with `shares`.
+    terms: Vec<f64>,
     /// The key of the fill being looked up, built in place.
     key: Vec<u64>,
 }
 
+/// [`WordHasher`] as a map's hasher.
+pub(crate) type WordHashing = BuildHasherDefault<WordHasher>;
+
 /// The Fx multiply-rotate hash over 8-byte words. A greedy run probes
-/// its cache once per budget fill, and a key is a handful of small
-/// integers, for which SipHash is needlessly slow.
+/// its fill cache once per budget fill and its dual parts once per
+/// candidate, and a key is a handful of small integers, for which
+/// SipHash is needlessly slow.
 #[derive(Debug, Default, Clone, Copy)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
@@ -502,6 +577,54 @@ mod tests {
         let soa = SoaProblem::from_problem(&p);
         assert_eq!(soa.users_of(0), &[1, 3]);
         assert_eq!(soa.users_of(1), &[0, 2]);
+    }
+
+    /// Every field of `a` has the bits of `b`'s.
+    fn assert_same_fields(a: &SoaProblem, b: &SoaProblem) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let SoaProblem {
+            w,
+            ln_w,
+            r_mbs,
+            r_fbs,
+            fbs_rate,
+            s_mbs,
+            s_fbs,
+            fbs,
+            g,
+            fbs_user_offsets,
+            fbs_user_ids,
+        } = a;
+        assert_eq!(bits(w), bits(&b.w));
+        assert_eq!(bits(ln_w), bits(&b.ln_w));
+        assert_eq!(bits(r_mbs), bits(&b.r_mbs));
+        assert_eq!(bits(r_fbs), bits(&b.r_fbs));
+        assert_eq!(bits(fbs_rate), bits(&b.fbs_rate));
+        assert_eq!(bits(s_mbs), bits(&b.s_mbs));
+        assert_eq!(bits(s_fbs), bits(&b.s_fbs));
+        assert_eq!(fbs, &b.fbs);
+        assert_eq!(bits(g), bits(&b.g));
+        assert_eq!(fbs_user_offsets, &b.fbs_user_offsets);
+        assert_eq!(fbs_user_ids, &b.fbs_user_ids);
+    }
+
+    /// Re-pointing a view at `g` gives the view of the problem with `g`,
+    /// field for field and bit for bit, wherever it pointed before:
+    /// signed zeros, a rate near the overflow, and back again.
+    #[test]
+    fn set_g_is_the_view_of_the_problem_with_g() {
+        let p = two_fbs_problem();
+        let mut soa = SoaProblem::from_problem(&p);
+        for g in [
+            vec![0.0, 5.5],
+            vec![-0.0, 0.0],
+            vec![1e-300, f64::MAX],
+            vec![3.0, 2.0],
+            vec![0.7, 0.0],
+        ] {
+            soa.set_g(&g);
+            assert_same_fields(&soa, &SoaProblem::from_problem(&p.with_g(g).unwrap()));
+        }
     }
 
     #[test]

@@ -61,14 +61,25 @@
 //! fill, so a fill on the paper's workload evaluates about 2.3 share
 //! sums instead of 54 (DESIGN §15).
 //!
+//! A solve reads only a [`SoaProblem`] view and keeps its state in
+//! reusable buffers: the mode vectors, the filled-mode history, and the
+//! latest and best fills with each user's entry and objective term and
+//! each budget's level. Each budget fill hands over its members'
+//! objective terms with their shares, so a fill's value is the sum of
+//! its terms in user order, the left fold [`SlotProblem::objective`]
+//! takes, and the solve returns the polish's best value as that
+//! objective without computing it again.
+//!
 //! Within one greedy run ([`crate::greedy`]) every solve goes through
-//! one scratch that caches the run's budget fills. A fill is a pure
-//! function of its budget, of that FBS's `G_i` (the MBS budget's rates
-//! do not depend on `G`) and of the members it gathers, and those
-//! repeat across the run's `Q(c)` solves, so a repeated fill replays
-//! its λ and shares instead of bisecting again. The public entry
-//! points ([`WaterfillingSolver::solve`], [`WaterfillingSolver::polish`]
-//! and the fills) cache nothing.
+//! one view, whose `G` column each solve re-points, one set of buffers,
+//! and one scratch that caches the run's budget fills: a solve then
+//! allocates only the allocation it returns. A fill is a pure function
+//! of its budget, of that FBS's `G_i` (the MBS budget's rates do not
+//! depend on `G`) and of the members it gathers, and those repeat
+//! across the run's `Q(c)` solves, so a repeated fill replays its λ,
+//! shares and terms instead of bisecting again. The public entry points
+//! ([`WaterfillingSolver::solve`], [`WaterfillingSolver::polish`] and the
+//! fills) build their own view and buffers and cache nothing.
 //!
 //! This is *not* the paper's distributed algorithm — that is
 //! [`crate::dual`] — but it computes the same optimum (the tests check
@@ -150,27 +161,32 @@ impl WaterfillingSolver {
     /// reaches the dual solver's value; exactly global when the
     /// [`Self::exact_up_to`] path applies).
     pub fn solve(&self, problem: &SlotProblem) -> Allocation {
-        self.solve_in(problem, &mut FillScratch::new())
+        let soa = SoaProblem::from_problem(problem);
+        self.solve_soa(&soa, &mut SolveBuffers::default(), &mut FillScratch::new())
+            .1
     }
 
-    /// [`Self::solve`] through the caller's scratch. The greedy
-    /// allocator passes every solve of one run the same caching
-    /// scratch, so a budget fill made by one `Q(c)` solve is replayed
-    /// by the next that needs it.
-    pub(crate) fn solve_in(&self, problem: &SlotProblem, scratch: &mut FillScratch) -> Allocation {
-        // One SoA view and one scratch serve every fill of the solve —
-        // the gathers become contiguous sweeps and the bisection stops
-        // allocating (the hot-path win that makes massive-N Q(c)
-        // evaluations cheap).
-        let soa = SoaProblem::from_problem(problem);
-        let allocation = if problem.num_users() <= self.exhaustive_modes_up_to.min(20) {
-            self.solve_exact_modes(problem, &soa, scratch)
+    /// [`Self::solve`] of the problem `soa` views, through the caller's
+    /// buffers and scratch, also returning the allocation's objective:
+    /// [`SlotProblem::objective`]'s, bit for bit. The greedy allocator
+    /// passes every `Q(c)` solve of one run the same view (its `G`
+    /// re-pointed), the same buffers and the same caching scratch, so a
+    /// solve allocates only the allocation it returns, and a budget fill
+    /// made by one solve is replayed by the next that needs it.
+    pub(crate) fn solve_soa(
+        &self,
+        soa: &SoaProblem,
+        buffers: &mut SolveBuffers,
+        scratch: &mut FillScratch,
+    ) -> (f64, Allocation) {
+        let solved = if soa.num_users() <= self.exhaustive_modes_up_to.min(20) {
+            self.solve_exact_modes(soa, buffers, scratch)
         } else {
-            self.solve_heuristic_modes(problem, &soa, scratch)
+            self.solve_heuristic_modes(soa, buffers, scratch)
         };
         fcr_telemetry::incr("waterfill.solves", 1);
         scratch.flush_counters();
-        allocation
+        solved
     }
 
     /// The mode loop, then the polish. The loop stops at the first mode
@@ -178,76 +194,82 @@ impl WaterfillingSolver {
     /// and `best` moves only on a strict improvement, so every later
     /// round would repeat a value already seen. It fills the distinct
     /// prefix of the best-response sequence, at most `max_rounds`
-    /// vectors.
+    /// vectors. Each fill's value is the sum of its terms in user
+    /// order, the left fold [`SlotProblem::objective`] takes.
     fn solve_heuristic_modes(
         &self,
-        problem: &SlotProblem,
         soa: &SoaProblem,
+        buffers: &mut SolveBuffers,
         scratch: &mut FillScratch,
-    ) -> Allocation {
+    ) -> (f64, Allocation) {
+        let n = soa.num_users();
+        let SolveBuffers {
+            modes,
+            filled,
+            current,
+            best,
+            ..
+        } = buffers;
         // Myopic initial modes: compare each branch's solo value.
-        let modes: Vec<Mode> = problem
-            .users()
-            .iter()
-            .enumerate()
-            .map(|(j, u)| {
-                let (w, ln_w) = (u.w(), u.ln_w());
-                let v_mbs =
-                    lagrangian::branch_value_ln(u.success_mbs(), 0.0, w, ln_w, u.r_mbs(), 1.0);
-                let v_fbs = lagrangian::branch_value_ln(
-                    u.success_fbs(),
-                    0.0,
-                    w,
-                    ln_w,
-                    problem.fbs_rate(j),
-                    1.0,
-                );
-                if v_mbs > v_fbs {
-                    Mode::Mbs
-                } else {
-                    Mode::Fbs
-                }
-            })
-            .collect();
+        modes.clear();
+        modes.extend((0..n).map(|j| {
+            let (w, ln_w) = (soa.w(j), soa.ln_w(j));
+            let v_mbs = lagrangian::branch_value_ln(soa.s_mbs(j), 0.0, w, ln_w, soa.r_mbs(j), 1.0);
+            let v_fbs =
+                lagrangian::branch_value_ln(soa.s_fbs(j), 0.0, w, ln_w, soa.fbs_rate(j), 1.0);
+            if v_mbs > v_fbs {
+                Mode::Mbs
+            } else {
+                Mode::Fbs
+            }
+        }));
 
-        let (mut best, mut levels) = self.fill_levels(soa, &modes, scratch);
-        let mut best_value = problem.objective(&best);
-        let mut best_levels = levels.clone();
-        let mut filled = vec![modes];
-        while filled.len() < self.max_rounds {
+        self.fill_into(soa, modes, scratch, best);
+        let mut best_value = best.value();
+        filled.clear();
+        filled.extend_from_slice(modes);
+        let mut rounds = 1;
+        // Whether the latest fill, whose levels price the next best
+        // response, is `best` rather than `current`.
+        let mut latest_is_best = true;
+        while rounds < self.max_rounds {
+            let levels = if latest_is_best {
+                &best.levels
+            } else {
+                &current.levels
+            };
             // Best-response modes at the implied prices (Table I step 4).
-            let modes: Vec<Mode> = problem
-                .users()
-                .iter()
-                .map(|u| {
-                    let sol = lagrangian::solve_user(
-                        u,
-                        problem.g(u.fbs()),
-                        levels[0].lambda,
-                        levels[1 + u.fbs().0].lambda,
-                    );
-                    sol.allocation.mode
-                })
-                .collect();
-            if filled.contains(&modes) {
+            modes.clear();
+            modes.extend((0..n).map(|j| {
+                let response = lagrangian::respond(
+                    soa.w(j),
+                    soa.ln_w(j),
+                    (soa.s_mbs(j), soa.r_mbs(j)),
+                    (soa.s_fbs(j), soa.fbs_rate(j)),
+                    levels[0].lambda,
+                    levels[1 + soa.fbs(j).0].lambda,
+                );
+                response.allocation.mode
+            }));
+            if filled.chunks_exact(n).any(|f| f == modes.as_slice()) {
                 break;
             }
-            let (alloc, next) = self.fill_levels(soa, &modes, scratch);
-            let value = problem.objective(&alloc);
-            if value > best_value {
+            self.fill_into(soa, modes, scratch, current);
+            let value = current.value();
+            latest_is_best = value > best_value;
+            if latest_is_best {
                 best_value = value;
-                best = alloc;
-                best_levels.clone_from(&next);
+                std::mem::swap(current, best);
             }
-            levels = next;
-            filled.push(modes);
+            filled.extend_from_slice(modes);
+            rounds += 1;
         }
-        fcr_telemetry::incr("waterfill.mode_rounds", filled.len() as u64);
+        fcr_telemetry::incr("waterfill.mode_rounds", rounds as u64);
 
         // `best` is a fill of its own modes, so the polish starts from
         // it and its water levels as they are.
-        let start = IncrementalFill::new(problem, &best, best_levels);
-        self.polish_with(problem, soa, scratch, best, start)
+        let (value, _) = self.polish_with(soa, scratch, buffers, best_value);
+        (value, Allocation::new(buffers.best.users.clone()))
     }
 
     /// Global optimum by enumeration: every `2^n` binary mode vector of
@@ -255,30 +277,36 @@ impl WaterfillingSolver {
     /// for `n ≤ min(exhaustive_modes_up_to, 20)`, so the loop is cheap.
     fn solve_exact_modes(
         &self,
-        problem: &SlotProblem,
         soa: &SoaProblem,
+        buffers: &mut SolveBuffers,
         scratch: &mut FillScratch,
-    ) -> Allocation {
-        let n = problem.num_users();
-        let mut best: Option<(f64, Allocation)> = None;
+    ) -> (f64, Allocation) {
+        let n = soa.num_users();
+        let SolveBuffers {
+            modes,
+            current,
+            best,
+            ..
+        } = buffers;
+        let mut best_value: Option<f64> = None;
         for bits in 0..(1u32 << n) {
-            let modes: Vec<Mode> = (0..n)
-                .map(|j| {
-                    if bits >> j & 1 == 1 {
-                        Mode::Fbs
-                    } else {
-                        Mode::Mbs
-                    }
-                })
-                .collect();
-            let candidate = self.fill_soa(soa, &modes, scratch).0;
-            let value = problem.objective(&candidate);
-            if best.as_ref().is_none_or(|(b, _)| value > *b) {
-                best = Some((value, candidate));
+            modes.clear();
+            modes.extend((0..n).map(|j| {
+                if bits >> j & 1 == 1 {
+                    Mode::Fbs
+                } else {
+                    Mode::Mbs
+                }
+            }));
+            self.fill_into(soa, modes, scratch, current);
+            let value = current.value();
+            if best_value.is_none_or(|b| value > b) {
+                best_value = Some(value);
+                std::mem::swap(current, best);
             }
         }
-        best.expect("at least the all-MBS mode vector was evaluated")
-            .1
+        let value = best_value.expect("at least the all-MBS mode vector was evaluated");
+        (value, Allocation::new(best.users.clone()))
     }
 
     /// Local search over mode vectors starting from `allocation`: single
@@ -329,30 +357,45 @@ impl WaterfillingSolver {
     ) -> Allocation {
         let soa = SoaProblem::from_problem(problem);
         let mut scratch = FillScratch::new();
+        let mut buffers = SolveBuffers::default();
         // An input need not be a fill of its own modes; every candidate
         // is, so the search runs on that fill from the start.
-        let (filled, levels) = self.fill_levels(&soa, modes, &mut scratch);
-        let start = IncrementalFill::new(problem, &filled, levels);
-        let allocation = input.unwrap_or(filled);
-        let polished = self.polish_with(problem, &soa, &mut scratch, allocation, start);
+        self.fill_into(&soa, modes, &mut scratch, &mut buffers.best);
+        let value = input
+            .as_ref()
+            .map_or_else(|| buffers.best.value(), |a| problem.objective(a));
+        let (_, accepted) = self.polish_with(&soa, &mut scratch, &mut buffers, value);
         scratch.flush_counters();
-        polished
+        match input {
+            Some(allocation) if !accepted => allocation,
+            _ => Allocation::new(buffers.best.users),
+        }
     }
 
-    /// The polish search from `fill`, the fill of `allocation`'s modes.
+    /// The polish search from `buffers.best`, a fill of its own modes,
+    /// standing for an allocation whose objective is `best_value` (the
+    /// fill's own value, or the input's). Leaves the best fill found in
+    /// `buffers.best` and returns its value, and whether a candidate was
+    /// accepted; without one, every candidate was undone and
+    /// `buffers.best` is the starting fill again.
     fn polish_with(
         &self,
-        problem: &SlotProblem,
         soa: &SoaProblem,
         scratch: &mut FillScratch,
-        allocation: Allocation,
-        mut fill: IncrementalFill,
-    ) -> Allocation {
-        let n_users = problem.num_users();
-        let mut best_value = problem.objective(&allocation);
-        let mut modes: Vec<Mode> = allocation.users().iter().map(|u| u.mode).collect();
+        buffers: &mut SolveBuffers,
+        mut best_value: f64,
+    ) -> (f64, bool) {
+        let SolveBuffers {
+            modes,
+            best: fill,
+            prices,
+            ..
+        } = buffers;
+        let n_users = soa.num_users();
+        modes.clear();
+        modes.extend(fill.users.iter().map(|u| u.mode));
         let mut accepted = false;
-        let mut prices = Prices::new(soa);
+        prices.reset(soa);
         // The prices are those of `fill`'s water levels; a kept
         // candidate moves them.
         let mut priced = false;
@@ -363,7 +406,7 @@ impl WaterfillingSolver {
             passes += 1;
             for j in 0..n_users {
                 if !priced {
-                    prices.update(soa, &fill);
+                    prices.update(soa, fill);
                     priced = true;
                 }
                 if !prices.admits(prices.flip[j], best_value + 1e-12) {
@@ -372,7 +415,7 @@ impl WaterfillingSolver {
                 }
                 scratch.polish_refills += 1;
                 modes[j] = flip(modes[j]);
-                let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j]);
+                let value = self.refill(soa, modes, scratch, fill, &[j]);
                 if value > best_value + 1e-12 {
                     best_value = value;
                     fill.keep();
@@ -396,7 +439,7 @@ impl WaterfillingSolver {
                         }
                         scratch.polish_refills += 1;
                         modes.swap(j, k);
-                        let value = self.refill(problem, soa, &modes, scratch, &mut fill, &[j, k]);
+                        let value = self.refill(soa, modes, scratch, fill, &[j, k]);
                         if value > best_value + 1e-12 {
                             best_value = value;
                             fill.keep();
@@ -411,23 +454,18 @@ impl WaterfillingSolver {
                 }
             }
         }
-        if accepted {
-            Allocation::new(fill.users)
-        } else {
-            allocation
-        }
+        (best_value, accepted)
     }
 
     /// Turns `fill` into the fill of `modes`, which differ from its own
     /// modes exactly at the `changed` users, each flipped: refills the
     /// MBS budget and each changed user's FBS budget (every other budget
-    /// keeps its members, hence its shares and water level), logging
-    /// what it overwrites. A budget that [`keeps`] proves the move leaves
-    /// as it is gets only its joiners' zero-share entries. Returns the
-    /// candidate's objective.
+    /// keeps its members, hence its shares, terms and water level),
+    /// logging what it overwrites. A budget that [`keeps`] proves the
+    /// move leaves as it is gets only its joiners' zero-share entries.
+    /// Returns the candidate's objective.
     fn refill(
         &self,
-        problem: &SlotProblem,
         soa: &SoaProblem,
         modes: &[Mode],
         scratch: &mut FillScratch,
@@ -456,13 +494,15 @@ impl WaterfillingSolver {
                 };
                 for &j in changed {
                     if budget_of(soa, j, modes[j]) == b {
-                        fill.write(problem, j, zero);
+                        fill.write(j, zero, soa.term(j, zero));
                     }
                 }
                 fill.set_level(b, Level { effective, ..level });
                 continue;
             }
-            let level = self.fill_budget(soa, modes, b, scratch, |u, a| fill.write(problem, u, a));
+            let level = self.fill_budget(soa, modes, b, scratch, |j, a, term| {
+                fill.write(j, a, term);
+            });
             fill.set_level(b, level);
         }
         fill.value()
@@ -493,10 +533,9 @@ impl WaterfillingSolver {
     }
 
     /// As [`Self::fill_with_prices`], but through a prebuilt
-    /// [`SoaProblem`] view and a reusable [`FillScratch`] — the zero-
-    /// allocation hot path the greedy allocator's `Q(c)` evaluations
-    /// run on. Bit-identical to the one-shot entry points (it *is*
-    /// their implementation).
+    /// [`SoaProblem`] view and a reusable [`FillScratch`].
+    /// Bit-identical to the one-shot entry points (it *is* their
+    /// implementation).
     ///
     /// # Panics
     ///
@@ -507,39 +546,61 @@ impl WaterfillingSolver {
         modes: &[Mode],
         scratch: &mut FillScratch,
     ) -> (Allocation, Vec<f64>) {
-        let (allocation, levels) = self.fill_levels(soa, modes, scratch);
-        (allocation, levels.iter().map(|l| l.lambda).collect())
+        let mut fill = IncrementalFill::default();
+        self.fill_into(soa, modes, scratch, &mut fill);
+        let lambdas = fill.levels.iter().map(|l| l.lambda).collect();
+        (Allocation::new(fill.users), lambdas)
     }
 
-    /// As [`Self::fill_soa`], with each budget's whole [`Level`].
-    fn fill_levels(
+    /// Resets `fill` to the fill of `modes`: every budget filled, each
+    /// user's entry and objective term, each budget's whole [`Level`],
+    /// and an empty log. Allocates only where `fill`'s buffers are
+    /// shorter than the problem.
+    fn fill_into(
         &self,
         soa: &SoaProblem,
         modes: &[Mode],
         scratch: &mut FillScratch,
-    ) -> (Allocation, Vec<Level>) {
+        fill: &mut IncrementalFill,
+    ) {
         assert_eq!(modes.len(), soa.num_users(), "mode vector size mismatch");
+        let IncrementalFill {
+            users,
+            terms,
+            levels,
+            log,
+            level_log,
+        } = fill;
         // Every user belongs to exactly one budget, so every entry is
         // written once.
-        let mut allocations = vec![UserAllocation::idle(); soa.num_users()];
-        let levels = (0..=soa.num_fbss())
-            .map(|b| self.fill_budget(soa, modes, b, scratch, |j, a| allocations[j] = a))
-            .collect();
-        (Allocation::new(allocations), levels)
+        users.clear();
+        users.resize(soa.num_users(), UserAllocation::idle());
+        terms.clear();
+        terms.resize(soa.num_users(), 0.0);
+        levels.clear();
+        log.clear();
+        level_log.clear();
+        for b in 0..=soa.num_fbss() {
+            let level = self.fill_budget(soa, modes, b, scratch, |j, a, term| {
+                users[j] = a;
+                terms[j] = term;
+            });
+            levels.push(level);
+        }
     }
 
     /// Fills budget `b` at `modes` — the MBS budget for `b = 0`, FBS
     /// `b − 1`'s otherwise: gathers its members, bisects (or, through a
     /// greedy run's caching scratch, replays a fill already made over
-    /// the same members), and hands each member's entry to `write`.
-    /// Returns the budget's level.
+    /// the same members), and hands each member's entry and objective
+    /// term to `write`. Returns the budget's level.
     fn fill_budget(
         &self,
         soa: &SoaProblem,
         modes: &[Mode],
         b: usize,
         scratch: &mut FillScratch,
-        mut write: impl FnMut(usize, UserAllocation),
+        mut write: impl FnMut(usize, UserAllocation, f64),
     ) -> Level {
         scratch.budget_fills += 1;
         scratch.clear();
@@ -569,14 +630,19 @@ impl WaterfillingSolver {
                 (soa.s_fbs(j), soa.w(j), soa.fbs_rate(j))
             }
         };
-        let level = scratch.fill_once(b, g, member, |scratch| self.fill_constraint(scratch));
+        let level = scratch.fill_once(b, g, member, |scratch| {
+            let level = self.fill_constraint(scratch);
+            scratch.set_terms(|j| soa.ln_w(j));
+            level
+        });
         let entry = if b == 0 {
             UserAllocation::mbs
         } else {
             UserAllocation::fbs
         };
-        for (&j, &share) in scratch.idx.iter().zip(&scratch.shares) {
-            write(j, entry(share));
+        let members = scratch.idx.iter().zip(&scratch.shares).zip(&scratch.terms);
+        for ((&j, &share), &term) in members {
+            write(j, entry(share), term);
         }
         level
     }
@@ -835,9 +901,24 @@ fn keeps(
     (!counted || level.effective >= 2 && effective >= 2).then_some(effective)
 }
 
-/// The polish's working fill: each user's entry and objective term,
-/// each budget's level, plus a log of what the candidate under
+/// The buffers of a solve: its mode vector, the mode vectors its
+/// best-response loop has filled (back to back), its latest and best
+/// fills, and the polish's prices. A solve resets each buffer before it
+/// reads it, so one set serves any sequence of solves of any sizes, and
+/// a greedy run passes one set to all its `Q(c)` solves.
+#[derive(Debug, Default)]
+pub(crate) struct SolveBuffers {
+    modes: Vec<Mode>,
+    filled: Vec<Mode>,
+    current: IncrementalFill,
+    best: IncrementalFill,
+    prices: Prices,
+}
+
+/// A fill as a solve holds it: each user's entry and objective term,
+/// each budget's level, plus a log of what the polish's candidate under
 /// evaluation overwrote.
+#[derive(Debug, Default)]
 struct IncrementalFill {
     users: Vec<UserAllocation>,
     terms: Vec<f64>,
@@ -847,25 +928,11 @@ struct IncrementalFill {
 }
 
 impl IncrementalFill {
-    /// The working copy of `fill`, whose levels are `levels`.
-    fn new(problem: &SlotProblem, fill: &Allocation, levels: Vec<Level>) -> Self {
-        let users = fill.users().to_vec();
-        let terms = (0..users.len())
-            .map(|j| problem.entry_objective(j, users[j]))
-            .collect();
-        Self {
-            users,
-            terms,
-            levels,
-            log: Vec::new(),
-            level_log: Vec::new(),
-        }
-    }
-
-    fn write(&mut self, problem: &SlotProblem, j: usize, a: UserAllocation) {
+    /// Gives user `j` the entry `a`, whose objective term is `term`.
+    fn write(&mut self, j: usize, a: UserAllocation, term: f64) {
         self.log.push((j, self.users[j], self.terms[j]));
         self.users[j] = a;
-        self.terms[j] = problem.entry_objective(j, a);
+        self.terms[j] = term;
     }
 
     /// Sets budget `b`'s level.
@@ -874,8 +941,8 @@ impl IncrementalFill {
         self.levels[b] = level;
     }
 
-    /// The objective: the cached terms summed in user order, the same
-    /// left fold [`SlotProblem::objective`] takes over fresh terms.
+    /// The objective: the terms summed in user order, the same left
+    /// fold [`SlotProblem::objective`] takes over the same terms.
     fn value(&self) -> f64 {
         self.terms.iter().sum()
     }
@@ -933,6 +1000,7 @@ pub(crate) fn magnitude(w: f64, ln_w: f64, widest: f64) -> f64 {
 /// bound does not grow, and the mover's value only falls. `margin`
 /// bounds the rounding of both objective folds, the reduced costs and
 /// the slack (derived in DESIGN §15).
+#[derive(Debug, Default)]
 struct Prices {
     /// The sum and the largest of the users' magnitudes `m_j`: the
     /// largest `|ln|` user `j`'s objective term takes in either mode at
@@ -960,7 +1028,9 @@ struct Prices {
 }
 
 impl Prices {
-    fn new(soa: &SoaProblem) -> Self {
+    /// Resets the prices for a polish of the problem `soa` views: sums
+    /// its users' magnitudes. [`Self::update`] sets the rest.
+    fn reset(&mut self, soa: &SoaProblem) {
         let (mut magnitude_sum, mut magnitude_max) = (0.0, 0.0f64);
         for j in 0..soa.num_users() {
             let widest = soa.r_mbs(j).max(soa.fbs_rate(j));
@@ -968,17 +1038,8 @@ impl Prices {
             magnitude_sum += magnitude;
             magnitude_max = magnitude_max.max(magnitude);
         }
-        Self {
-            magnitude_sum,
-            magnitude_max,
-            swap: Vec::new(),
-            flip: Vec::new(),
-            base: 0.0,
-            margin: 0.0,
-            load: Vec::new(),
-            interior: Vec::new(),
-            saturated: Vec::new(),
-        }
+        self.magnitude_sum = magnitude_sum;
+        self.magnitude_max = magnitude_max;
     }
 
     /// Prices every user at `fill`'s water levels.
@@ -1591,7 +1652,7 @@ mod tests {
             let (p, modes) = instance(&users, &g, num_fbss);
             let solver = WaterfillingSolver::default();
             let soa = SoaProblem::from_problem(&p);
-            let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+            let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
             let (j, k) = (j % p.num_users(), k % p.num_users());
             let changed = if j == k { vec![j] } else { vec![j, k] };
             refill_checked(&solver, &p, &soa, &modes, &mut fill, &changed);
@@ -1695,6 +1756,47 @@ mod tests {
             let got = solver.solve(&p);
             let (want, _) = oracle::solve(&solver, &p);
             prop_assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One SoA view, one caching scratch per problem and one set of
+        /// solve buffers serve a sequence of `Q` solves, as in a greedy
+        /// run: each solve re-points its view's `G`, `G` vectors repeat
+        /// bit for bit (so cached fills replay), and the solves
+        /// alternate between a problem and a larger one through the one
+        /// set of buffers, so that every solve follows one of another
+        /// size and would read its stale entries. Each `(Q, allocation)`
+        /// has the bits of a fresh `solve` of `problem.with_g(g)` and of
+        /// `SlotProblem::objective` on it.
+        #[test]
+        fn a_shared_workspace_solves_q_bit_identically_to_fresh_solves(
+            users in arb_users(),
+            more in arb_users(),
+            gs in proptest::collection::vec(arb_g(), 1..=4),
+            picks in proptest::collection::vec(0..4usize, 1..=12),
+            num_fbss in 1..=6usize,
+            solver in arb_solver(),
+        ) {
+            let larger: Vec<UserSpec> = users.iter().chain(&more).copied().collect();
+            let problems = [
+                instance(&users, &gs[0], num_fbss).0,
+                instance(&larger, &gs[0], num_fbss).0,
+            ];
+            let mut views = problems.each_ref().map(SoaProblem::from_problem);
+            let mut scratches = [FillScratch::caching(), FillScratch::caching()];
+            let mut buffers = SolveBuffers::default();
+            for (k, pick) in picks.iter().enumerate() {
+                let (p, g) = (k % 2, &gs[pick % gs.len()][..num_fbss]);
+                views[p].set_g(g);
+                let (q, got) = solver.solve_soa(&views[p], &mut buffers, &mut scratches[p]);
+                let fresh = problems[p].with_g(g.to_vec()).unwrap();
+                let want = solver.solve(&fresh);
+                prop_assert!(same_bits(got.users(), want.users()), "solve {k}: {got:?} vs {want:?}");
+                prop_assert_eq!(q.to_bits(), fresh.objective(&want).to_bits(), "solve {}", k);
+            }
         }
     }
 
@@ -2062,8 +2164,9 @@ mod tests {
     fn priced(p: &SlotProblem, modes: &[Mode]) -> (IncrementalFill, Prices) {
         let soa = SoaProblem::from_problem(p);
         let solver = WaterfillingSolver::default();
-        let fill = incremental(&solver, p, &soa, modes, &mut FillScratch::new());
-        let mut prices = Prices::new(&soa);
+        let fill = incremental(&solver, &soa, modes, &mut FillScratch::new());
+        let mut prices = Prices::default();
+        prices.reset(&soa);
         prices.update(&soa, &fill);
         (fill, prices)
     }
@@ -2198,21 +2301,21 @@ mod tests {
     /// The fill of `modes` as the polish holds it, through `scratch`.
     fn incremental(
         solver: &WaterfillingSolver,
-        p: &SlotProblem,
         soa: &SoaProblem,
         modes: &[Mode],
         scratch: &mut FillScratch,
     ) -> IncrementalFill {
-        let (fill, levels) = solver.fill_levels(soa, modes, scratch);
-        IncrementalFill::new(p, &fill, levels)
+        let mut fill = IncrementalFill::default();
+        solver.fill_into(soa, modes, scratch, &mut fill);
+        fill
     }
 
     /// Refills `fill` (the fill of `modes`) with the `changed` users
     /// flipped and checks the result against a full fill of the new
-    /// modes: every entry, the objective's bits and every recorded fact
-    /// of every level. Then undoes it, checks that the old entries,
-    /// objective and levels are back, and returns the budgets the
-    /// refill kept.
+    /// modes: every entry and objective term, the objective's bits and
+    /// every recorded fact of every level. Then undoes it, checks that
+    /// the old entries, objective and levels are back, and returns the
+    /// budgets the refill kept.
     fn refill_checked(
         solver: &WaterfillingSolver,
         p: &SlotProblem,
@@ -2227,17 +2330,18 @@ mod tests {
             moved[j] = flip(moved[j]);
         }
         let mut scratch = FillScratch::new();
-        let value = solver.refill(p, soa, &moved, &mut scratch, fill, changed);
-        let (full, full_levels) = solver.fill_levels(soa, &moved, &mut FillScratch::new());
-        assert!(same_bits(&fill.users, full.users()), "moving {changed:?}");
+        let value = solver.refill(soa, &moved, &mut scratch, fill, changed);
+        let full = incremental(solver, soa, &moved, &mut FillScratch::new());
+        assert!(same_bits(&fill.users, &full.users), "moving {changed:?}");
+        assert_eq!(bits(&fill.terms), bits(&full.terms), "moving {changed:?}");
         assert_eq!(
             value.to_bits(),
-            p.objective(&full).to_bits(),
+            p.objective(&Allocation::new(full.users.clone())).to_bits(),
             "moving {changed:?}"
         );
         assert_eq!(
             level_bits(&fill.levels),
-            level_bits(&full_levels),
+            level_bits(&full.levels),
             "moving {changed:?}"
         );
         fill.undo();
@@ -2277,7 +2381,7 @@ mod tests {
         let (p, modes) = priced_out_problem();
         let solver = WaterfillingSolver::default();
         let soa = SoaProblem::from_problem(&p);
-        let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         assert_eq!(fill.levels[1].effective, 0, "nobody benefits at G = 0");
         assert!(fill.levels[0].floor > 0.0);
         for j in [3, 4] {
@@ -2308,9 +2412,12 @@ mod tests {
         let solver = WaterfillingSolver::default();
         let soa = SoaProblem::from_problem(&p);
         let mut scratch = FillScratch::new();
-        let start = incremental(&solver, &p, &soa, &crowd, &mut scratch);
-        let filled = Allocation::new(start.users.clone());
-        let got = solver.polish_with(&p, &soa, &mut scratch, filled.clone(), start);
+        let mut buffers = SolveBuffers::default();
+        solver.fill_into(&soa, &crowd, &mut scratch, &mut buffers.best);
+        let filled = Allocation::new(buffers.best.users.clone());
+        let start = buffers.best.value();
+        solver.polish_with(&soa, &mut scratch, &mut buffers, start);
+        let got = Allocation::new(buffers.best.users);
         assert_eq!((scratch.polish_refills, scratch.budgets_kept), (302, 603));
         let want = oracle::polish(&solver, &p, filled);
         assert!(same_bits(got.users(), want.users()), "{got:?} vs {want:?}");
@@ -2328,7 +2435,7 @@ mod tests {
             ..WaterfillingSolver::default()
         };
         let soa = SoaProblem::from_problem(&p);
-        let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         let level = fill.levels[0];
         assert_eq!(fill.users[1].rho(), 0.0, "zero at the level");
         let (s, c, w) = (soa.s_mbs(1), soa.r_mbs(1), soa.w(1));
@@ -2339,9 +2446,9 @@ mod tests {
         let mut moved = modes.clone();
         moved[1] = Mode::Fbs;
         assert_eq!(keeps(&level, &soa, &moved, &[1], 1, 0), None);
-        let (_, full_levels) = solver.fill_levels(&soa, &moved, &mut FillScratch::new());
+        let full = incremental(&solver, &soa, &moved, &mut FillScratch::new());
         assert_ne!(
-            full_levels[0].lambda.to_bits(),
+            full.levels[0].lambda.to_bits(),
             level.lambda.to_bits(),
             "keeping it would be wrong"
         );
@@ -2361,7 +2468,7 @@ mod tests {
         let (p, modes) = priced_out_problem();
         let solver = WaterfillingSolver::default();
         let soa = SoaProblem::from_problem(&p);
-        let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         assert!(fill.users[0].rho() > 0.0);
         let mut moved = modes.clone();
         moved.swap(0, 4);
@@ -2384,7 +2491,7 @@ mod tests {
         let (p, modes) = priced_out_problem();
         let solver = WaterfillingSolver::default();
         let soa = SoaProblem::from_problem(&p);
-        let fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         let level = fill.levels[0];
         let ratio = soa.s_mbs(3) * soa.r_mbs(3) / soa.w(3);
         let mut leave = modes.clone();
@@ -2427,7 +2534,7 @@ mod tests {
         let (p, modes) = priced_out_problem();
         let solver = WaterfillingSolver::default();
         let soa = SoaProblem::from_problem(&p);
-        let fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         let level = fill.levels[0];
         let mut leave = modes.clone();
         leave[3] = Mode::Fbs;
@@ -2465,7 +2572,7 @@ mod tests {
         .unwrap();
         let modes = [Mode::Fbs, Mode::Fbs];
         let soa = SoaProblem::from_problem(&p);
-        let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+        let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
         assert_eq!(fill.users[0].rho(), 1.0, "saturated");
         assert_eq!(fill.users[1].rho(), 0.0);
         let (level, s, c, w) = (fill.levels[1], soa.s_fbs(1), soa.fbs_rate(1), soa.w(1));
@@ -2544,7 +2651,7 @@ mod tests {
             };
             let soa = SoaProblem::from_problem(&p);
             let n = p.num_users();
-            let mut fill = incremental(&solver, &p, &soa, &modes, &mut FillScratch::new());
+            let mut fill = incremental(&solver, &soa, &modes, &mut FillScratch::new());
             for j in 0..n {
                 refill_checked(&solver, &p, &soa, &modes, &mut fill, &[j]);
                 let k = (j + 1) % n;

@@ -358,4 +358,114 @@ mod tests {
         assert_eq!(route(""), Route::BadRequest);
         assert_eq!(route("GET\r\n"), Route::BadRequest);
     }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Paths, and whether they serve the metrics body.
+        const PATHS: [(&str, bool); 8] = [
+            ("/metrics", true),
+            ("/", true),
+            ("/metricsx", false),
+            ("/metrics/", false),
+            ("/favicon.ico", false),
+            ("//", false),
+            ("/METRICS", false),
+            ("metrics", false),
+        ];
+
+        /// Queries, and whether they select the Prometheus exposition.
+        const QUERIES: [(&str, bool); 9] = [
+            ("", false),
+            ("?format=prom", true),
+            ("?format=prometheus", true),
+            ("?x=1&format=prom", true),
+            ("?format=prom&x", true),
+            ("?format=json", false),
+            ("?format=promx", false),
+            ("?FORMAT=prom", false),
+            ("?", false),
+        ];
+
+        const METHODS: [&str; 4] = ["GET", "HEAD", "POST", "get"];
+        const VERSIONS: [&str; 3] = ["HTTP/1.0", "HTTP/1.1", "HTTP/2"];
+        const NOT_VERSIONS: [&str; 3] = ["FTP/1.0", "http/1.1", "HTTP"];
+        /// Runs of whitespace that `split_whitespace` splits on.
+        const GAPS: [&str; 4] = [" ", "  ", "\t", " \u{a0}\u{2003} "];
+        const ENDS: [&str; 2] = ["\r\n", "\n"];
+
+        /// Arbitrary bytes as the lossy text the server routes.
+        fn arb_text(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = String> {
+            proptest::collection::vec(0..=255u8, len)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+        }
+
+        /// A request line by shape: 0 well formed, 1 without a version,
+        /// 2 with a fourth token, 3 with a version that is not HTTP's.
+        /// Returns it with the route the unit tests give its shape.
+        fn arb_line() -> impl Strategy<Value = (String, Route)> {
+            (
+                (0..4u8, 0..METHODS.len(), 0..PATHS.len(), 0..QUERIES.len()),
+                (
+                    0..VERSIONS.len(),
+                    0..GAPS.len(),
+                    0..GAPS.len(),
+                    0..ENDS.len(),
+                ),
+                arb_text(0..=40),
+            )
+                .prop_map(
+                    |((shape, method, path, query), (version, gap, gap2, end), rest)| {
+                        let (path, serves) = PATHS[path];
+                        let (query, prom) = QUERIES[query];
+                        let (method, gap, gap2) = (METHODS[method], GAPS[gap], GAPS[gap2]);
+                        let head = format!("{method}{gap}{path}{query}");
+                        let (line, want) = match shape {
+                            0 => {
+                                let want = match (serves, prom) {
+                                    (false, _) => Route::NotFound,
+                                    (true, true) => Route::Prometheus,
+                                    (true, false) => Route::Metrics,
+                                };
+                                (format!("{head}{gap2}{}", VERSIONS[version]), want)
+                            }
+                            1 => (head, Route::BadRequest),
+                            2 => (
+                                format!("{head}{gap2}{}{gap}extra", VERSIONS[version]),
+                                Route::BadRequest,
+                            ),
+                            _ => (
+                                format!("{head}{gap2}{}", NOT_VERSIONS[version]),
+                                Route::BadRequest,
+                            ),
+                        };
+                        // Only the first line is read: headers and junk follow.
+                        (format!("{line}{}{rest}", ENDS[end]), want)
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Whatever a client sends, routing returns without a panic.
+            #[test]
+            fn any_request_text_routes_without_panicking(request in arb_text(0..=96)) {
+                route(&request);
+            }
+
+            /// Generated request lines route as the unit tests above do:
+            /// `/metrics` and `/` to the body, with `format=prom` or
+            /// `format=prometheus` among the query's pairs to the
+            /// Prometheus exposition, any other path to 404, and a line
+            /// that is not `METHOD TARGET HTTP/x` to 400, whatever
+            /// whitespace separates the tokens and whatever follows the
+            /// line.
+            #[test]
+            fn generated_request_lines_route_as_the_unit_tests_do((request, want) in arb_line()) {
+                prop_assert_eq!(route(&request), want, "{:?}", request);
+            }
+        }
+    }
 }
